@@ -9,9 +9,12 @@ fresh interpreter started here (see ``worker.py``), with one BLAS thread and
 
 ``--trace 0`` measures the end-to-end metrics.  ``setup_s`` is the median of
 SETUP_SAMPLES fresh interpreters, each timed from its start to the end of the
-workload's set-up; the last of them goes on to measure.  ``--trace 1`` runs
-the workload untraced and then traced, each for half the seconds, and reports
-the traced run's per-layer table and the tracing overhead.
+workload's set-up; then one more goes on to measure.  All times are given at
+the reference speed of ``calibration.py``: this process samples the kernel
+just before and after each set-up, the worker between its operations.
+``--trace 1`` runs the workload untraced and then traced, each for half the
+seconds, and reports the traced run's per-layer table and the tracing
+overhead.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before it
@@ -28,6 +31,13 @@ import sys
 import time
 from pathlib import Path
 
+#: one BLAS thread, here as in the workers: two threads make the small
+#: eigensolves of the calibration kernel thirty times slower
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
+
+from calibration import Speedometer  # noqa: E402  (imports numpy)
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = ROOT / ".bench_out"
@@ -35,15 +45,17 @@ OUT = ROOT / ".bench_out"
 #: imports cvsquash, and the package is only ever loaded in the workers
 WORKLOADS = ("extension-grid", "classical-sweep", "oracle-cmi", "channel-entropy")
 SETUP_SAMPLES = 5
+#: kernel samples taken before and after each timed set-up
+SETUP_BURST = 5
+#: the parts of the kernel that time a set-up: importing is Python-bound work
+SETUP_CALIBRATION = ("python", "numpy")
 #: seconds a worker may take beyond its measuring time before it is stopped
 GRACE = 60
 
 
 def worker_env():
-    env = dict(os.environ)
+    env = dict(os.environ)  # with BLAS_THREADS set above
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(BENCH)])
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     env.pop("GAUSSQ_JOBS", None)
     return env
 
@@ -69,11 +81,24 @@ def print_checks(label, result):
         print(f"error {label}: {count} x {name}")
 
 
+def timed_setup(args):
+    """Seconds from a fresh interpreter to the end of set-up, at reference speed."""
+    speed = Speedometer(SETUP_CALIBRATION)
+    for _ in range(SETUP_BURST):
+        speed.sample()
+    setup = spawn(args, 0, "--setup-only")[1]
+    for _ in range(SETUP_BURST):
+        speed.sample()
+    return setup, setup * speed.scale()
+
+
 def measure(args):
-    setups = [spawn(args, 0, "--setup-only")[1] for _ in range(SETUP_SAMPLES - 1)]
-    result, setup = spawn(args, args.seconds)
-    setups.append(setup)
+    raw, setups = zip(*(timed_setup(args) for _ in range(SETUP_SAMPLES)))
+    result, _ = spawn(args, args.seconds)
     print_checks(args.workload, result)
+    print(f"measured at host speed: setup_s {statistics.median(raw):.4g},"
+          f" ops_per_s {result['raw_ops_per_s']:.6g}, op_p50_ms {result['raw_op_p50_ms']:.6g};"
+          f" reference over kernel time {result['scale']:.4g} ({result['kernel_samples']} samples)")
     metrics = {
         "setup_s": (statistics.median(setups), "s"),
         "ops_per_s": (result["ops_per_s"], "ops/s"),

@@ -19,6 +19,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
 
+import calibration  # noqa: E402
 import reference as ref  # noqa: E402
 from workloads import ChannelEntropy, Checks, ClassicalSweep, ExtensionGrid, OracleCmi  # noqa: E402
 
@@ -40,6 +41,23 @@ def test_reference_entropies():
         x = np.linspace(0.0, E, 200001)
         assert ref.classical_by_scan(kappa, E) == pytest.approx(
             0.5 * ref.h_array(kappa, x).min(), abs=1e-10)
+
+
+def test_scale_uses_the_kernel_samples_nearest_an_operation():
+    speed = calibration.Speedometer(("python", "numpy"))
+    reference = calibration.REFERENCE_S["python"] + calibration.REFERENCE_S["numpy"]
+    # one sample a second; the kernel runs twice as slow from t = 10 on
+    speed.at = [float(t) for t in range(20)]
+    speed.took = [reference * (1.0 if t < 10 else 2.0) for t in range(20)]
+    assert calibration.NEAREST == 3
+    assert speed.scale(3.2, 3.4) == pytest.approx(1.0)
+    assert speed.scale(14.0, 16.0) == pytest.approx(0.5)
+    # nearest to 9.6 are the samples at 9, 10 and 11
+    assert speed.scale(9.3, 9.9) == pytest.approx(0.5)
+    assert speed.scale(8.8, 9.6) == pytest.approx(1.0)
+    assert speed.scale() == pytest.approx(1.0 / 1.5)
+    speed.sample()
+    assert speed.scale(speed.at[-1], speed.at[-1]) > 0.0
 
 
 @pytest.mark.parametrize("name, perturb", [

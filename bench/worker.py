@@ -17,6 +17,7 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
+from calibration import INTERVAL, Speedometer
 from tracing import SETUP_ONLY, Tracer, traced_names
 from workloads import WORKLOADS, Checks
 
@@ -29,42 +30,54 @@ def run_rounds(workload, seconds, tracer=None):
     """Whole rounds until ``seconds`` of wall time have passed, at least one.
 
     Each call is timed alone; verification runs outside the timed call, so
-    the rate is operations passed per second spent in calls."""
+    the rate is operations passed per second spent in calls.  The kernel of
+    ``calibration`` is sampled between calls, at least every INTERVAL and
+    after every call longer than that, and each call's time is scaled to the
+    reference speed by the samples nearest it (``Speedometer.scale``)."""
+    speed = Speedometer(workload.CALIBRATION)
     attempted = failed = wrong = 0
     errors = {}
-    latencies = []
-    busy = 0.0
+    timed = []  # (start, seconds, passed) of every call that returned or raised
     start = time.perf_counter()
     while True:
         for call, verify in workload.round():
             attempted += 1
+            if speed.since_last() >= INTERVAL:
+                speed.sample()
             t0 = time.perf_counter()
             try:
                 with span(tracer, "op"):
                     result = call()
             except Exception as exc:  # a raising operation is a failed one
-                busy += time.perf_counter() - t0
+                timed.append((t0, time.perf_counter() - t0, False))
                 failed += 1
                 errors[type(exc).__name__] = errors.get(type(exc).__name__, 0) + 1
                 continue
             elapsed = time.perf_counter() - t0
-            busy += elapsed
+            if elapsed >= INTERVAL:
+                speed.sample()
             try:
                 ok = verify(result)
             except Exception as exc:  # output the checks cannot read
                 ok = False
                 key = f"verify:{type(exc).__name__}"
                 errors[key] = errors.get(key, 0) + 1
-            if ok:
-                latencies.append(elapsed)
-            else:
+            timed.append((t0, elapsed, ok))
+            if not ok:
                 failed += 1
                 wrong += 1
         if time.perf_counter() - start >= seconds:
             break
+    speed.sample()
+    scaled = [(elapsed * speed.scale(t0, t0 + elapsed), ok) for t0, elapsed, ok in timed]
+    passed = [t for t, ok in scaled if ok]
     return {"attempted": attempted, "failed": failed, "wrong": wrong, "errors": errors,
-            "ops_per_s": len(latencies) / busy,
-            "op_p50_ms": 1e3 * statistics.median(latencies) if latencies else None}
+            "ops_per_s": len(passed) / sum(t for t, _ in scaled),
+            "op_p50_ms": 1e3 * statistics.median(passed) if passed else None,
+            "raw_ops_per_s": sum(ok for _, _, ok in timed) / sum(t for _, t, _ in timed),
+            "raw_op_p50_ms": 1e3 * statistics.median(t for _, t, ok in timed if ok) if passed
+            else None,
+            "scale": speed.scale(), "kernel_samples": len(speed.took)}
 
 
 def layer_table(tracer, workload, ops, caches_at):

@@ -93,6 +93,9 @@ class Workload:
     the traced run; each workload adds to the ones it reaches."""
 
     name = None
+    #: the parts of calibration's kernel whose work is most like this
+    #: workload's; they scale its times to the reference speed
+    CALIBRATION = ("python", "numpy")
 
     def __init__(self, seed, checks, out_dir):
         self.rng = np.random.default_rng(seed)
@@ -225,6 +228,8 @@ class OracleCmi(Workload):
     """Fock route with cold block caches: oracle_cmi at rule-selected cutoffs."""
 
     name = "oracle-cmi"
+    #: expm blocks, N^4 arrays and N^2 x N^2 eigensolves: dense LAPACK
+    CALIBRATION = ("lapack",)
     #: one operation per cutoff in each round; the dense path needs N^4 memory
     CUTOFFS = (28, 32, 36, 40, 44)
     #: the cutoff whose operation is drawn at eta = 1/2
@@ -267,6 +272,8 @@ class ChannelEntropy(Workload):
     and its complement."""
 
     name = "channel-entropy"
+    #: numpy calls on 40 x 40 matrices and the vectors of small blocks
+    CALIBRATION = ("numpy",)
     CUTOFF = 40
     GAINS = (1.2, 2.0)
     STATES = 32
