@@ -43,7 +43,7 @@ def cmi_study(kappa, E, eta, cutoffs):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-cutoff", type=int, default=64)
+    parser.add_argument("--max-cutoff", type=int, default=128)
     args = parser.parse_args()
     cutoffs = [c for c in (4, 8, 16, 32, 64, 128) if c <= args.max_cutoff]
 

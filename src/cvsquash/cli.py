@@ -171,19 +171,23 @@ def cmd_verify(args):
         f"seed: {report.seed}",
         f"passed: {'true' if report.passed else 'false'}",
     ]
-    for note in report.skipped:
-        lines.append(f"skipped: {note}")
     _emit("\n".join(lines) + "\n", None)
     return 0 if report.passed else 1
 
 
 def cmd_oracle(args):
     precision = args.precision
+    extras = []
     if args.mode == "cmi":
-        fock_value = fock.oracle_cmi(args.kappa, args.energy, args.eta, args.cutoff)
+        params = (args.kappa, args.energy, args.eta, args.cutoff)
+        fock_value = fock.oracle_cmi(*params)
         reference = gaussian_cmi(
             extension_family(args.kappa, args.energy, args.eta), "A", "B", "R"
         )
+        extras = [
+            f"cutoff: {args.cutoff}",
+            f"lost_norm: {_fmt(fock.oracle_lost_norm(*params), precision)}",
+        ]
     else:
         kinds = {
             "att": (ChannelParam.attenuator, False),
@@ -205,6 +209,7 @@ def cmd_oracle(args):
         f"fock: {_fmt(fock_value, precision)}",
         f"covariance: {_fmt(reference, precision)}",
         f"difference: {_fmt(fock_value - reference, precision)}",
+        *extras,
     ]
     _emit("\n".join(lines) + "\n", None)
     return 0

@@ -5,6 +5,7 @@ functions accept scalars or numpy arrays (elementwise) except
 ``g_inverse`` and the functions built on it, which are scalar.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ TOL_ROOT = 8.9e-16
 # brentq needs a positive absolute tolerance; the smallest normal double leaves
 # the relative one in charge for every root above ~1e-292
 _TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
+_LOG_MAX = math.log(_MAX)
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,17 @@ class ChannelParam:
         return cls("amplifier", float(kappa))
 
 
-def _check(condition, message):
+def _check(condition, template, *values):
+    # the message is formatted only on failure: printing an array argument
+    # costs more than the computation it guards
     if not condition:
-        raise DomainError(message)
+        raise DomainError(template.format(*values))
 
 
 def g(E):
     """Entropy g(E) = (E+1) ln(E+1) - E ln E of a thermal state with mean energy E."""
     arr = np.asarray(E, dtype=float)
-    # NaN fails the comparison too; the message is formatted only on failure,
-    # since printing an array costs more than evaluating g on it
-    if not np.all(arr >= 0.0):
-        raise DomainError(f"mean energy must be >= 0, got {E}")
+    _check(np.all(arr >= 0.0), "mean energy must be >= 0, got {}", E)  # rejects NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # E*log1p(1/E) + log1p(E) is cancellation-free for all E > 0
         direct = arr * np.log1p(1.0 / arr) + np.log1p(arr)
@@ -72,20 +74,27 @@ def g(E):
     return out if out.ndim else float(out)
 
 
+#: g of the largest double, ~710.78: the largest entropy g_inverse can invert
+G_MAX = g(_MAX)
+
+
 def g_inverse(s):
     """The unique E >= 0 with g(E) = s.  Scalar, bracketed root-finding.
 
     The root is found to relative accuracy TOL_ROOT in E.  Since g is concave
     with g(0) = 0, E g'(E) <= g(E), so g(g_inverse(s)) = s holds to the same
-    relative accuracy, about 1e-15, for every s in [1e-290, 700]; below that
+    relative accuracy, about 1e-15, for every s in [1e-290, G_MAX]; below that
     the root nears the smallest normal double and the accuracy degrades.
+    Entropies above G_MAX = g(largest double) ~ 710.78 have no finite root.
     """
     s = float(s)
-    _check(s >= 0.0 and np.isfinite(s), f"entropy must be >= 0 and finite, got {s}")
+    _check(s >= 0.0 and np.isfinite(s), "entropy must be >= 0 and finite, got {}", s)
+    _check(s <= G_MAX, "entropy {} exceeds g of the largest double, {:.17g}", s, G_MAX)
     if s == 0.0:
         return 0.0
-    # g(E) >= ln(E+1), so g(e^s) > s and [0, e^s] brackets the root.
-    hi = np.exp(min(s, 700.0))
+    # g(E) >= ln(E+1), so g(e^s) > s and [0, e^s] brackets the root; past the
+    # overflow of e^s the largest double brackets it, since s <= G_MAX.
+    hi = np.exp(s) if s < _LOG_MAX else _MAX
     # The residual is taken relative to s: for tiny s the products of residuals
     # in Brent's interpolation step would otherwise underflow and stall it.
     return brentq(lambda E: g(E) / s - 1.0, 0.0, hi, xtol=_TINY, rtol=TOL_ROOT)
@@ -130,13 +139,13 @@ def h(kappa, x):
 
 def moe_amplifier(kappa, s):
     """Minimum output entropy of the amplifier at input entropy s (thermal minimizer)."""
-    _check(kappa >= 1.0, f"amplifier gain must be >= 1, got {kappa}")
+    _check(kappa >= 1.0, "amplifier gain must be >= 1, got {}", kappa)
     return g(kappa * g_inverse(s) + kappa - 1.0)
 
 
 def moe_complement(kappa, s):
     """Minimum output entropy of the amplifier's complementary channel at input entropy s."""
-    _check(kappa >= 1.0, f"amplifier gain must be >= 1, got {kappa}")
+    _check(kappa >= 1.0, "amplifier gain must be >= 1, got {}", kappa)
     return g((kappa - 1.0) * (g_inverse(s) + 1.0))
 
 
@@ -147,7 +156,7 @@ def cond_epi_rhs(kappa, s):
     input entropy s (which may be negative).
     """
     kappa = np.asarray(kappa, dtype=float)
-    _check(np.all(kappa >= 1.0), f"amplifier gain must be >= 1, got {kappa}")
+    _check(np.all(kappa >= 1.0), "amplifier gain must be >= 1, got {}", kappa)
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore"):
         first = np.logaddexp(s + np.log(kappa), np.log(kappa - 1.0))
@@ -161,7 +170,7 @@ def cmi_cosh_lower(kappa, s):
     """EPI-derived lower bound ln(2k(k-1) cosh s + k^2 + (k-1)^2) on the conditional
     mutual information of any extension; minimized at s = 0 with value 2 ln(2k-1)."""
     kappa = np.asarray(kappa, dtype=float)
-    _check(np.all(kappa >= 1.0), f"amplifier gain must be >= 1, got {kappa}")
+    _check(np.all(kappa >= 1.0), "amplifier gain must be >= 1, got {}", kappa)
     s = np.asarray(s, dtype=float)
     out = np.log(2.0 * kappa * (kappa - 1.0) * np.cosh(s) + kappa**2 + (kappa - 1.0) ** 2)
     return out if out.ndim else float(out)
@@ -170,12 +179,12 @@ def cmi_cosh_lower(kappa, s):
 def _as_params(kappa, E, eta=None):
     kappa = np.asarray(kappa, dtype=float)
     E = np.asarray(E, dtype=float)
-    _check(np.all(kappa >= 1.0), f"squeezing gain must be >= 1, got {kappa}")
-    _check(np.all(E >= 0.0), f"mean energy must be >= 0, got {E}")
+    _check(np.all(kappa >= 1.0), "squeezing gain must be >= 1, got {}", kappa)
+    _check(np.all(E >= 0.0), "mean energy must be >= 0, got {}", E)
     if eta is None:
         return kappa, E
     eta = np.asarray(eta, dtype=float)
-    _check(np.all((eta >= 0.0) & (eta <= 1.0)), f"transmissivity must be in [0, 1], got {eta}")
+    _check(np.all((eta >= 0.0) & (eta <= 1.0)), "transmissivity must be in [0, 1], got {}", eta)
     return kappa, E, eta
 
 

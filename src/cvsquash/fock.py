@@ -4,8 +4,14 @@ This is the independent verification route for the covariance-matrix
 formalism.  States are dense density matrices on a cutoff Fock space with a
 recorded geometric tail bound.  The beam-splitter and two-mode squeezer
 conserve the photon-number sum and difference respectively, so their
-truncated generators are block tridiagonal; all unitaries are assembled
-exactly from per-block matrix exponentials.
+truncated generators are block tridiagonal; the unitaries and channel actions
+are assembled exactly from per-block matrix exponentials.
+
+The three-mode conditional mutual information ``oracle_cmi`` needs no
+exponentials: it builds its pure four-mode state from the closed-form
+vacuum-ancilla amplitudes and uses the state's conserved photon-number charge
+to work in O(N^3) memory and O(N^4) time.  It covers the whole verification
+grid at rule-selected cutoffs; only a fixed memory limit bounds the cutoff.
 """
 
 import math
@@ -26,6 +32,9 @@ _TAIL_SLACK = 10.0
 
 #: eigenvalues below this are dropped when computing spectral entropies
 _EIG_FLOOR = 1e-14
+
+#: working memory ``oracle_cmi`` may use; larger cutoffs are refused up front
+ORACLE_MEMORY_LIMIT = 2**30
 
 
 @dataclass(frozen=True)
@@ -299,10 +308,87 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     return TruncatedState(out, cutoff=N, modes=1, tail_bound=max(tail, 0.0))
 
 
-def _gram_entropy(mat):
-    """Entropy of M M^dag for a rectangular wavefunction unfolding M."""
-    gram = mat @ mat.conj().T
+def _vacuum_ancilla_amplitudes(kind, value, N):
+    """Column 0 of the beam-splitter or squeezer blocks in closed form, as an
+    (N, N) table: entry [n, j] is the amplitude of input n with ancilla j.
+
+    beam splitter:  sqrt(C(n, j)) eta^((n-j)/2) (1-eta)^(j/2),          j <= n
+    squeezer:       sqrt(C(n+j, j)) kappa^(-(n+1)/2) (1-1/kappa)^(j/2), n + j < N
+
+    These are the vacuum-ancilla Kraus amplitudes (Ivan, Sabapathy and Simon,
+    PRA 84, 042311, 2011).  They differ from the expm columns by the signs
+    (-1)^j, a local unitary on the ancilla, and are exact rather than
+    renormalized within the cutoff.  Evaluated in log space; 0^0 = 1.
+    """
+    n = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N)))))
+    # sqrt(C(top, j)) x^(power/2) y^(j/2), with x, y = kappa, 1 - 1/kappa or eta, 1 - eta
+    if kind == "squeezer":
+        top, power, x, y = n + j, -(n + 1), value, (value - 1.0) / value
+        valid = top < N
+    else:
+        top, power, x, y = n, n - j, value, 1.0 - value
+        valid = j <= n
+    top = np.where(valid, top, j)  # keeps the factorial indices in range
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_amp = (
+            log_fact[top] - log_fact[j] - log_fact[top - j]
+            + np.where(power == 0, 0.0, power * np.log(x))
+            + np.where(j == 0, 0.0, j * np.log(y))
+        )
+    return np.where(valid, np.exp(0.5 * log_amp), 0.0)
+
+
+def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
+    """Truncated pure state of modes (A, B, R, C) behind ``oracle_cmi``, as
+    X[r, c, b], after the domain, memory and cutoff checks.
+
+    The TMSV pair (n, n) of (A, R) loses c photons of R to the environment C and
+    gains b photons in A from the squeezer, so n_A = n_R + n_C + n_B is implied.
+    The axes r and c carry one extra all-zero index N, where gathers of blocks
+    land when they fall outside the state.
+    """
+    if kappa < 1.0 or E < 0.0 or not 0.0 <= eta <= 1.0:
+        raise DomainError(f"parameters out of range: {kappa}, {E}, {eta}")
+    if N < 2:
+        raise DomainError("cutoff must be at least 2")
+    e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
+    # X, one gathered block stack, its Gram stack and the eigensolver's copy
+    working = 4 * 8 * (N + 1) ** 3
+    if working > ORACLE_MEMORY_LIMIT:
+        raise CutoffError(
+            f"cutoff {N} needs {working / 2**20:.4g} MiB of working memory,"
+            f" above the limit of {ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB",
+            required=required_cutoff(e_max),
+        )
+    if enforce_cutoff:
+        check_cutoff(N, e_max)
+
+    lam = np.zeros(2 * N + 1)
+    lam[:N] = np.diagonal(tmsv_vector(E, N))
+    beta = np.zeros((2 * N + 1, N))
+    beta[:N] = _vacuum_ancilla_amplitudes("beam-splitter", float(eta), N)
+    sigma = np.zeros((2 * N + 1, N))
+    sigma[:N] = _vacuum_ancilla_amplitudes("squeezer", float(kappa), N)
+    k = np.arange(N + 1)
+    n = k[:, None] + k[None, :]  # n = r + c
+    c = np.minimum(k, N - 1)[None, :]  # c = N only meets n >= N, where lam is 0
+    return (lam[n] * beta[n, c])[:, :, None] * sigma[n]
+
+
+def _blocked_entropy(blocks):
+    """Entropy of a block-diagonal state from a padded (blocks, m, k) stack of
+    its m x k unfoldings, through the m x m Gram matrix of each block."""
+    gram = blocks @ blocks.transpose(0, 2, 1)
     return entropy_of_spectrum(np.linalg.eigvalsh(gram))
+
+
+def oracle_lost_norm(kappa, E, eta, N):
+    """1 - <psi|psi> for the truncated four-mode purification behind ``oracle_cmi``;
+    reported at any cutoff, since it measures what the tail rule estimates."""
+    X = _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff=False)
+    return 1.0 - float(np.sum(X**2))
 
 
 def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
@@ -310,42 +396,25 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     computed entirely in Fock space.
 
     The three-mode state is handled through its exact four-mode purification
-    (the attenuator environment C), so only the pure-state vector and two-mode
-    reduced matrices are ever materialized.
+    (A, B, R and the attenuator environment C).  The purification conserves the
+    charge n_A - n_B - n_R - n_C, so it fits in an N^3 array; rho_AR and rho_BR
+    are block-diagonal in n_B + n_C and n_B + n_R, rho_R and rho_C are diagonal,
+    and S(ABR) = S(C).  Memory is O(N^3) and time O(N^4).  Cutoffs whose working
+    set exceeds ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.
+    The truncated state is left sub-normalized by ``oracle_lost_norm``.
     """
-    if kappa < 1.0 or E < 0.0 or not 0.0 <= eta <= 1.0:
-        raise DomainError(f"parameters out of range: {kappa}, {E}, {eta}")
-    e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
-    if enforce_cutoff:
-        check_cutoff(N, e_max)
-
-    psi_ar = tmsv_vector(E, N)  # (A, R)
-    # attenuator environment C on the R half
-    bs = _bs_blocks(float(eta), N)
-    psi3 = np.zeros((N, N, N))  # (A, R, C)
-    for n in range(N):
-        amp = psi_ar[n, n]
-        if amp == 0.0:
-            continue
-        col = bs[n][:, 0]
-        j = np.arange(len(col))
-        psi3[n, n - j, j] = amp * col
-    # two-mode squeezer on (A, vacuum B)
-    sq = _squeezer_blocks(float(kappa), N)
-    psi4 = np.zeros((N, N, N, N))  # (A, B, R, C)
-    for n in range(N):
-        block = psi3[n]
-        if not block.any():
-            continue
-        col = sq[n][:, 0]
-        j = np.arange(len(col))
-        psi4[n + j, j] = col[:, None, None] * block[None, :, :]
-
-    s_ar = _gram_entropy(psi4.transpose(0, 2, 1, 3).reshape(N * N, N * N))
-    s_br = _gram_entropy(psi4.transpose(1, 2, 0, 3).reshape(N * N, N * N))
-    s_r = _gram_entropy(psi4.transpose(2, 0, 1, 3).reshape(N, N**3))
-    s_abr = _gram_entropy(psi4.transpose(3, 0, 1, 2).reshape(N, N**3))  # = S(C), purity
-    return s_ar + s_br - s_r - s_abr
+    X = _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff)
+    k = np.arange(N)
+    # [block, b] -> block - b, or the all-zero index N where that is negative
+    rest = np.where(k[:, None] >= k[None, :], k[:, None] - k[None, :], N)
+    # rho_AR, block d = n_B + n_C: rows b, columns r, entries X[r, d - b, b]
+    s_ar = _blocked_entropy(X.transpose(1, 2, 0)[rest, k])
+    # rho_BR, block e = n_B + n_R: rows b, columns c, entries X[e - b, c, b]
+    s_br = _blocked_entropy(X.transpose(0, 2, 1)[rest, k])
+    prob = X**2
+    s_r = entropy_of_spectrum(prob.sum(axis=(1, 2)))
+    s_c = entropy_of_spectrum(prob.sum(axis=(0, 2)))  # = S(ABR), by purity
+    return s_ar + s_br - s_r - s_c
 
 
 def verify_displaced_thermal_mixture(E, E_prime, N, grid=(64, 64), radius=None):

@@ -6,7 +6,7 @@ with slack).  Suites are deterministic given their seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,9 @@ class VerifyReport:
     tolerance: float
     passed: bool
     seed: int = 0
-    skipped: tuple = field(default_factory=tuple)
 
     @classmethod
-    def build(cls, suite, checks_run, max_violation, tolerance, seed=0, skipped=()):
+    def build(cls, suite, checks_run, max_violation, tolerance, seed=0):
         return cls(
             suite=suite,
             checks_run=checks_run,
@@ -46,7 +45,6 @@ class VerifyReport:
             tolerance=float(tolerance),
             passed=bool(max_violation <= tolerance),
             seed=seed,
-            skipped=tuple(skipped),
         )
 
 
@@ -218,33 +216,25 @@ def oracle_channel_deviations():
     return deviations
 
 
-def oracle_cmi_deviations(cmi_cap=40):
-    """Fock-route vs covariance-route CMI on the standard grid.
-
-    Points whose rule-selected cutoff exceeds the per-mode cap are skipped
-    with a hint.  Returns (deviations, skipped)."""
+def oracle_cmi_deviations():
+    """Fock-route vs covariance-route CMI on the whole standard grid, each point
+    at its rule-selected cutoff.  Returns a list of deviations."""
     deviations = []
-    skipped = []
     for kappa, E, eta in oracle_cmi_grid():
         e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
         N = fock.required_cutoff(e_max)
-        if N > cmi_cap:
-            skipped.append(f"cmi({kappa},{E},{eta}): rule asks N={N} > cap {cmi_cap}")
-            continue
         reference = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
         deviations.append(abs(fock.oracle_cmi(kappa, E, eta, N) - reference))
-    return deviations, skipped
+    return deviations
 
 
 @_suite
-def verify_oracle(tolerance=1e-5, seed=7, cmi_cap=40):
+def verify_oracle(tolerance=1e-5, seed=7):
     """Cross-formalism agreement between the Fock oracle and the covariance route."""
     channel = oracle_channel_deviations()
-    cmi, skipped = oracle_cmi_deviations(cmi_cap)
+    cmi = oracle_cmi_deviations()
     worst = max(channel + cmi)
-    return VerifyReport.build(
-        "oracle", len(channel) + len(cmi), worst, tolerance, seed, skipped
-    )
+    return VerifyReport.build("oracle", len(channel) + len(cmi), worst, tolerance, seed)
 
 
 def moe_spot_check(seed=7, samples=200, cutoff=40, kappas=(1.2, 2.0), tolerance=1e-6):

@@ -40,6 +40,7 @@ from cvsquash.verify import (
     moe_spot_check,
     oracle_channel_deviations,
     oracle_cmi_deviations,
+    oracle_cmi_grid,
     run_suite,
 )
 
@@ -194,17 +195,18 @@ def test_criterion_08_convexity():
 def test_criterion_09_fock_oracle():
     start = time.time()
     channel_devs = oracle_channel_deviations()
-    cmi_devs, skipped = oracle_cmi_deviations(cmi_cap=40)
+    cmi_devs = oracle_cmi_deviations()
     elapsed = time.time() - start
     ok = (
         max(channel_devs) <= 1e-6
-        and (not cmi_devs or max(cmi_devs) <= 1e-5)
+        and len(cmi_devs) == len(oracle_cmi_grid())
+        and max(cmi_devs) <= 1e-5
         and elapsed < 600.0
     )
     _report(9, "Fock-oracle cross-validation", ok,
             f"channel entropy dev {max(channel_devs):.2e} (tol 1e-6), "
-            f"cmi dev {max(cmi_devs):.2e} (tol 1e-5) on {len(cmi_devs)} points, "
-            f"{len(skipped)} refused by the cutoff rule (cap 40), {elapsed:.1f} s")
+            f"cmi dev {max(cmi_devs):.2e} (tol 1e-5) on {len(cmi_devs)} of "
+            f"{len(oracle_cmi_grid())} grid points, {elapsed:.1f} s")
 
 
 def test_criterion_10_spot_checks():

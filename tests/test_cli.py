@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -164,6 +165,31 @@ class TestOracle:
         values = dict(line.split(": ") for line in out.splitlines())
         assert abs(float(values["fock"])) < 1e-10
         assert abs(float(values["covariance"])) < 1e-10
+
+    def test_cmi_reports_cutoff_and_lost_norm(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "cmi", "--kappa", "1.5", "--energy", "0.5", "--eta", "0.5",
+            "--cutoff", "34",
+        )
+        assert code == 0
+        values = dict(line.split(": ") for line in out.splitlines())
+        assert values["cutoff"] == "34"
+        assert 1e-10 < float(values["lost_norm"]) < 1e-7
+        assert abs(float(values["difference"])) < 1e-5
+
+    def test_cmi_memory_refusal_exit_5(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "oracle", "cmi", "--kappa", "1.5", "--energy", "0.5", "--eta", "0.5",
+                "--cutoff", "100000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert "limit of 1024 MiB" in err
+        assert peak < 2**20  # refused before the state is built
 
     def test_channel_amp(self, capsys):
         code, out, _ = run(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsquash.entropics import (
+    G_MAX,
     ChannelParam,
     cmi_cosh_lower,
     cond_epi_rhs,
@@ -84,6 +85,15 @@ class TestGInverse:
     def test_large_entropy(self):
         s = 50.0
         assert g(g_inverse(s)) == pytest.approx(s, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [702.0, 709.0, G_MAX])
+    def test_entropy_near_overflow(self, s):
+        # the root approaches the largest double; e^s overflows past s ~ 709.78
+        assert g(g_inverse(s)) == pytest.approx(s, rel=1e-12)
+
+    def test_entropy_beyond_largest_double(self):
+        with pytest.raises(DomainError, match="largest double"):
+            g_inverse(800.0)
 
     @pytest.mark.parametrize("s", [1e-9, 1e-12, 1e-15, 1e-100])
     def test_small_entropy_relative_accuracy(self, s):
@@ -187,6 +197,19 @@ class TestMoe:
     def test_vacuum_input(self):
         assert moe_amplifier(3.0, 0.0) == pytest.approx(g(2.0))
         assert moe_complement(3.0, 0.0) == pytest.approx(g(2.0))
+
+
+class TestParameterMessages:
+    @pytest.mark.parametrize("args, message", [
+        ((np.array([2.0, 0.5]), 1.0, 0.5), "squeezing gain must be >= 1, got [2.  0.5]"),
+        ((2.0, np.array([-1.0]), 0.5), "mean energy must be >= 0, got [-1.]"),
+        ((2.0, 1.0, 1.5), "transmissivity must be in [0, 1], got 1.5"),
+    ])
+    def test_failed_check_names_argument(self, args, message):
+        # messages are formatted only when a check fails
+        with pytest.raises(DomainError) as err:
+            psi(*args)
+        assert str(err.value) == message
 
 
 class TestChannelParam:

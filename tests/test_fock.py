@@ -1,6 +1,7 @@
 """Unit tests for the truncated Fock-space oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,80 @@ class TestOracleCmi:
     def test_refusal(self):
         with pytest.raises(CutoffError):
             fock.oracle_cmi(2.0, 2.0, 0.5, 20)
+
+    def test_eta_zero_equals_eta_one(self):
+        # at eta = 0 R is vacuum, at eta = 1 ABR is pure: both give I(A;B)
+        for kappa, E in ((1.5, 0.5), (2.0, 2.0)):
+            N = fock.required_cutoff(kappa * (E + 1.0) - 1.0)
+            assert fock.oracle_cmi(kappa, E, 0.0, N) == pytest.approx(
+                fock.oracle_cmi(kappa, E, 1.0, N), abs=1e-12
+            )
+
+    def test_working_memory_is_cubic(self):
+        N = 80
+        tracemalloc.start()
+        try:
+            fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (N + 1) ** 3  # the estimate checked against the limit
+        assert peak < 8 * N**4 / 10
+
+    def test_memory_refusal(self):
+        with pytest.raises(CutoffError, match="limit of 1024 MiB") as err:
+            fock.oracle_cmi(1.5, 0.5, 0.5, 100_000)
+        assert err.value.required == fock.required_cutoff(1.5 * 1.5 - 0.25 - 1.0)
+
+    def test_lost_norm(self):
+        # the exact amplitudes leave the truncated state short by its lost norm,
+        # which at eta = 1/2 exceeds the geometric estimate TAIL_TARGET
+        kappa, E, eta = 1.5, 0.5, 0.5
+        N = fock.required_cutoff(kappa * (E + 1.0) - 0.5 * E - 1.0)
+        lost = fock.oracle_lost_norm(kappa, E, eta, N)
+        assert fock.TAIL_TARGET < lost < 1e-7
+        assert fock.oracle_lost_norm(kappa, E, eta, 2 * N) < 1e-15
+        assert fock.oracle_lost_norm(1.0, 0.0, eta, 2) == 0.0
+
+
+class TestVacuumAncillaAmplitudes:
+    N = 30
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_beam_splitter_matches_expm_column(self, eta):
+        table = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, self.N)
+        blocks = fock._bs_blocks(eta, self.N)
+        for n in range(self.N):
+            # block n is indexed by the ancilla occupation j = 0 .. n
+            np.testing.assert_allclose(table[n, : n + 1], np.abs(blocks[n][:, 0]),
+                                       rtol=0, atol=1e-13)
+            assert not table[n, n + 1 :].any()
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 5.0])
+    def test_squeezer_closed_form(self, kappa):
+        table = fock._vacuum_ancilla_amplitudes("squeezer", kappa, self.N)
+        expected = np.zeros((self.N, self.N))
+        for n in range(self.N):
+            for j in range(self.N - n):
+                expected[n, j] = (math.sqrt(math.comb(n + j, j)) * kappa ** (-(n + 1) / 2)
+                                  * (1.0 - 1.0 / kappa) ** (j / 2))
+        np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0)
+
+    def test_edges_exact(self):
+        N = self.N
+        ones_first = np.zeros((N, N))
+        ones_first[:, 0] = 1.0
+        assert np.array_equal(fock._vacuum_ancilla_amplitudes("squeezer", 1.0, N), ones_first)
+        assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 1.0, N),
+                              ones_first)
+        assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 0.0, N),
+                              np.eye(N))
+        # E = 0 and kappa = 1 leave the four-mode vacuum, with nothing lost
+        X = fock._oracle_wavefunction(1.0, 0.0, 0.5, N, enforce_cutoff=True)
+        vacuum = np.zeros_like(X)
+        vacuum[0, 0, 0] = 1.0
+        assert np.array_equal(X, vacuum)
+        assert fock.oracle_cmi(1.0, 0.0, 0.5, N) == 0.0
 
 
 class TestDisplacedThermalMixture:
