@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error,
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fock
 from .bounds import (
@@ -52,13 +50,6 @@ def _json_value(x, precision):
     if math.isinf(x):
         return "inf"
     return float(format(x, f".{precision}g"))
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("GAUSSQ_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text, output):
@@ -121,7 +112,7 @@ def cmd_channel(args):
     return 0
 
 
-def _sweep_rows(kappas, e_min, e_max, steps, jobs):
+def _sweep_rows(kappas, e_min, e_max, steps):
     if steps < 2:
         raise DomainError(f"a sweep needs at least 2 steps, got {steps}")
     if not kappas:
@@ -131,21 +122,16 @@ def _sweep_rows(kappas, e_min, e_max, steps, jobs):
     energies = [e_min + (e_max - e_min) * i / (steps - 1) for i in range(steps)]
     e_kappa = {k: (find_E_kappa(k) if k > 1.0 else 0.0) for k in kappas}
 
-    def row(point):
-        kappa, E = point
+    def row(kappa, E):
         report = esq_bounds_tms(kappa, E, cross_check=False)
         classical = 0.5 * h(kappa, min(E, e_kappa[kappa])) if kappa > 1.0 else 0.0
         return (kappa, E, report.lower, report.upper, classical)
 
-    points = [(k, E) for k in kappas for E in energies]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(row, points))
-    return [row(p) for p in points]
+    return [row(k, E) for k in kappas for E in energies]
 
 
 def cmd_figure1(args):
-    rows = _sweep_rows(args.kappas, args.e_min, args.e_max, args.steps, args.jobs)
+    rows = _sweep_rows(args.kappas, args.e_min, args.e_max, args.steps)
     if args.format == "json":
         names = FIGURE1_HEADER.split(",")
         payload = [
@@ -177,17 +163,13 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     precision = args.precision
-    extras = []
     if args.mode == "cmi":
         params = (args.kappa, args.energy, args.eta, args.cutoff)
         fock_value = fock.oracle_cmi(*params)
         reference = gaussian_cmi(
             extension_family(args.kappa, args.energy, args.eta), "A", "B", "R"
         )
-        extras = [
-            f"cutoff: {args.cutoff}",
-            f"lost_norm: {_fmt(fock.oracle_lost_norm(*params), precision)}",
-        ]
+        lost = ("lost_norm", fock.oracle_lost_norm(*params))
     else:
         kinds = {
             "att": (ChannelParam.attenuator, False),
@@ -199,6 +181,7 @@ def cmd_oracle(args):
         state = fock.thermal_fock(args.energy, args.cutoff)
         out = fock.apply_channel_fock(state, channel, complement=complement)
         fock_value = fock.spectral_entropy(out)
+        lost = ("tail_bound", out.tail_bound)
         if args.kind == "att":
             reference = g(args.param * args.energy)
         elif args.kind == "amp":
@@ -209,7 +192,8 @@ def cmd_oracle(args):
         f"fock: {_fmt(fock_value, precision)}",
         f"covariance: {_fmt(reference, precision)}",
         f"difference: {_fmt(fock_value - reference, precision)}",
-        *extras,
+        f"cutoff: {args.cutoff}",
+        f"{lost[0]}: {_fmt(lost[1], precision)}",
     ]
     _emit("\n".join(lines) + "\n", None)
     return 0
@@ -265,7 +249,8 @@ def build_parser():
     p_fig.add_argument("--e-min", type=float, default=0.0, dest="e_min")
     p_fig.add_argument("--e-max", type=float, default=1.0, dest="e_max")
     p_fig.add_argument("--steps", type=int, default=200)
-    p_fig.add_argument("--jobs", type=int, default=_default_jobs())
+    # accepted for compatibility and ignored, as is GAUSSQ_JOBS
+    p_fig.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p_fig)
     p_fig.set_defaults(func=cmd_figure1)
 
@@ -273,7 +258,7 @@ def build_parser():
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--tolerance", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=_default_jobs())
+    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_verify.set_defaults(func=cmd_verify)
 

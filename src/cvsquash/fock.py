@@ -1,25 +1,21 @@
-"""Truncated Fock-space oracle: dense states, unitaries and channels.
+"""Truncated Fock-space oracle: dense states and exact channel actions.
 
 This is the independent verification route for the covariance-matrix
 formalism.  States are dense density matrices on a cutoff Fock space with a
-recorded geometric tail bound.  The beam-splitter and two-mode squeezer
-conserve the photon-number sum and difference respectively, so their
-truncated generators are block tridiagonal; the unitaries and channel actions
-are assembled exactly from per-block matrix exponentials.
-
-The three-mode conditional mutual information ``oracle_cmi`` needs no
-exponentials: it builds its pure four-mode state from the closed-form
-vacuum-ancilla amplitudes and uses the state's conserved photon-number charge
-to work in O(N^3) memory and O(N^4) time.  It covers the whole verification
-grid at rule-selected cutoffs; only a fixed memory limit bounds the cutoff.
+recorded tail bound.  Every channel action and the three-mode conditional
+mutual information are built from one table of closed-form vacuum-ancilla
+amplitudes: the attenuator, the amplifier and the amplifier's complement are
+exact Kraus sums on it, with no eigendecomposition of the input, and
+``oracle_cmi`` uses it together with the conserved photon-number charge of
+its pure four-mode state to work in O(N^3) memory and O(N^4) time.  What the
+truncation loses is reported, not renormalized away; only a fixed memory
+limit bounds the cutoff.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffError, DomainError, InvalidStateError, QuadratureError
 
@@ -33,7 +29,7 @@ _TAIL_SLACK = 10.0
 #: eigenvalues below this are dropped when computing spectral entropies
 _EIG_FLOOR = 1e-14
 
-#: working memory ``oracle_cmi`` may use; larger cutoffs are refused up front
+#: working memory a Fock computation may use; larger cutoffs are refused up front
 ORACLE_MEMORY_LIMIT = 2**30
 
 
@@ -82,12 +78,6 @@ def ladder(N):
     return np.diag(np.sqrt(np.arange(1.0, N)), 1)
 
 
-def number_operator(N):
-    if N < 2:
-        raise DomainError("cutoff must be at least 2")
-    return np.diag(np.arange(N, dtype=float))
-
-
 def geometric_tail(E, N):
     """Probability mass of a thermal state with mean energy E above cutoff N."""
     if E <= 0.0:
@@ -113,22 +103,31 @@ def check_cutoff(N, E_max, tail=TAIL_TARGET):
         )
 
 
+def _check_memory(N, nbytes, E_max):
+    """Refuse, before anything is allocated, a working set of ``nbytes`` above
+    ``ORACLE_MEMORY_LIMIT``; the error carries the cutoff the rule asks for at E_max."""
+    if nbytes > ORACLE_MEMORY_LIMIT:
+        raise CutoffError(
+            f"cutoff {N} needs {nbytes / 2**20:.4g} MiB of working memory,"
+            f" above the limit of {ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB",
+            required=required_cutoff(E_max),
+        )
+
+
 def thermal_fock(E, N):
     """Diagonal geometric thermal state, left sub-normalized by its tail."""
     if E < 0.0:
         raise DomainError(f"mean energy must be >= 0, got {E}")
     if N < 2:
         raise DomainError("cutoff must be at least 2")
+    # the matrix and the Hermiticity check's temporaries
+    _check_memory(N, 4 * 8 * N**2, E)
     if E == 0.0:
         p = np.zeros(N)
         p[0] = 1.0
     else:
         p = (E / (E + 1.0)) ** np.arange(N) / (E + 1.0)
     return TruncatedState(np.diag(p), cutoff=N, modes=1, tail_bound=geometric_tail(E, N))
-
-
-def vacuum_fock(N):
-    return thermal_fock(0.0, N)
 
 
 def tmsv_vector(E, N):
@@ -144,73 +143,12 @@ def tmsv_vector(E, N):
     return np.diag(c)
 
 
-@lru_cache(maxsize=None)
-def _squeezer_blocks(kappa, N):
-    """Per-block orthogonal matrices of U_kappa; block d holds n_a - n_b = d >= 0."""
-    r = math.acosh(math.sqrt(kappa))
-    blocks = []
-    for d in range(N):
-        size = N - d
-        j = np.arange(1.0, size)
-        c = r * np.sqrt((d + j) * j)
-        G = np.diag(c, -1) - np.diag(c, 1)
-        blocks.append(expm(G) if size > 1 else np.eye(1))
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _bs_blocks(eta, N):
-    """Per-block orthogonal matrices of U_eta; block s holds n_a + n_b = s.
-
-    Basis index within a block is j = n_b, restricted to the retained levels.
-    """
-    theta = math.acos(min(1.0, math.sqrt(eta)))
-    blocks = []
-    for s in range(2 * N - 1):
-        j = np.arange(max(0, s - N + 1), min(s, N - 1) + 1, dtype=float)
-        size = len(j)
-        c = theta * np.sqrt((s - j[1:] + 1.0) * j[1:])
-        G = np.diag(c, 1) - np.diag(c, -1)
-        blocks.append(expm(G) if size > 1 else np.eye(1))
-    return blocks
-
-
-def squeezer_unitary(kappa, N, max_input_energy=None):
-    """Dense two-mode squeezing unitary on the cutoff space, exactly orthogonal."""
-    if kappa < 1.0:
-        raise DomainError(f"squeezing gain must be >= 1, got {kappa}")
-    if N < 2:
-        raise DomainError("cutoff must be at least 2")
-    if max_input_energy is not None:
-        check_cutoff(N, kappa * (max_input_energy + 1.0) - 1.0)
-    blocks = _squeezer_blocks(float(kappa), N)
-    U = np.zeros((N * N, N * N))
-    for d in range(N):
-        j = np.arange(N - d)
-        for flat in ((d + j) * N + j, j * N + (d + j)) if d else ((j * (N + 1)),):
-            U[np.ix_(flat, flat)] = blocks[d]
-    return U
-
-
-def beam_splitter_unitary(eta, N):
-    """Dense beam-splitter unitary on the cutoff space, exactly orthogonal."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"transmissivity must be in [0, 1], got {eta}")
-    if N < 2:
-        raise DomainError("cutoff must be at least 2")
-    blocks = _bs_blocks(float(eta), N)
-    U = np.zeros((N * N, N * N))
-    for s in range(2 * N - 1):
-        j = np.arange(max(0, s - N + 1), min(s, N - 1) + 1)
-        flat = (s - j) * N + j
-        U[np.ix_(flat, flat)] = blocks[s]
-    return U
-
-
 def displacement_unitary(r, N):
-    """Displacement operator exp(r a^dag - conj(r) a) on the cutoff space."""
+    """Displacement operator exp(r a^dag - conj(r) a) on the cutoff space, as
+    exp(-iG) from the eigenvectors of the Hermitian generator G = i(r a^dag - conj(r) a)."""
     a = ladder(N)
-    return expm(r * a.T.conj() - np.conj(r) * a)
+    w, V = np.linalg.eigh(1j * (r * a.T - np.conj(r) * a))
+    return (V * np.exp(-1j * w)) @ V.conj().T
 
 
 def partial_trace(state, keep):
@@ -247,23 +185,6 @@ def spectral_entropy(state):
     return entropy_of_spectrum(np.linalg.eigvalsh(matrix))
 
 
-def _propagate_vacuum_ancilla(v, blocks, kind):
-    """Send the vector v (mode A) tensored with a vacuum ancilla through a
-    blocked two-mode unitary; returns the joint (N, N) wavefunction (A, ancilla)."""
-    N = len(v)
-    psi = np.zeros((N, N), dtype=v.dtype)
-    for n in range(N):
-        if v[n] == 0.0:
-            continue
-        col = blocks[n][:, 0]
-        j = np.arange(len(col))
-        if kind == "squeezer":
-            psi[n + j, j] = v[n] * col
-        else:  # beam splitter: block total s = n, j = ancilla occupation
-            psi[n - j, j] = v[n] * col
-    return psi
-
-
 def _channel_energies(E_in, channel, complement):
     if channel.kind == "attenuator":
         return max(E_in, 1.0e-12)
@@ -272,11 +193,28 @@ def _channel_energies(E_in, channel, complement):
     return max(E_in, grown if not complement else max(grown, (kappa - 1.0) * (E_in + 1.0)))
 
 
+def _kraus_terms(channel, complement, N):
+    """Kraus operators of the channel on a vacuum ancilla, read from the amplitude
+    table, each as (dest, src, amp): K = sum_i amp[i] |dest[i]><src[i]|, where
+    dest and src are slices of levels."""
+    if channel.kind == "attenuator":  # K_j |m + j> = beta[m + j, j] |m>
+        beta = _vacuum_ancilla_amplitudes("beam-splitter", float(channel.value), N)
+        return [(slice(0, N - j), slice(j, N), beta[j:, j]) for j in range(N)]
+    sigma = _vacuum_ancilla_amplitudes("squeezer", float(channel.value), N)
+    if complement:  # K_t |t - j> = sigma[t - j, j] |j>, for output t of the amplifier
+        return [(slice(0, t + 1), slice(t, None, -1), np.diagonal(sigma[t::-1]))
+                for t in range(N)]
+    # K_j |n> = sigma[n, j] |n + j>
+    return [(slice(j, N), slice(0, N - j), sigma[: N - j, j]) for j in range(N)]
+
+
 def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     """Stinespring action of the attenuator/amplifier on a one-mode state.
 
-    The input is mixed with a vacuum ancilla through the blocked two-mode
-    unitary; ``complement=True`` keeps the ancilla instead of the output.
+    The output is the exact Kraus sum sum_K K rho K^dag over the closed-form
+    vacuum-ancilla amplitudes, truncated to the input's cutoff;
+    ``complement=True`` keeps the ancilla instead of the output.  What the
+    truncation loses, 1 - tr(out), is the output's ``tail_bound``.
     ``enforce_cutoff=False`` skips the thermal-tail refusal; appropriate for
     states with bounded support, where the mean-energy heuristic is far too
     pessimistic.
@@ -286,39 +224,32 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     if complement and channel.kind != "amplifier":
         raise DomainError("only the amplifier complement is supported")
     N = state.cutoff
+    E_out = _channel_energies(state.mean_photon_number(), channel, complement)
+    # the table, the output and two temporaries of the widest Kraus term
+    _check_memory(N, 4 * 16 * N**2, E_out)
     if enforce_cutoff:
-        E_in = state.mean_photon_number()
-        check_cutoff(N, _channel_energies(E_in, channel, complement))
-    if channel.kind == "attenuator":
-        blocks, kind = _bs_blocks(float(channel.value), N), "beam-splitter"
-    else:
-        blocks, kind = _squeezer_blocks(float(channel.value), N), "squeezer"
-    w, V = np.linalg.eigh(state.matrix)
-    out = np.zeros((N, N), dtype=complex)
-    for p, vec in zip(w, V.T):
-        if p < 1e-15:
-            continue
-        psi = _propagate_vacuum_ancilla(vec, blocks, kind)
-        if complement:
-            out += p * (psi.T @ psi.conj())
-        else:
-            out += p * (psi @ psi.conj().T)
-    out = 0.5 * (out + out.conj().T)
-    tail = max(state.tail_bound, 1.0 - float(np.real(np.trace(out))))
-    return TruncatedState(out, cutoff=N, modes=1, tail_bound=max(tail, 0.0))
+        check_cutoff(N, E_out)
+    rho = state.matrix
+    out = np.zeros_like(rho, dtype=np.result_type(rho, float))
+    for dest, src, amp in _kraus_terms(channel, complement, N):
+        out[dest, dest] += np.outer(amp, amp) * rho[src, src]
+    lost = 1.0 - float(np.real(np.trace(out)))
+    return TruncatedState(out, cutoff=N, modes=1, tail_bound=max(lost, 0.0))
 
 
 def _vacuum_ancilla_amplitudes(kind, value, N):
-    """Column 0 of the beam-splitter or squeezer blocks in closed form, as an
-    (N, N) table: entry [n, j] is the amplitude of input n with ancilla j.
+    """Beam-splitter or two-mode-squeezer amplitudes of an input n with a vacuum
+    ancilla, as an (N, N) table: entry [n, j] is the amplitude of ancilla j, with
+    n - j (beam splitter) or n + j (squeezer) photons left in the input mode.
 
     beam splitter:  sqrt(C(n, j)) eta^((n-j)/2) (1-eta)^(j/2),          j <= n
     squeezer:       sqrt(C(n+j, j)) kappa^(-(n+1)/2) (1-1/kappa)^(j/2), n + j < N
 
     These are the vacuum-ancilla Kraus amplitudes (Ivan, Sabapathy and Simon,
-    PRA 84, 042311, 2011).  They differ from the expm columns by the signs
-    (-1)^j, a local unitary on the ancilla, and are exact rather than
-    renormalized within the cutoff.  Evaluated in log space; 0^0 = 1.
+    PRA 84, 042311, 2011), with the beam splitter's signs (-1)^j dropped: a local
+    unitary on the ancilla, which changes no entropy.  They are the exact
+    amplitudes, not those of the truncated unitary, which are renormalized within
+    the cutoff.  Evaluated in log space; 0^0 = 1.
     """
     n = np.arange(N)[:, None]
     j = np.arange(N)[None, :]
@@ -355,13 +286,7 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
         raise DomainError("cutoff must be at least 2")
     e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
     # X, one gathered block stack, its Gram stack and the eigensolver's copy
-    working = 4 * 8 * (N + 1) ** 3
-    if working > ORACLE_MEMORY_LIMIT:
-        raise CutoffError(
-            f"cutoff {N} needs {working / 2**20:.4g} MiB of working memory,"
-            f" above the limit of {ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB",
-            required=required_cutoff(e_max),
-        )
+    _check_memory(N, 4 * 8 * (N + 1) ** 3, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 

@@ -267,46 +267,30 @@ def epi_spot_check(seed=7, samples=50, cutoff=12, kappa=1.5, tolerance=1e-6):
     dominate the conditional-EPI right-hand sides for random two-mode inputs."""
     rng = np.random.default_rng(seed)
     N = cutoff
-    blocks = fock._squeezer_blocks(float(kappa), N)
+    sigma = fock._vacuum_ancilla_amplitudes("squeezer", float(kappa), N)
+    a, b = np.ogrid[:N, :N]
+    # the squeezer on (A, vacuum B) sends n_A = a - b to (a, b); gain is 0 where a < b
+    src = (a - b) % N
+    gain = np.where(a >= b, sigma[src, b], 0.0)
     worst = -math.inf
     for _ in range(samples):
         omega = fock.random_two_mode_state(rng, N)  # modes (A, R)
         s_cond_in = fock.spectral_entropy(omega) - fock.spectral_entropy(
             fock.partial_trace(omega, [1])
         )
-        rho_ar = np.zeros((N * N, N * N), dtype=complex)
-        rho_br = np.zeros((N * N, N * N), dtype=complex)
-        rho_r = np.zeros((N, N), dtype=complex)
         w, V = np.linalg.eigh(omega.matrix)
-        for p, vec in zip(w, V.T):
-            if p < 1e-15:
-                continue
-            psi = _squeeze_with_spectator(vec.reshape(N, N), blocks, N)  # (A, B, R)
-            m_ar = psi.transpose(0, 2, 1).reshape(N * N, N)
-            rho_ar += p * (m_ar @ m_ar.conj().T)
-            m_br = psi.transpose(1, 2, 0).reshape(N * N, N)
-            rho_br += p * (m_br @ m_br.conj().T)
-            m_r = psi.transpose(2, 0, 1).reshape(N, N * N)
-            rho_r += p * (m_r @ m_r.conj().T)
-        s_r = fock.entropy_of_spectrum(np.linalg.eigvalsh(rho_r))
-        s_a_cond = fock.entropy_of_spectrum(np.linalg.eigvalsh(rho_ar)) - s_r
-        s_b_cond = fock.entropy_of_spectrum(np.linalg.eigvalsh(rho_br)) - s_r
+        keep = w >= 1e-15
+        vecs = (V[:, keep] * np.sqrt(w[keep])).reshape(N, N, -1)  # (A, R, k)
+        psi = gain[:, :, None, None] * vecs[src]  # (A, B, R, k)
+        m_ar = psi.transpose(0, 2, 1, 3).reshape(N * N, -1)
+        m_br = psi.transpose(1, 2, 0, 3).reshape(N * N, -1)
+        m_r = psi.transpose(2, 0, 1, 3).reshape(N, -1)
+        s_r = fock.entropy_of_spectrum(np.linalg.eigvalsh(m_r @ m_r.conj().T))
+        s_a_cond = fock.entropy_of_spectrum(np.linalg.eigvalsh(m_ar @ m_ar.conj().T)) - s_r
+        s_b_cond = fock.entropy_of_spectrum(np.linalg.eigvalsh(m_br @ m_br.conj().T)) - s_r
         epi_a, epi_b = se.cond_epi_rhs(kappa, s_cond_in)
         worst = max(worst, epi_a - s_a_cond, epi_b - s_b_cond)
     return VerifyReport.build("epi-spot", samples * 2, worst, tolerance, seed)
-
-
-def _squeeze_with_spectator(vec_ar, blocks, N):
-    """Two-mode squeezer on (A, vacuum B) with spectator R; returns psi(A, B, R)."""
-    psi = np.zeros((N, N, N), dtype=vec_ar.dtype)
-    for n in range(N):
-        row = vec_ar[n]
-        if not row.any():
-            continue
-        col = blocks[n][:, 0]
-        j = np.arange(len(col))
-        psi[n + j, j] = col[:, None] * row[None, :]
-    return psi
 
 
 def run_suite(name, tolerance=None, seed=None):

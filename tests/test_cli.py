@@ -199,6 +199,23 @@ class TestOracle:
         assert code == 0
         values = dict(line.split(": ") for line in out.splitlines())
         assert abs(float(values["difference"])) < 1e-6
+        assert values["cutoff"] == "80"
+        # the output is thermal with E = 3, so the cutoff loses exactly (3/4)^80
+        assert float(values["tail_bound"]) == pytest.approx(0.75**80, rel=1e-9)
+
+    def test_channel_memory_refusal_exit_5(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "oracle", "channel", "--kind", "amp", "--param", "2", "--energy", "1",
+                "--cutoff", "100000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert "limit of 1024 MiB" in err
+        assert peak < 2**20  # refused before the input state is built
 
     def test_identity_attenuator(self, capsys):
         code, out, _ = run(

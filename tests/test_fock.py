@@ -5,11 +5,44 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cvsquash import fock
 from cvsquash.entropics import ChannelParam, g
 from cvsquash.errors import CutoffError, DomainError, QuadratureError
 from cvsquash.states import extension_family, gaussian_cmi
+
+
+def expm_column(kind, value, n, size):
+    """Reference for the closed-form amplitude table: column 0 of exp(G), where G
+    is the truncated two-mode generator on the charge block that input n with a
+    vacuum ancilla occupies, kept to ancilla levels j < size."""
+    j = np.arange(1.0, size)
+    if kind == "squeezer":
+        c = math.acosh(math.sqrt(value)) * np.sqrt((n + j) * j)
+    else:
+        c = -math.acos(math.sqrt(value)) * np.sqrt((n - j + 1.0) * j)
+    return expm(np.diag(c, -1) - np.diag(c, 1))[:, 0]
+
+
+def stinespring_reference(rho, channel, complement):
+    """Dense Stinespring action built from the expm block columns: the isometry
+    V[output, ancilla, input] applied to rho, with one side traced out."""
+    N = len(rho)
+    V = np.zeros((N, N, N))
+    for n in range(N):
+        if channel.kind == "amplifier":
+            col = expm_column("squeezer", channel.value, n, N - n)
+            j = np.arange(N - n)
+            V[n + j, j, n] = col
+        else:
+            col = expm_column("beam-splitter", channel.value, n, n + 1)
+            j = np.arange(n + 1)
+            V[n - j, j, n] = col
+    if complement:
+        V = V.transpose(1, 0, 2)  # keep the ancilla, trace out the output
+    joint = V @ rho
+    return joint.reshape(N, -1) @ V.reshape(N, -1).T
 
 
 class TestCutoffRule:
@@ -45,9 +78,14 @@ class TestThermal:
         assert fock.spectral_entropy(state) == pytest.approx(g(2.0), abs=1e-8)
 
     def test_vacuum(self):
-        state = fock.vacuum_fock(8)
+        state = fock.thermal_fock(0.0, 8)
         assert state.matrix[0, 0] == 1.0
         assert fock.spectral_entropy(state) == 0.0
+
+    def test_memory_refusal(self):
+        with pytest.raises(CutoffError, match="limit of 1024 MiB") as err:
+            fock.thermal_fock(1.0, 100_000)
+        assert err.value.required == fock.required_cutoff(1.0)
 
     def test_tmsv_normalization(self):
         c = fock.tmsv_vector(1.0, 64)
@@ -55,39 +93,6 @@ class TestThermal:
 
 
 class TestUnitaries:
-    @pytest.mark.parametrize("kappa", [1.0, 1.5, 3.0])
-    def test_squeezer_orthogonal(self, kappa):
-        U = fock.squeezer_unitary(kappa, 12)
-        assert np.abs(U @ U.T - np.eye(144)).max() < 1e-12
-
-    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
-    def test_beam_splitter_orthogonal(self, eta):
-        U = fock.beam_splitter_unitary(eta, 12)
-        assert np.abs(U @ U.T - np.eye(144)).max() < 1e-12
-
-    def test_beam_splitter_identity_at_one(self):
-        assert np.allclose(fock.beam_splitter_unitary(1.0, 8), np.eye(64))
-
-    def test_squeezer_identity_at_one(self):
-        assert np.allclose(fock.squeezer_unitary(1.0, 8), np.eye(64))
-
-    def test_squeezer_vacuum_gives_tmsv(self):
-        # U_kappa |0,0> is the two-mode squeezed vacuum with E = kappa - 1
-        kappa, N = 2.0, 40
-        U = fock.squeezer_unitary(kappa, N)
-        psi = U[:, 0].reshape(N, N)
-        expected = fock.tmsv_vector(kappa - 1.0, N)
-        # the truncation perturbs amplitudes only near the cutoff boundary
-        assert np.abs(np.abs(psi) - expected)[: N // 2, : N // 2].max() < 1e-10
-        assert np.abs(np.abs(psi) - expected).max() < 1e-5
-
-    def test_beam_splitter_conserves_total_number(self):
-        N = 10
-        U = fock.beam_splitter_unitary(0.37, N)
-        n_tot = np.add.outer(np.arange(N), np.arange(N)).ravel()
-        mixing = U[np.not_equal.outer(n_tot, n_tot)]
-        assert np.abs(mixing).max() == 0.0
-
     def test_displacement_unitary(self):
         D = fock.displacement_unitary(0.5, 48)
         assert np.abs(D @ D.conj().T - np.eye(48)).max() < 1e-10
@@ -99,14 +104,14 @@ class TestUnitaries:
 class TestPartialTrace:
     def test_product_state(self):
         a = fock.thermal_fock(1.0, 8).matrix
-        b = fock.vacuum_fock(8).matrix
+        b = fock.thermal_fock(0.0, 8).matrix
         joint = fock.TruncatedState(np.kron(a, b), cutoff=8, modes=2, tail_bound=0.25)
         reduced = fock.partial_trace(joint, [0])
         assert np.abs(reduced.matrix - a).max() < 1e-12
 
     def test_order_reversal(self):
         a = fock.thermal_fock(1.0, 6).matrix
-        b = fock.vacuum_fock(6).matrix
+        b = fock.thermal_fock(0.0, 6).matrix
         joint = fock.TruncatedState(np.kron(a, b), cutoff=6, modes=2, tail_bound=0.3)
         swapped = fock.partial_trace(joint, [1, 0])
         assert np.abs(swapped.matrix - np.kron(b, a)).max() < 1e-12
@@ -145,6 +150,27 @@ class TestChannels:
         state = fock.thermal_fock(2.0, 16)
         with pytest.raises(CutoffError):
             fock.apply_channel_fock(state, ChannelParam.amplifier(2.0))
+
+    @pytest.mark.parametrize("channel, complement", [
+        (ChannelParam.amplifier(2.0), False),
+        (ChannelParam.amplifier(1.2), True),
+        (ChannelParam.attenuator(0.37), False),
+    ], ids=["amplifier", "complement", "attenuator"])
+    def test_matches_stinespring_reference(self, channel, complement):
+        # far below the cutoff, where truncating the reference's blocks is negligible
+        state = fock.random_one_mode_state(np.random.default_rng(5), 120, support=12)
+        out = fock.apply_channel_fock(state, channel, complement=complement,
+                                      enforce_cutoff=False)
+        reference = stinespring_reference(state.matrix, channel, complement)
+        assert np.abs(out.matrix - reference)[:40, :40].max() < 1e-12
+        assert out.tail_bound == pytest.approx(1.0 - out.trace, abs=1e-15)
+
+    def test_memory_refusal(self, monkeypatch):
+        # a limit that admits the input but not the channel's working set
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 2**16)
+        state = fock.thermal_fock(1.0, 40)
+        with pytest.raises(CutoffError, match="limit of 0.0625 MiB"):
+            fock.apply_channel_fock(state, ChannelParam.amplifier(2.0), enforce_cutoff=False)
 
     def test_attenuator_complement_unsupported(self):
         state = fock.thermal_fock(1.0, 40)
@@ -207,12 +233,25 @@ class TestVacuumAncillaAmplitudes:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.9, 1.0])
     def test_beam_splitter_matches_expm_column(self, eta):
         table = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, self.N)
-        blocks = fock._bs_blocks(eta, self.N)
         for n in range(self.N):
             # block n is indexed by the ancilla occupation j = 0 .. n
-            np.testing.assert_allclose(table[n, : n + 1], np.abs(blocks[n][:, 0]),
-                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                table[n, : n + 1], np.abs(expm_column("beam-splitter", eta, n, n + 1)),
+                rtol=0, atol=1e-13)
             assert not table[n, n + 1 :].any()
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 5.0])
+    def test_squeezer_matches_expm_column(self, kappa):
+        N = self.N
+        table = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
+        for n in range(N):
+            # the reference block is cut at 4N, where its renormalization is negligible
+            column = expm_column("squeezer", kappa, n, 4 * N - n)
+            np.testing.assert_allclose(table[n, : N - n], column[: N - n], rtol=0, atol=1e-13)
+            assert not table[n, N - n :].any()
+        # the vacuum input gives the two-mode squeezed vacuum with E = kappa - 1
+        np.testing.assert_allclose(table[0], np.diagonal(fock.tmsv_vector(kappa - 1.0, N)),
+                                   rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 5.0])
     def test_squeezer_closed_form(self, kappa):
