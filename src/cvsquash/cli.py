@@ -5,20 +5,23 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import fock
 from .bounds import (
     BoundReport,
     channel_esq,
+    classical_esq,
     esq_bounds_channel_state,
     esq_bounds_tms,
-    find_E_kappa,
     secret_key_capacity,
 )
-from .entropics import ChannelParam, g, h
+from .entropics import ChannelParam, g
 from .errors import (
     CutoffError,
     DomainError,
@@ -117,17 +120,22 @@ def _sweep_rows(kappas, e_min, e_max, steps):
         raise DomainError(f"a sweep needs at least 2 steps, got {steps}")
     if not kappas:
         raise DomainError("the kappa list must be nonempty")
-    if e_min > e_max or e_min < 0.0:
-        raise DomainError(f"need 0 <= E_min <= E_max, got [{e_min}, {e_max}]")
-    energies = [e_min + (e_max - e_min) * i / (steps - 1) for i in range(steps)]
-    e_kappa = {k: (find_E_kappa(k) if k > 1.0 else 0.0) for k in kappas}
-
-    def row(kappa, E):
-        report = esq_bounds_tms(kappa, E, cross_check=False)
-        classical = 0.5 * h(kappa, min(E, e_kappa[kappa])) if kappa > 1.0 else 0.0
-        return (kappa, E, report.lower, report.upper, classical)
-
-    return [row(k, E) for k in kappas for E in energies]
+    for kappa in kappas:
+        if not 1.0 <= kappa < math.inf:  # fails on NaN
+            raise DomainError(f"--kappas: each kappa must be finite and >= 1, got {kappa}")
+    for name, value in (("--e-min", e_min), ("--e-max", e_max)):
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    if e_min > e_max:
+        raise DomainError(f"need --e-min <= --e-max, got [{e_min}, {e_max}]")
+    energies = e_min + (e_max - e_min) * np.arange(steps) / (steps - 1)
+    rows = []
+    for kappa in kappas:
+        report = esq_bounds_tms(kappa, energies)
+        classical, _ = classical_esq(kappa, energies)
+        rows.extend((kappa, E, report.lower, upper, cl) for E, upper, cl in
+                    zip(energies.tolist(), report.upper.tolist(), classical.tolist()))
+    return rows
 
 
 def cmd_figure1(args):
@@ -212,6 +220,7 @@ def _csv_floats(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cvsquash",

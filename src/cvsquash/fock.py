@@ -176,7 +176,7 @@ def partial_trace(state, keep):
 def entropy_of_spectrum(eigs):
     lam = np.clip(np.real(np.asarray(eigs)), 0.0, None)
     lam = lam[lam > _EIG_FLOOR]
-    return float(-np.sum(lam * np.log(lam)))
+    return 0.0 - float(np.sum(lam * np.log(lam)))  # +0.0, not -0.0, for a pure spectrum
 
 
 def spectral_entropy(state):

@@ -13,7 +13,6 @@ import numpy as np
 from . import bounds as bd
 from . import entropics as se
 from . import fock
-from .errors import CutoffError
 from .states import (
     attenuated_tmsv_cov,
     extension_family,

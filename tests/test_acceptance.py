@@ -160,7 +160,7 @@ def test_criterion_06_classical_structure():
         n0 = (2.0 * kappa - 1.0) * math.log(kappa / (kappa - 1.0))
         worst_rate = max(worst_rate, abs(rate / n0 - 1.0))
     endpoint_ok = abs(d_inf - 0.5) <= 1e-3 and secants_ok and worst_rate <= 1e-5
-    # golden-section result vs an independent dense scan at resolution 1e-4
+    # classical_esq vs an independent dense scan at resolution 1e-4
     worst_scan = 0.0
     for kappa in (1.2, 2.0, 3.0, 5.0):
         for E in (0.1, 0.5, 1.0, 5.0):

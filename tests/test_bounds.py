@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cvsquash.bounds import (
     BoundReport,
+    _h_prime,
     channel_esq,
     classical_esq,
     esq_bounds_channel_state,
@@ -30,6 +31,10 @@ class TestBoundReport:
     def test_exact_outside_bounds_rejected(self):
         with pytest.raises(AssertionError):
             BoundReport(lower=0.0, upper=1.0, exact=2.0)
+
+    def test_ordering_enforced_over_array(self):
+        with pytest.raises(AssertionError):
+            BoundReport(lower=1.0, upper=np.array([2.0, 0.5, 3.0]))
 
     def test_to_dict(self):
         d = BoundReport(lower=0.0, upper=1.0, provenance=("x",)).to_dict()
@@ -60,7 +65,7 @@ class TestTmsBounds:
     )
     @settings(max_examples=100)
     def test_gap_within_ln_e_over_2(self, kappa, E):
-        report = esq_bounds_tms(kappa, E, cross_check=False)
+        report = esq_bounds_tms(kappa, E)
         assert report.upper - report.lower <= 1.0 - math.log(2.0) + 1e-12
 
     def test_domain_errors(self):
@@ -68,6 +73,16 @@ class TestTmsBounds:
             esq_bounds_tms(0.5, 1.0)
         with pytest.raises(DomainError):
             esq_bounds_tms(2.0, -1.0)
+
+    @pytest.mark.parametrize("kappa, E", [
+        (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf),
+        (2.0, np.array([0.0, math.nan])),
+    ])
+    def test_non_finite_rejected(self, kappa, E):
+        with pytest.raises(DomainError):
+            esq_bounds_tms(kappa, E)
+        with pytest.raises(DomainError):
+            classical_esq(kappa, E)
 
 
 class TestEquivalentParams:
@@ -150,6 +165,20 @@ class TestClassical:
         # the unconstrained minimizer for gain 2 sits at x = 1/4
         assert find_E_kappa(2.0) == pytest.approx(0.25, abs=1e-6)
 
+    def test_minimizer_kappa_two_exact(self):
+        # at kappa = 2, h'(x) = 0 reduces to 4x(x + 2) = (2x + 1)^2
+        assert find_E_kappa(2.0) == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("kappa", [1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0])
+    def test_stationarity_sign_change(self, kappa):
+        below, above = find_E_kappa(kappa) * (1.0 - 1e-12), find_E_kappa(kappa) * (1.0 + 1e-12)
+        assert _h_prime(kappa, below) < 0.0 < _h_prime(kappa, above)
+
+    def test_failed_bracket_is_domain_error(self):
+        # kappa x overflows, so h' cannot be told from 0 at the bracket's right end
+        with pytest.raises(DomainError):
+            find_E_kappa(1.7e308)
+
     def test_kappa_one_degenerate(self):
         value, res = classical_esq(1.0, 5.0)
         assert value == 0.0
@@ -178,6 +207,14 @@ class TestClassical:
         value, _ = classical_esq(kappa, E)
         xs = np.arange(0.0, E + 1e-4, 1e-4)
         assert value == pytest.approx(0.5 * float(np.min(h(kappa, xs))), abs=1e-8)
+
+    def test_array_energies_elementwise(self):
+        energies = np.array([0.0, 0.1, 0.2, 0.3, 2.0])
+        value, res = classical_esq(2.0, energies)
+        scalar = [classical_esq(2.0, E) for E in energies.tolist()]
+        assert value.tolist() == [v for v, _ in scalar]
+        assert res.clipped.tolist() == [r.clipped for _, r in scalar]
+        assert res.argmin_x.tolist() == [r.argmin_x for _, r in scalar]
 
     def test_invariants(self):
         for kappa in (1.5, 2.0, 4.0):

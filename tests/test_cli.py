@@ -8,7 +8,8 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from cvsquash.cli import main
+from cvsquash.bounds import classical_esq, esq_bounds_tms
+from cvsquash.cli import _sweep_rows, build_parser, main
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "bound_report.schema.json"
 
@@ -53,6 +54,23 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "tms", "--kappa", "0.5", "--energy", "1")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("kappa, energy", [
+        ("83.94300410074327", "7.689108921982416"),
+        ("304.1639793970098", "0.0011909836624540257"),
+    ])
+    def test_tms_large_kappa_exit_0(self, capsys, kappa, energy):
+        code, out, err = run(capsys, "bounds", "tms", "--kappa", kappa, "--energy", energy)
+        assert code == 0, err
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        assert float(rows["esq_lower"]) <= float(rows["esq_upper"])
+
+    @pytest.mark.parametrize("energy", ["inf", "nan"])
+    def test_channel_state_non_finite_energy_exit_3(self, capsys, energy):
+        code, out, err = run(capsys, "bounds", "attenuator", "--eta", "0.5", "--energy", energy)
+        assert code == 3
+        assert out == ""
+        assert "mean energy must be finite" in err
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -128,6 +146,26 @@ class TestFigure1:
     def test_invalid_sweep_exit_3(self, capsys):
         code, _, _ = run(capsys, "figure1", "--steps", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kappas", "nan"), ("--kappas", "inf"), ("--kappas", "0.3"), ("--e-max", "inf"),
+    ])
+    def test_bad_sweep_argument_named(self, capsys, flag, value):
+        code, out, err = run(capsys, "figure1", "--steps", "3", flag, value)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 3.7, 9.9])
+    def test_rows_match_scalar_api(self, kappa):
+        rows = _sweep_rows([kappa], 0.0, 5.0, 400)
+        for k, E, lower, upper, classical in rows:
+            report = esq_bounds_tms(kappa, E)
+            assert (k, lower, upper) == (kappa, report.lower, report.upper)
+            assert classical == classical_esq(kappa, E)[0]
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestVerify:
@@ -216,6 +254,16 @@ class TestOracle:
         assert code == 5
         assert "limit of 1024 MiB" in err
         assert peak < 2**20  # refused before the input state is built
+
+    def test_pure_output_entropy_is_positive_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "channel", "--kind", "amp", "--param", "1", "--energy", "0",
+            "--cutoff", "2",
+        )
+        assert code == 0
+        values = dict(line.split(": ") for line in out.splitlines())
+        assert values["fock"] == "0"
+        assert values["difference"] == "0"
 
     def test_identity_attenuator(self, capsys):
         code, out, _ = run(
