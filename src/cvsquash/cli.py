@@ -148,8 +148,10 @@ def cmd_figure1(args):
         ]
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        # _sweep_rows rejects non-finite values, so no value needs _fmt's "inf"
+        template = ",".join([f"{{:.{args.precision}g}}"] * len(rows[0]))
         lines = [FIGURE1_HEADER]
-        lines.extend(",".join(_fmt(v, args.precision) for v in row) for row in rows)
+        lines.extend(template.format(*row) for row in rows)
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return 0

@@ -40,8 +40,8 @@ class ChannelParam:
             if not 0.0 <= self.value <= 1.0:
                 raise DomainError(f"attenuator transmissivity must be in [0, 1], got {self.value}")
         elif self.kind == "amplifier":
-            if not self.value >= 1.0:
-                raise DomainError(f"amplifier gain must be >= 1, got {self.value}")
+            if not 1.0 <= self.value < math.inf:  # fails on NaN
+                raise DomainError(f"amplifier gain must be finite and >= 1, got {self.value}")
         else:
             raise DomainError(f"unknown channel kind {self.kind!r}")
 

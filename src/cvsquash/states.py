@@ -4,22 +4,19 @@ All states are zero-mean.  Mode bookkeeping is positional with string labels;
 partial traces and entropies are taken by label.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropics import _as_params
 from .errors import DomainError
-from .symplectic import (
-    apply_symplectic,
-    embed_symplectic,
-    gaussian_entropy,
-    marginal,
-    two_mode_squeezer_symplectic,
-    validate_covariance,
-)
+from .symplectic import _entropies, gaussian_entropy, marginal, validate_covariance
 
 _SIGMA_Z = np.diag([1.0, -1.0])
+#: signs of the P-quadrature block of extension_family relative to its
+#: Q-quadrature block: Z = diag(1, -1) on each of the AB and AR correlations
+_P_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -109,29 +106,46 @@ def attenuated_tmsv_cov(eta, E):
 def extension_family(kappa, E, eta, labels=("A", "B", "R")):
     """Three-mode Gaussian extension of tms_thermal_state(kappa, E).
 
-    Assembled from the closed-form AR covariance (attenuated two-mode squeezed
-    vacuum), a vacuum mode B, and the AB two-mode squeezer.
+    The AB two-mode squeezer applied to the attenuated two-mode squeezed vacuum
+    on AR (energy E, transmissivity eta) and a vacuum mode B, in closed form.
+    With a = E + 1/2, c = sqrt(eta E (E + 1)), t = sqrt(kappa),
+    s = sqrt(kappa - 1) and Z = diag(1, -1), the blocks are
+    AA = (kappa a + (kappa - 1)/2) I, BB = ((kappa - 1) a + kappa/2) I,
+    RR = (eta E + 1/2) I, AB = t s (a + 1/2) Z, AR = t c Z and BR = s c I.
+    The AB blocks are evaluated as in tms_thermal_state, so tracing out R
+    leaves exactly its covariance.
     """
     _as_params(kappa, E, eta)
-    ar = attenuated_tmsv_cov(eta, E)
-    cov = 0.5 * np.eye(6)
-    idx = np.array([0, 1, 4, 5])  # A and R quadratures in (A, B, R) ordering
-    cov[np.ix_(idx, idx)] = ar
-    S = embed_symplectic(two_mode_squeezer_symplectic(kappa), 3, (0, 1))
-    return GaussianState(cov=apply_symplectic(S, cov), labels=tuple(labels))
+    c = math.sqrt(eta * E * (E + 1.0))
+    t, s = math.sqrt(kappa), math.sqrt(kappa - 1.0)
+    ab = (E + 1.0) * math.sqrt(kappa * (kappa - 1.0))
+    q = np.array([  # the Q quadratures of A, B, R
+        [kappa * (E + 1.0) - 0.5, ab, t * c],
+        [ab, (kappa - 1.0) * (E + 1.0) + 0.5, s * c],
+        [t * c, s * c, eta * E + 0.5],
+    ])
+    cov = np.zeros((6, 6))
+    cov[0::2, 0::2] = q
+    cov[1::2, 1::2] = _P_SIGNS * q
+    return GaussianState(cov=cov, labels=tuple(labels))
 
 
 def gaussian_cmi(state, part_a, part_b, part_r=()):
-    """Conditional mutual information I(A;B|R) = S(AR) + S(BR) - S(R) - S(ABR) in nats."""
+    """Conditional mutual information I(A;B|R) = S(AR) + S(BR) - S(R) - S(ABR) in nats.
+
+    The four marginals are padded back to the full state size with vacuum
+    blocks, which add no entropy, and their entropies come from one stacked
+    kernel call.
+    """
     part_a, part_b, part_r = tuple(part_a), tuple(part_b), tuple(part_r)
     parts = part_a + part_b + part_r
     if len(set(parts)) != len(parts):
         raise DomainError("parts A, B, R must be disjoint")
-    state.mode_indices(parts)
-    s_r = state.entropy(part_r) if part_r else 0.0
-    return (
-        state.entropy(part_a + part_r)
-        + state.entropy(part_b + part_r)
-        - s_r
-        - state.entropy(parts)
-    )
+    kept = np.zeros((4, state.n_modes), dtype=bool)
+    for row, subset in enumerate((part_a + part_r, part_b + part_r, part_r, parts)):
+        kept[row, state.mode_indices(subset)] = True
+    kept = np.repeat(kept, 2, axis=1)
+    vacuum = 0.5 * np.eye(2 * state.n_modes)
+    stack = np.where(kept[:, :, None] & kept[:, None, :], state.cov, vacuum)
+    s_ar, s_br, s_r, s_abr = _entropies(stack)
+    return float(s_ar + s_br - s_r - s_abr)

@@ -31,65 +31,81 @@ def n_modes_of(sigma):
     return sigma.shape[0] // 2
 
 
-def validate_covariance(sigma):
-    """Check symmetry and the uncertainty relation; return the matrix unchanged."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = n_modes_of(sigma)
-    scale = max(1.0, float(np.abs(sigma).max()))
-    if np.abs(sigma - sigma.T).max() > 1e-12 * scale:
-        raise InvalidStateError("covariance matrix is not symmetric")
-    nu = symplectic_eigenvalues(sigma, _validate=False)
-    tol = max(_NU_TOL, 1e-13 * scale)
-    if nu[-1] < 0.5 - tol:
-        raise InvalidStateError(
-            f"uncertainty relation violated: min symplectic eigenvalue {nu[-1]} < 1/2"
-        )
-    return sigma
+def _spectra(stack):
+    """Kernel: descending symplectic spectra of a stack (..., 2n, 2n) of covariances.
 
-
-def symplectic_eigenvalues(sigma, _validate=True):
-    """Symplectic spectrum of a covariance matrix, descending.
-
-    Computed from the Hermitian matrix i sqrt(sigma) Delta sqrt(sigma), whose
-    spectrum is {+/- nu_k}; this keeps full symmetric-eigensolver accuracy,
-    unlike the nonsymmetric eigenproblem for inv(Delta) sigma.
+    With the Cholesky factor sigma = L L^T, sigma Delta is similar to
+    L^T Delta L, so i L^T Delta L is Hermitian with spectrum {+/- nu_k}: one
+    Cholesky and one symmetric eigensolve per matrix, with no matrix square
+    root.  Raises InvalidStateError unless every matrix in the stack is
+    symmetric, positive definite, has a spectrum that pairs up, and meets the
+    uncertainty relation nu_min >= 1/2 to within max(_NU_TOL, 1e-13 * scale).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    n = n_modes_of(sigma)
-    scale = max(1.0, float(np.abs(sigma).max()))
-    if _validate and np.abs(sigma - sigma.T).max() > 1e-12 * scale:
+    n = stack.shape[-1] // 2
+    transpose = np.swapaxes(stack, -1, -2)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    if (np.abs(stack - transpose).max(axis=(-2, -1)) > 1e-12 * scale).any():
         raise InvalidStateError("covariance matrix is not symmetric")
-    w, V = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    if w[0] <= 0.0:
-        raise InvalidStateError(f"covariance matrix is not positive definite: {w[0]}")
-    root = (V * np.sqrt(w)) @ V.T
-    delta = symplectic_form(n)
-    A = root @ delta @ root
-    nu = np.linalg.eigvalsh(1j * (0.5 * (A - A.T)))  # ascending, pairwise opposite
-    paired = nu[:n - 1:-1]  # the positive half, descending
-    if np.abs(paired + nu[:n]).max() > 1e-9 * max(1.0, paired[0]):
+    try:
+        L = np.linalg.cholesky(0.5 * (stack + transpose))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidStateError("covariance matrix is not positive definite") from exc
+    delta_L = np.empty_like(L)  # Delta L: swap the rows of each mode, negating the second
+    delta_L[..., 0::2, :] = L[..., 1::2, :]
+    delta_L[..., 1::2, :] = -L[..., 0::2, :]
+    A = np.swapaxes(L, -1, -2) @ delta_L
+    nu = np.linalg.eigvalsh(1j * (0.5 * (A - np.swapaxes(A, -1, -2))))  # ascending
+    paired = nu[..., :n - 1:-1]  # the positive half, descending
+    if (np.abs(paired + nu[..., :n]).max(axis=-1) > 1e-9 * np.maximum(1.0, paired[..., 0])).any():
         raise InvalidStateError("symplectic spectrum does not pair up; matrix is not physical")
-    if _validate:
-        scale = max(1.0, float(np.abs(sigma).max()))
-        tol = max(_NU_TOL, 1e-13 * scale)
-        if paired[-1] < 0.5 - tol:
-            raise InvalidStateError(
-                f"uncertainty relation violated: min symplectic eigenvalue {paired[-1]} < 1/2"
-            )
+    violated = paired[..., -1] < 0.5 - np.maximum(_NU_TOL, 1e-13 * scale)
+    if violated.any():
+        raise InvalidStateError(
+            "uncertainty relation violated: min symplectic eigenvalue "
+            f"{paired[..., -1][violated].min()} < 1/2"
+        )
     return paired
 
 
-def gaussian_entropy(sigma):
-    """Von Neumann entropy sum_k g(nu_k - 1/2) of the Gaussian state with covariance sigma.
+def _entropies(stack):
+    """Von Neumann entropies sum_k g(nu_k - 1/2) of a stack of covariances.
 
-    Eigenvalues within 1e-13 * scale of 1/2 are treated as exactly pure: g has
-    infinite slope at 0, so roundoff on pure modes would otherwise be amplified
-    by a factor |ln eps| into every entropy difference.
+    Eigenvalues within 1e-11 * max(1, nu_0) of 1/2 are treated as exactly pure:
+    g has infinite slope at 0, so roundoff on pure modes would otherwise be
+    amplified by a factor |ln eps| into every entropy difference.  Vacuum
+    modes padded onto a matrix therefore add exactly 0.
     """
-    nu = symplectic_eigenvalues(sigma)
+    nu = _spectra(stack)
     excess = np.maximum(nu - 0.5, 0.0)
-    excess[excess < 1e-11 * max(1.0, nu[0])] = 0.0
-    return float(np.sum(g(excess)))
+    excess[excess < 1e-11 * np.maximum(1.0, nu[..., :1])] = 0.0
+    return np.sum(g(excess), axis=-1)
+
+
+def validate_covariance(sigma):
+    """Check symmetry, positivity and the uncertainty relation; return the matrix."""
+    sigma = np.asarray(sigma, dtype=float)
+    symplectic_eigenvalues(sigma)
+    return sigma
+
+
+def symplectic_eigenvalues(sigma):
+    """Symplectic spectrum of a covariance matrix, descending.
+
+    The positive half of the spectrum of the Hermitian matrix i L^T Delta L,
+    where L is the Cholesky factor of sigma; this keeps full
+    symmetric-eigensolver accuracy, unlike the nonsymmetric eigenproblem for
+    inv(Delta) sigma.  The matrix is validated as in validate_covariance.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    n_modes_of(sigma)
+    return _spectra(sigma)
+
+
+def gaussian_entropy(sigma):
+    """Von Neumann entropy sum_k g(nu_k - 1/2) of the Gaussian state with covariance sigma."""
+    sigma = np.asarray(sigma, dtype=float)
+    n_modes_of(sigma)
+    return float(_entropies(sigma))
 
 
 def marginal(sigma, modes):

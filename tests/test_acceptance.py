@@ -9,9 +9,7 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from cvsquash import fock
 from cvsquash.bounds import (
     channel_esq,
     classical_esq,

@@ -99,6 +99,13 @@ class TestChannel:
         assert code == 0
         assert "esq_exact,inf" in out.splitlines()
 
+    @pytest.mark.parametrize("kappa", ["inf", "nan"])
+    def test_non_finite_gain_exit_3(self, capsys, kappa):
+        code, out, err = run(capsys, "channel", "amplifier", "--kappa", kappa)
+        assert code == 3
+        assert out == ""
+        assert "amplifier gain must be finite" in err
+
 
 class TestFigure1:
     def test_header_and_ordering(self, capsys):

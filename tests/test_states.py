@@ -1,10 +1,9 @@
 """Unit tests for the named Gaussian states and conditional mutual information."""
 
-import math
-
 import numpy as np
 import pytest
 
+from cvsquash import symplectic
 from cvsquash.entropics import g
 from cvsquash.errors import DomainError
 from cvsquash.states import (
@@ -20,7 +19,6 @@ from cvsquash.states import (
 from cvsquash.symplectic import (
     apply_symplectic,
     embed_symplectic,
-    marginal,
     two_mode_squeezer_symplectic,
 )
 
@@ -91,16 +89,32 @@ class TestExtensionFamily:
         for eta in (0.0, 0.5, 1.0):
             fam = extension_family(kappa, E, eta)
             ab = fam.marginal_cov(("A", "B"))
-            assert np.allclose(ab, tms_thermal_state(kappa, E).cov, atol=1e-10)
+            assert np.array_equal(ab, tms_thermal_state(kappa, E).cov)
 
     def test_assembly_from_parts(self):
-        kappa, E, eta = 1.7, 0.8, 0.3
-        fam = extension_family(kappa, E, eta)
-        cov = 0.5 * np.eye(6)
-        idx = np.ix_([0, 1, 4, 5], [0, 1, 4, 5])
-        cov[idx] = attenuated_tmsv_cov(eta, E)
-        S = embed_symplectic(two_mode_squeezer_symplectic(kappa), 3, (0, 1))
-        assert np.allclose(fam.cov, apply_symplectic(S, cov), atol=1e-12)
+        # the closed form equals the squeezer congruence of attenuated TMSV (x) vacuum
+        rng = np.random.default_rng(11)
+        sample = np.column_stack([
+            rng.uniform(1.0, 10.0, 40), rng.uniform(0.0, 50.0, 40), rng.uniform(0.0, 1.0, 40)
+        ]).tolist()
+        edges = [(1.0, 2.0, 0.3), (3.0, 0.0, 0.7)] + [(2.5, 4.0, eta) for eta in (0.0, 0.5, 1.0)]
+        for kappa, E, eta in sample + edges:
+            cov = 0.5 * np.eye(6)
+            idx = np.ix_([0, 1, 4, 5], [0, 1, 4, 5])
+            cov[idx] = attenuated_tmsv_cov(eta, E)
+            S = embed_symplectic(two_mode_squeezer_symplectic(kappa), 3, (0, 1))
+            np.testing.assert_allclose(
+                extension_family(kappa, E, eta).cov, apply_symplectic(S, cov), rtol=1e-15, atol=0
+            )
+
+    def test_accepts_state_near_the_validation_floor(self):
+        # a physical state that an eigh-and-square-root spectrum of the
+        # congruence-built covariance rejected (nu_min - 1/2 = -1.06e-10)
+        assert symplectic._NU_TOL == 1e-10
+        kappa, E, eta = 7.431522040847808, 46.06778512697446, 0.9950608628339832
+        at_eta = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
+        at_mirror = gaussian_cmi(extension_family(kappa, E, 1.0 - eta), "A", "B", "R")
+        assert at_eta == pytest.approx(at_mirror, abs=1e-8)
 
     def test_r_marginal_thermal(self):
         fam = extension_family(2.0, 1.0, 0.25)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cvsquash.entropics import g
 from cvsquash.errors import DomainError, InvalidStateError
 from cvsquash.symplectic import (
+    _spectra,
     amplifier_complement_cov,
     amplifier_cov,
     apply_symplectic,
@@ -28,6 +30,24 @@ from cvsquash.symplectic import (
 
 def thermal_cov(E):
     return (E + 0.5) * np.eye(2)
+
+
+def random_symplectic(h):
+    """expm(Delta H) with H = h + h^T symmetric: a symplectic matrix."""
+    h = np.asarray(h, dtype=float)
+    S = expm(symplectic_form(h.shape[0] // 2) @ (h + h.T))
+    assert is_symplectic(S, tol=1e-9)
+    return S
+
+
+def random_physical_stack(rng, n_modes, count):
+    """Covariances S diag(nu) S^T with random symplectic S and nu in [1/2, 5]."""
+    stack = []
+    for _ in range(count):
+        nu = np.repeat(rng.uniform(0.5, 5.0, n_modes), 2)
+        S = random_symplectic(rng.normal(scale=0.2, size=(2 * n_modes, 2 * n_modes)))
+        stack.append(apply_symplectic(S, np.diag(nu)))
+    return np.array(stack)
 
 
 class TestForm:
@@ -84,6 +104,42 @@ class TestSpectrum:
         S = beam_splitter_symplectic(eta)
         assert symplectic_eigenvalues(apply_symplectic(S, sigma)) == pytest.approx(
             symplectic_eigenvalues(sigma), rel=1e-12
+        )
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_stack_equals_per_matrix_calls(self, n_modes):
+        stack = random_physical_stack(np.random.default_rng(n_modes), n_modes, 16)
+        stacked = _spectra(stack)
+        assert stacked.shape == (16, n_modes)
+        for sigma, nu in zip(stack, stacked):
+            np.testing.assert_allclose(nu, symplectic_eigenvalues(sigma), rtol=1e-12, atol=0)
+
+    def test_non_positive_definite_stack_is_invalid_state(self):
+        stack = np.array([0.5 * np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0])])
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            _spectra(stack)
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            validate_covariance(stack[1])
+
+    @pytest.mark.parametrize("slots", [(0,), (1,), (2,), (0, 3)])
+    def test_vacuum_padding_keeps_entropy(self, slots):
+        sigma = random_physical_stack(np.random.default_rng(7), 2, 1)[0]
+        n = 2 + len(slots)
+        kept = np.repeat([m not in slots for m in range(n)], 2)
+        padded = 0.5 * np.eye(2 * n)
+        padded[np.ix_(kept, kept)] = sigma
+        assert gaussian_entropy(padded) == pytest.approx(gaussian_entropy(sigma), rel=1e-12)
+
+    @given(h=st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=36, max_size=36),
+           nu=st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_random_symplectic_congruence(self, h, nu):
+        sigma = np.diag(np.repeat(nu, 2))
+        S = random_symplectic(np.reshape(h, (6, 6)))
+        assert symplectic_eigenvalues(apply_symplectic(S, sigma)) == pytest.approx(
+            sorted(nu, reverse=True), rel=1e-9, abs=1e-9
         )
 
 
