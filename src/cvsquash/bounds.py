@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropics import g, h
-from .errors import DomainError
+from .errors import ENERGY, GAIN, DomainError, in_domain
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,6 @@ class MinimizerResult:
     E_kappa: float
 
 
-def _check_tms(kappa, E):
-    # each comparison is False for NaN, so NaN fails the check
-    if not (1.0 <= kappa < math.inf and np.all((0.0 <= E) & (E < math.inf))):
-        raise DomainError(f"need finite kappa >= 1 and E >= 0, got {kappa}, {E}")
-
-
 def esq_bounds_tms(kappa, E):
     """Squashed-entanglement bounds for the squeezed thermal-vacuum state.
 
@@ -57,7 +51,8 @@ def esq_bounds_tms(kappa, E):
     the halved conditional mutual information of the optimal (eta = 1/2)
     Gaussian extension.  E may be an array; upper is then elementwise.
     """
-    _check_tms(kappa, E)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
     return BoundReport(
         lower=math.log(2.0 * kappa - 1.0),
         upper=g((kappa - 0.5) * E + kappa - 1.0) - g(0.5 * E),
@@ -69,8 +64,7 @@ def esq_bounds_tms(kappa, E):
 def tms_equivalent_params(channel, E):
     """Map (channel, TMSV energy E) to the (kappa', E') of the equivalent squeezed
     thermal-vacuum state."""
-    if E < 0.0:
-        raise DomainError(f"mean energy must be >= 0, got {E}")
+    E = in_domain("mean energy", E, ENERGY)
     if channel.kind == "attenuator":
         eta = channel.value
         return (E + 1.0) / ((1.0 - eta) * E + 1.0), (1.0 - eta) * E
@@ -80,8 +74,7 @@ def tms_equivalent_params(channel, E):
 
 def esq_bounds_channel_state(channel, E):
     """Squashed-entanglement bounds for a channel applied to half a TMSV of energy E."""
-    if not 0.0 <= E < math.inf:
-        raise DomainError(f"mean energy must be finite and >= 0, got {E}")
+    kp, ep = tms_equivalent_params(channel, E)  # checks E
     if channel.kind == "attenuator":
         eta = channel.value
         lower = math.log(((1.0 + eta) * E + 1.0) / ((1.0 - eta) * E + 1.0))
@@ -92,7 +85,6 @@ def esq_bounds_channel_state(channel, E):
         lower = math.log(((kappa + 1.0) * E + kappa) / ((kappa - 1.0) * E + kappa))
         upper = g(0.5 * ((kappa + 1.0) * E + kappa - 1.0)) - g(0.5 * (kappa - 1.0) * (E + 1.0))
         provenance = ("corollary-1", "amplifier")
-    kp, ep = tms_equivalent_params(channel, E)
     mapped = esq_bounds_tms(kp, ep)
     if abs(mapped.lower - lower) > 1e-12 or abs(mapped.upper - upper) > 1e-12:
         raise AssertionError("corollary bounds disagree with the mapped state bounds")
@@ -141,8 +133,7 @@ def find_E_kappa(kappa):
     h_kappa' changes sign once on (0, inf), from -inf at 0 to positive values,
     so bisection in ln x brackets the root down to adjacent doubles.
     """
-    if not 1.0 < kappa < math.inf:
-        raise DomainError(f"h has a unique minimizer only for finite kappa > 1, got {kappa}")
+    kappa = in_domain("squeezing gain", kappa, (math.nextafter(1, 2), GAIN[1], "finite and > 1"))
     lo, hi = _E_KAPPA_BRACKET
     if not _h_prime(kappa, lo) < 0.0 < _h_prime(kappa, hi):
         raise DomainError(f"failed to bracket the minimizer of h at kappa = {kappa}")
@@ -163,7 +154,8 @@ def classical_esq(kappa, E):
     array; the value and the minimizer fields are then elementwise.  At
     kappa = 1, h vanishes identically and E_kappa is reported as 0.
     """
-    _check_tms(kappa, E)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
     e_kappa = find_E_kappa(kappa) if kappa > 1.0 else 0.0
     argmin = np.minimum(E, e_kappa)
     value = 0.5 * h(kappa, argmin)

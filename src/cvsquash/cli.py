@@ -22,13 +22,8 @@ from .bounds import (
     secret_key_capacity,
 )
 from .entropics import ChannelParam, g
-from .errors import (
-    CutoffError,
-    DomainError,
-    InvalidStateError,
-    QuadratureError,
-    SingularPointError,
-)
+from .errors import (CUTOFF, ENERGY, GAIN, CutoffError, DomainError, InvalidStateError,
+                     QuadratureError, SingularPointError, in_domain)
 from .states import extension_family, gaussian_cmi
 from .verify import SUITES, run_suite
 
@@ -76,7 +71,7 @@ def _render_report(report, extras, fmt, precision):
         }
         for key, value in extras:
             payload[key] = _json_value(value, precision)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     rows = [("esq_lower", report.lower), ("esq_upper", report.upper)]
     if report.exact is not None:
         rows.append(("esq_exact", report.exact))
@@ -116,18 +111,12 @@ def cmd_channel(args):
 
 
 def _sweep_rows(kappas, e_min, e_max, steps):
-    if steps < 2:
-        raise DomainError(f"a sweep needs at least 2 steps, got {steps}")
+    in_domain("--steps", steps, CUTOFF)  # at least 2, as a cutoff
     if not kappas:
         raise DomainError("the kappa list must be nonempty")
-    for kappa in kappas:
-        if not 1.0 <= kappa < math.inf:  # fails on NaN
-            raise DomainError(f"--kappas: each kappa must be finite and >= 1, got {kappa}")
-    for name, value in (("--e-min", e_min), ("--e-max", e_max)):
-        if not 0.0 <= value < math.inf:
-            raise DomainError(f"{name} must be finite and >= 0, got {value}")
-    if e_min > e_max:
-        raise DomainError(f"need --e-min <= --e-max, got [{e_min}, {e_max}]")
+    in_domain("--kappas", kappas, GAIN)
+    e_min = in_domain("--e-min", e_min, ENERGY)
+    e_max = in_domain("--e-max", e_max, (e_min, ENERGY[1], f"finite and >= --e-min = {e_min}"))
     energies = e_min + (e_max - e_min) * np.arange(steps) / (steps - 1)
     rows = []
     for kappa in kappas:
@@ -146,7 +135,7 @@ def cmd_figure1(args):
             {name: _json_value(value, args.precision) for name, value in zip(names, row)}
             for row in rows
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         # _sweep_rows rejects non-finite values, so no value needs _fmt's "inf"
         template = ",".join([f"{{:.{args.precision}g}}"] * len(rows[0]))
@@ -209,9 +198,22 @@ def cmd_oracle(args):
     return 0
 
 
+def _precision(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return int(text)
+
+
+def _tolerance(text):
+    # a negative tolerance is allowed: it makes any suite fail (exit 1)
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return float(text)
+
+
 def _add_output_flags(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    parser.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     parser.add_argument("--output", default=None, help="output path; default stdout")
 
 
@@ -267,10 +269,10 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p_verify.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="Fock-route cross checks")
@@ -286,7 +288,7 @@ def build_parser():
     o_chan.add_argument("--energy", type=float, required=True)
     o_chan.add_argument("--cutoff", type=int, required=True)
     for p in (o_cmi, o_chan):
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
         p.set_defaults(func=cmd_oracle)
 
     return parser

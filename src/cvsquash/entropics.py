@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, SingularPointError
+from .errors import ENERGY, FINITE, GAIN, TRANSMISSIVITY, DomainError, SingularPointError, in_domain
 
 # Below this energy the direct formula for g loses digits to cancellation;
 # the series g(E) = E(1 - ln E) + E^2/2 + O(E^3 ln E) is exact to 1e-16 there.
@@ -37,11 +37,9 @@ class ChannelParam:
 
     def __post_init__(self):
         if self.kind == "attenuator":
-            if not 0.0 <= self.value <= 1.0:
-                raise DomainError(f"attenuator transmissivity must be in [0, 1], got {self.value}")
+            in_domain("attenuator transmissivity", self.value, TRANSMISSIVITY)
         elif self.kind == "amplifier":
-            if not 1.0 <= self.value < math.inf:  # fails on NaN
-                raise DomainError(f"amplifier gain must be finite and >= 1, got {self.value}")
+            in_domain("amplifier gain", self.value, GAIN)
         else:
             raise DomainError(f"unknown channel kind {self.kind!r}")
 
@@ -54,17 +52,9 @@ class ChannelParam:
         return cls("amplifier", float(kappa))
 
 
-def _check(condition, template, *values):
-    # the message is formatted only on failure: printing an array argument
-    # costs more than the computation it guards
-    if not condition:
-        raise DomainError(template.format(*values))
-
-
 def g(E):
     """Entropy g(E) = (E+1) ln(E+1) - E ln E of a thermal state with mean energy E."""
-    arr = np.asarray(E, dtype=float)
-    _check(np.all(arr >= 0.0), "mean energy must be >= 0, got {}", E)  # rejects NaN
+    arr = np.asarray(in_domain("mean energy", E, ENERGY))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # E*log1p(1/E) + log1p(E) is cancellation-free for all E > 0
         direct = arr * np.log1p(1.0 / arr) + np.log1p(arr)
@@ -76,6 +66,7 @@ def g(E):
 
 #: g of the largest double, ~710.78: the largest entropy g_inverse can invert
 G_MAX = g(_MAX)
+ENTROPY = (0.0, G_MAX, f"in [0, g(largest double) = {G_MAX:.17g}]")
 
 
 def g_inverse(s):
@@ -87,9 +78,7 @@ def g_inverse(s):
     the root nears the smallest normal double and the accuracy degrades.
     Entropies above G_MAX = g(largest double) ~ 710.78 have no finite root.
     """
-    s = float(s)
-    _check(s >= 0.0 and np.isfinite(s), "entropy must be >= 0 and finite, got {}", s)
-    _check(s <= G_MAX, "entropy {} exceeds g of the largest double, {:.17g}", s, G_MAX)
+    s = in_domain("entropy", s, ENTROPY)
     if s == 0.0:
         return 0.0
     # g(E) >= ln(E+1), so g(e^s) > s and [0, e^s] brackets the root; past the
@@ -102,13 +91,17 @@ def g_inverse(s):
 
 def psi(kappa, E, eta):
     """psi_{E,kappa}(eta) = g(kappa E + kappa - eta E - 1) - g((1-eta) E)."""
-    kappa, E, eta = _as_params(kappa, E, eta)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     return _sub(g(kappa * E + kappa - eta * E - 1.0), g((1.0 - eta) * E))
 
 
 def psi_second_derivative(kappa, E, eta):
     """Closed form of the second eta-derivative of psi; nonnegative on its domain."""
-    kappa, E, eta = _as_params(kappa, E, eta)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     if np.any(np.asarray(eta) >= 1.0):
         raise SingularPointError("psi'' is singular at eta = 1; use psi directly there")
     num = E * (E + 1.0) * (kappa - 1.0) * ((kappa + 1.0 - 2.0 * eta) * E + kappa)
@@ -119,7 +112,7 @@ def psi_second_derivative(kappa, E, eta):
         * ((1.0 - eta) * E + 1.0)
     )
     with np.errstate(invalid="ignore"):
-        out = np.asarray(num / den)
+        out = np.divide(num, den)
     # kappa = 1 with E = 0 hits 0/0; the value is 0 by the vanishing numerator factors
     out = np.where(np.asarray(num) == 0.0, 0.0, out)
     return out if out.ndim else float(out)
@@ -127,25 +120,27 @@ def psi_second_derivative(kappa, E, eta):
 
 def gap_f(kappa, E):
     """Difference between the closed-form upper and lower squashed-entanglement bounds."""
-    kappa, E = _as_params(kappa, E)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
     return _sub(g((kappa - 0.5) * E + kappa - 1.0) - g(0.5 * E), np.log(2.0 * kappa - 1.0))
 
 
 def h(kappa, x):
     """h_kappa(x) = g(kappa x + kappa - 1) + g((kappa-1)(x+1)) - g(x)."""
-    kappa, x = _as_params(kappa, x)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    x = in_domain("mean energy", x, ENERGY)
     return _sub(g(kappa * x + kappa - 1.0) + g((kappa - 1.0) * (x + 1.0)), g(x))
 
 
 def moe_amplifier(kappa, s):
     """Minimum output entropy of the amplifier at input entropy s (thermal minimizer)."""
-    _check(kappa >= 1.0, "amplifier gain must be >= 1, got {}", kappa)
+    kappa = in_domain("amplifier gain", kappa, GAIN)
     return g(kappa * g_inverse(s) + kappa - 1.0)
 
 
 def moe_complement(kappa, s):
     """Minimum output entropy of the amplifier's complementary channel at input entropy s."""
-    _check(kappa >= 1.0, "amplifier gain must be >= 1, got {}", kappa)
+    kappa = in_domain("amplifier gain", kappa, GAIN)
     return g((kappa - 1.0) * (g_inverse(s) + 1.0))
 
 
@@ -155,9 +150,8 @@ def cond_epi_rhs(kappa, s):
     Returns (ln(kappa e^s + kappa - 1), ln((kappa-1) e^s + kappa)) for conditional
     input entropy s (which may be negative).
     """
-    kappa = np.asarray(kappa, dtype=float)
-    _check(np.all(kappa >= 1.0), "amplifier gain must be >= 1, got {}", kappa)
-    s = np.asarray(s, dtype=float)
+    kappa = in_domain("amplifier gain", kappa, GAIN)
+    s = in_domain("conditional entropy", s, FINITE)
     with np.errstate(divide="ignore"):
         first = np.logaddexp(s + np.log(kappa), np.log(kappa - 1.0))
         second = np.logaddexp(s + np.log(kappa - 1.0), np.log(kappa))
@@ -169,23 +163,10 @@ def cond_epi_rhs(kappa, s):
 def cmi_cosh_lower(kappa, s):
     """EPI-derived lower bound ln(2k(k-1) cosh s + k^2 + (k-1)^2) on the conditional
     mutual information of any extension; minimized at s = 0 with value 2 ln(2k-1)."""
-    kappa = np.asarray(kappa, dtype=float)
-    _check(np.all(kappa >= 1.0), "amplifier gain must be >= 1, got {}", kappa)
-    s = np.asarray(s, dtype=float)
+    kappa = in_domain("amplifier gain", kappa, GAIN)
+    s = in_domain("conditional entropy", s, FINITE)
     out = np.log(2.0 * kappa * (kappa - 1.0) * np.cosh(s) + kappa**2 + (kappa - 1.0) ** 2)
     return out if out.ndim else float(out)
-
-
-def _as_params(kappa, E, eta=None):
-    kappa = np.asarray(kappa, dtype=float)
-    E = np.asarray(E, dtype=float)
-    _check(np.all(kappa >= 1.0), "squeezing gain must be >= 1, got {}", kappa)
-    _check(np.all(E >= 0.0), "mean energy must be >= 0, got {}", E)
-    if eta is None:
-        return kappa, E
-    eta = np.asarray(eta, dtype=float)
-    _check(np.all((eta >= 0.0) & (eta <= 1.0)), "transmissivity must be in [0, 1], got {}", eta)
-    return kappa, E, eta
 
 
 def _sub(a, b):

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one parameter validator."""
+
+import sys
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -26,3 +30,33 @@ class CutoffError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A numerical quadrature grid cannot cover the required measure mass."""
+
+
+_MAX = sys.float_info.max
+
+#: parameter domains (lo, hi, wording) of the closed interval [lo, hi]; an
+#: unbounded end is the largest double, so that one chained comparison also
+#: fails NaN and +-inf.  An int lo makes it a domain of integers.
+GAIN = (1.0, _MAX, "finite and >= 1")
+ENERGY = (0.0, _MAX, "finite and >= 0")
+TRANSMISSIVITY = (0.0, 1.0, "in [0, 1]")
+FINITE = (-_MAX, _MAX, "finite")  # a conditional entropy, which may be negative
+CUTOFF = (2, sys.maxsize, "an integer >= 2")
+
+
+def in_domain(name, value, domain):
+    """``value`` as a float, a float array or, for integers, an int; DomainError
+    naming ``name`` if any entry is outside ``domain``, NaN or infinite."""
+    lo, hi, text = domain
+    if isinstance(lo, int):
+        if isinstance(value, (int, np.integer)) and lo <= value <= hi:
+            return int(value)
+    elif isinstance(value, (float, int)):
+        if lo <= value <= hi:  # fails on NaN
+            return float(value)
+    else:
+        arr = np.asarray(value, dtype=float)
+        if ((arr >= lo) & (arr <= hi)).all():
+            return arr if arr.ndim else float(arr)
+    # formatted only on failure: printing an array costs more than the check
+    raise DomainError(f"{name} must be {text}, got {value}")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, DomainError, InvalidStateError, QuadratureError
+from .errors import (CUTOFF, ENERGY, GAIN, TRANSMISSIVITY, CutoffError, DomainError,
+                     InvalidStateError, QuadratureError, in_domain)
 
 #: geometric tail mass a computation is sized for
 TAIL_TARGET = 1e-10
@@ -73,21 +74,20 @@ class TruncatedState:
 
 def ladder(N):
     """Lowering operator: sqrt(n) on the superdiagonal."""
-    if N < 2:
-        raise DomainError("cutoff must be at least 2")
+    N = in_domain("cutoff", N, CUTOFF)
     return np.diag(np.sqrt(np.arange(1.0, N)), 1)
 
 
 def geometric_tail(E, N):
     """Probability mass of a thermal state with mean energy E above cutoff N."""
-    if E <= 0.0:
-        return 0.0
+    E = in_domain("mean energy", E, ENERGY)
+    N = in_domain("cutoff", N, CUTOFF)
     return (E / (E + 1.0)) ** N
 
 
 def required_cutoff(E_max, tail=TAIL_TARGET):
     """Smallest cutoff whose geometric tail at energy E_max is below the target."""
-    if E_max <= 0.0:
+    if in_domain("mean energy", E_max, ENERGY) == 0.0:
         return 2
     return max(2, math.ceil(math.log(tail) / math.log(E_max / (E_max + 1.0))))
 
@@ -116,31 +116,20 @@ def _check_memory(N, nbytes, E_max):
 
 def thermal_fock(E, N):
     """Diagonal geometric thermal state, left sub-normalized by its tail."""
-    if E < 0.0:
-        raise DomainError(f"mean energy must be >= 0, got {E}")
-    if N < 2:
-        raise DomainError("cutoff must be at least 2")
+    E = in_domain("mean energy", E, ENERGY)
+    N = in_domain("cutoff", N, CUTOFF)
     # the matrix and the Hermiticity check's temporaries
     _check_memory(N, 4 * 8 * N**2, E)
-    if E == 0.0:
-        p = np.zeros(N)
-        p[0] = 1.0
-    else:
-        p = (E / (E + 1.0)) ** np.arange(N) / (E + 1.0)
+    p = (E / (E + 1.0)) ** np.arange(N) / (E + 1.0)  # 0^0 = 1 at E = 0
     return TruncatedState(np.diag(p), cutoff=N, modes=1, tail_bound=geometric_tail(E, N))
 
 
 def tmsv_vector(E, N):
     """Schmidt vector of the two-mode squeezed vacuum with mean energy E per mode,
     as the diagonal (N, N) amplitude array."""
-    if E < 0.0:
-        raise DomainError(f"mean energy must be >= 0, got {E}")
-    c = np.zeros(N)
-    if E == 0.0:
-        c[0] = 1.0
-    else:
-        c = np.sqrt((E / (E + 1.0)) ** np.arange(N) / (E + 1.0))
-    return np.diag(c)
+    E = in_domain("mean energy", E, ENERGY)
+    N = in_domain("cutoff", N, CUTOFF)
+    return np.diag(np.sqrt((E / (E + 1.0)) ** np.arange(N) / (E + 1.0)))
 
 
 def displacement_unitary(r, N):
@@ -280,10 +269,10 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     The axes r and c carry one extra all-zero index N, where gathers of blocks
     land when they fall outside the state.
     """
-    if kappa < 1.0 or E < 0.0 or not 0.0 <= eta <= 1.0:
-        raise DomainError(f"parameters out of range: {kappa}, {E}, {eta}")
-    if N < 2:
-        raise DomainError("cutoff must be at least 2")
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
+    N = in_domain("cutoff", N, CUTOFF)
     e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
     # X, one gathered block stack, its Gram stack and the eigensolver's copy
     _check_memory(N, 4 * 8 * (N + 1) ** 3, e_max)
@@ -293,9 +282,9 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     lam = np.zeros(2 * N + 1)
     lam[:N] = np.diagonal(tmsv_vector(E, N))
     beta = np.zeros((2 * N + 1, N))
-    beta[:N] = _vacuum_ancilla_amplitudes("beam-splitter", float(eta), N)
+    beta[:N] = _vacuum_ancilla_amplitudes("beam-splitter", eta, N)
     sigma = np.zeros((2 * N + 1, N))
-    sigma[:N] = _vacuum_ancilla_amplitudes("squeezer", float(kappa), N)
+    sigma[:N] = _vacuum_ancilla_amplitudes("squeezer", kappa, N)
     k = np.arange(N + 1)
     n = k[:, None] + k[None, :]  # n = r + c
     c = np.minimum(k, N - 1)[None, :]  # c = N only meets n >= N, where lam is 0
@@ -345,8 +334,8 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
 def verify_displaced_thermal_mixture(E, E_prime, N, grid=(64, 64), radius=None):
     """Max entrywise deviation between thermal(E) and the Gaussian-displaced
     mixture of thermal(E_prime) states, integrated on a polar quadrature grid."""
-    if not 0.0 <= E_prime <= E:
-        raise DomainError(f"need 0 <= E' <= E, got E'={E_prime}, E={E}")
+    E = in_domain("mean energy", E, ENERGY)
+    E_prime = in_domain("E'", E_prime, (0.0, E, f"in [0, E] = [0, {E}]"))
     target = thermal_fock(E, N).matrix
     if E_prime == E:
         return 0.0
@@ -378,6 +367,7 @@ def verify_displaced_thermal_mixture(E, E_prime, N, grid=(64, 64), radius=None):
 def random_one_mode_state(rng, N, support=10, rotations=6):
     """Seeded random state: Dirichlet-weighted diagonal mixture on the lowest
     levels, stirred by Haar-random rotations of random level pairs."""
+    N = in_domain("cutoff", N, CUTOFF)
     if support > N:
         raise DomainError("support exceeds the cutoff")
     p = rng.dirichlet(np.ones(support))
@@ -392,6 +382,7 @@ def random_one_mode_state(rng, N, support=10, rotations=6):
 
 def random_two_mode_state(rng, N, support=4, rotations=8):
     """Seeded random two-mode state with bounded per-mode support."""
+    N = in_domain("cutoff", N, CUTOFF)
     if support > N:
         raise DomainError("support exceeds the cutoff")
     dim = N * N

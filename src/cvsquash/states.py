@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropics import _as_params
-from .errors import DomainError
+from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
 from .symplectic import _entropies, gaussian_entropy, marginal, validate_covariance
 
 _SIGMA_Z = np.diag([1.0, -1.0])
@@ -56,8 +55,7 @@ class GaussianState:
 
 def thermal_state(E, label="A"):
     """One-mode thermal state with mean energy E: covariance (E + 1/2) I."""
-    if E < 0.0:
-        raise DomainError(f"mean energy must be >= 0, got {E}")
+    E = in_domain("mean energy", E, ENERGY)
     return GaussianState(cov=(E + 0.5) * np.eye(2), labels=(label,))
 
 
@@ -69,7 +67,8 @@ def _two_mode_cov(diag_a, diag_b, off, off_matrix):
 
 def tms_thermal_state(kappa, E, labels=("A", "B")):
     """Two-mode squeezer applied to thermal(E) tensor vacuum; closed-form covariance."""
-    _as_params(kappa, E)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
     cov = _two_mode_cov(
         kappa * (E + 1.0) - 0.5,
         (kappa - 1.0) * (E + 1.0) + 0.5,
@@ -81,17 +80,13 @@ def tms_thermal_state(kappa, E, labels=("A", "B")):
 
 def gamma_attenuated(eta, E, labels=("A", "B")):
     """Attenuator with transmissivity eta on half of a two-mode squeezed vacuum."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"transmissivity must be in [0, 1], got {eta}")
-    if E < 0.0:
-        raise DomainError(f"mean energy must be >= 0, got {E}")
-    cov = _two_mode_cov(E + 0.5, eta * E + 0.5, np.sqrt(eta * E * (E + 1.0)), _SIGMA_Z)
-    return GaussianState(cov=cov, labels=tuple(labels))
+    return GaussianState(cov=attenuated_tmsv_cov(eta, E), labels=tuple(labels))
 
 
 def gamma_amplified(kappa, E, labels=("A", "B")):
     """Amplifier with gain kappa on half of a two-mode squeezed vacuum."""
-    _as_params(kappa, E)
+    kappa = in_domain("amplifier gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
     cov = _two_mode_cov(
         kappa * E + kappa - 0.5, E + 0.5, np.sqrt(kappa * E * (E + 1.0)), _SIGMA_Z
     )
@@ -100,6 +95,8 @@ def gamma_amplified(kappa, E, labels=("A", "B")):
 
 def attenuated_tmsv_cov(eta, E):
     """Closed-form covariance of the AR state: attenuator on half a TMSV of energy E."""
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
+    E = in_domain("mean energy", E, ENERGY)
     return _two_mode_cov(E + 0.5, eta * E + 0.5, np.sqrt(eta * E * (E + 1.0)), _SIGMA_Z)
 
 
@@ -115,7 +112,9 @@ def extension_family(kappa, E, eta, labels=("A", "B", "R")):
     The AB blocks are evaluated as in tms_thermal_state, so tracing out R
     leaves exactly its covariance.
     """
-    _as_params(kappa, E, eta)
+    kappa = in_domain("squeezing gain", kappa, GAIN)
+    E = in_domain("mean energy", E, ENERGY)
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     c = math.sqrt(eta * E * (E + 1.0))
     t, s = math.sqrt(kappa), math.sqrt(kappa - 1.0)
     ab = (E + 1.0) * math.sqrt(kappa * (kappa - 1.0))

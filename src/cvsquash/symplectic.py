@@ -7,7 +7,7 @@ real symmetric numpy arrays; the vacuum is (1/2) * identity.
 import numpy as np
 
 from .entropics import g
-from .errors import DomainError, InvalidStateError
+from .errors import GAIN, TRANSMISSIVITY, DomainError, InvalidStateError, in_domain
 
 _SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -38,12 +38,14 @@ def _spectra(stack):
     L^T Delta L, so i L^T Delta L is Hermitian with spectrum {+/- nu_k}: one
     Cholesky and one symmetric eigensolve per matrix, with no matrix square
     root.  Raises InvalidStateError unless every matrix in the stack is
-    symmetric, positive definite, has a spectrum that pairs up, and meets the
-    uncertainty relation nu_min >= 1/2 to within max(_NU_TOL, 1e-13 * scale).
+    finite, symmetric, positive definite, has a spectrum that pairs up, and meets
+    the uncertainty relation nu_min >= 1/2 to within max(_NU_TOL, 1e-13 * scale).
     """
     n = stack.shape[-1] // 2
     transpose = np.swapaxes(stack, -1, -2)
     scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    if not np.isfinite(scale).all():  # NaN passes Cholesky and every check below
+        raise InvalidStateError("covariance matrix has a non-finite entry")
     if (np.abs(stack - transpose).max(axis=(-2, -1)) > 1e-12 * scale).any():
         raise InvalidStateError("covariance matrix is not symmetric")
     try:
@@ -54,7 +56,10 @@ def _spectra(stack):
     delta_L[..., 0::2, :] = L[..., 1::2, :]
     delta_L[..., 1::2, :] = -L[..., 0::2, :]
     A = np.swapaxes(L, -1, -2) @ delta_L
-    nu = np.linalg.eigvalsh(1j * (0.5 * (A - np.swapaxes(A, -1, -2))))  # ascending
+    try:
+        nu = np.linalg.eigvalsh(1j * (0.5 * (A - np.swapaxes(A, -1, -2))))  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise InvalidStateError("symplectic eigenvalues did not converge") from exc
     paired = nu[..., :n - 1:-1]  # the positive half, descending
     if (np.abs(paired + nu[..., :n]).max(axis=-1) > 1e-9 * np.maximum(1.0, paired[..., 0])).any():
         raise InvalidStateError("symplectic spectrum does not pair up; matrix is not physical")
@@ -123,8 +128,7 @@ def marginal(sigma, modes):
 
 def beam_splitter_symplectic(eta):
     """4x4 quadrature action of the beam-splitter a -> sqrt(eta) a + sqrt(1-eta) b."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"transmissivity must be in [0, 1], got {eta}")
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     c, s = np.sqrt(eta), np.sqrt(1.0 - eta)
     i2 = np.eye(2)
     return np.block([[c * i2, s * i2], [-s * i2, c * i2]])
@@ -135,8 +139,7 @@ def two_mode_squeezer_symplectic(kappa):
 
     The b^dag conjugation mixes Q with Q and P with -P of the partner mode.
     """
-    if kappa < 1.0:
-        raise DomainError(f"squeezing gain must be >= 1, got {kappa}")
+    kappa = in_domain("squeezing gain", kappa, GAIN)
     c, s = np.sqrt(kappa), np.sqrt(kappa - 1.0)
     return np.block([[c * np.eye(2), s * _SIGMA_Z], [s * _SIGMA_Z, c * np.eye(2)]])
 
@@ -177,16 +180,14 @@ def _one_mode(sigma):
 def attenuator_cov(sigma, eta):
     """Covariance action of the noiseless attenuator: eta sigma + (1-eta)/2 I."""
     sigma = _one_mode(sigma)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"transmissivity must be in [0, 1], got {eta}")
+    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     return eta * sigma + 0.5 * (1.0 - eta) * np.eye(2)
 
 
 def amplifier_cov(sigma, kappa):
     """Covariance action of the noiseless amplifier: kappa sigma + (kappa-1)/2 I."""
     sigma = _one_mode(sigma)
-    if kappa < 1.0:
-        raise DomainError(f"amplifier gain must be >= 1, got {kappa}")
+    kappa = in_domain("amplifier gain", kappa, GAIN)
     return kappa * sigma + 0.5 * (kappa - 1.0) * np.eye(2)
 
 
@@ -197,6 +198,5 @@ def amplifier_complement_cov(sigma, kappa):
     (kappa - 1) Z sigma Z + kappa/2 I with Z = diag(1, -1).
     """
     sigma = _one_mode(sigma)
-    if kappa < 1.0:
-        raise DomainError(f"amplifier gain must be >= 1, got {kappa}")
+    kappa = in_domain("amplifier gain", kappa, GAIN)
     return (kappa - 1.0) * (_SIGMA_Z @ sigma @ _SIGMA_Z) + 0.5 * kappa * np.eye(2)

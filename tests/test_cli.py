@@ -174,6 +174,20 @@ class TestFigure1:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize("precision", ["-1", "nan", "1.5"])
+    def test_bad_precision_is_usage_error(self, capsys, precision):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", "--steps", "3", "--precision", precision])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --precision" in err
+
+    def test_precision_zero_accepted(self, capsys):
+        code, out, _ = run(capsys, "figure1", "--kappas", "2", "--steps", "2", "--precision", "0")
+        assert code == 0
+        assert out.splitlines()[1:] == ["2,0,1,1,1", "2,1,1,1,1"]
+
 
 class TestVerify:
     def test_gap_passes(self, capsys):
@@ -186,6 +200,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "gap", "--tolerance", "-1")
         assert code == 1
         assert "passed: false" in out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "gap", "--tolerance", tolerance])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --tolerance: must be finite" in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -201,8 +201,8 @@ class TestMoe:
 
 class TestParameterMessages:
     @pytest.mark.parametrize("args, message", [
-        ((np.array([2.0, 0.5]), 1.0, 0.5), "squeezing gain must be >= 1, got [2.  0.5]"),
-        ((2.0, np.array([-1.0]), 0.5), "mean energy must be >= 0, got [-1.]"),
+        ((np.array([2.0, 0.5]), 1.0, 0.5), "squeezing gain must be finite and >= 1, got [2.  0.5]"),
+        ((2.0, np.array([-1.0]), 0.5), "mean energy must be finite and >= 0, got [-1.]"),
         ((2.0, 1.0, 1.5), "transmissivity must be in [0, 1], got 1.5"),
     ])
     def test_failed_check_names_argument(self, args, message):

@@ -1,0 +1,44 @@
+"""Static hygiene checks over the package, the tests and the scripts."""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: every module except the package's __init__.py, whose imports are re-exports
+FILES = sorted(
+    path
+    for folder in ("src/cvsquash", "tests", "scripts")
+    for path in (ROOT / folder).glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(tree):
+    """Names an import binds that the module never reads and does not list in __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_files_found():
+    assert {path.parent.name for path in FILES} == {"cvsquash", "tests", "scripts"}
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []

@@ -123,6 +123,18 @@ class TestStackedKernel:
         with pytest.raises(InvalidStateError, match="not positive definite"):
             validate_covariance(stack[1])
 
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_non_finite_stack_is_invalid_state(self, inf):
+        # Cholesky does not raise on NaN, and every comparison with NaN is False
+        stack = np.array([0.5 * np.eye(2), np.full((2, 2), math.nan), np.diag([inf, 0.5])])
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            _spectra(stack)
+        for sigma in stack[1:]:
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                symplectic_eigenvalues(sigma)
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                validate_covariance(sigma)
+
     @pytest.mark.parametrize("slots", [(0,), (1,), (2,), (0, 3)])
     def test_vacuum_padding_keeps_entropy(self, slots):
         sigma = random_physical_stack(np.random.default_rng(7), 2, 1)[0]
