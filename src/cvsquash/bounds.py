@@ -53,9 +53,16 @@ def esq_bounds_tms(kappa, E):
     """
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
+    with np.errstate(over="ignore"):
+        energy = (kappa - 0.5) * E + kappa - 1.0
+    if not np.isfinite(energy).all():
+        E_bad = np.ravel(E)[~np.isfinite(np.ravel(energy))][0]
+        raise DomainError(
+            f"(kappa - 1/2) E + kappa - 1 overflows at kappa = {kappa:g}, E = {E_bad:g}"
+        )
     return BoundReport(
         lower=math.log(2.0 * kappa - 1.0),
-        upper=g((kappa - 0.5) * E + kappa - 1.0) - g(0.5 * E),
+        upper=g(energy) - g(0.5 * E),
         provenance=("theorem-1",),
         parameters={"kappa": kappa, "E": E},
     )

@@ -1,15 +1,12 @@
-"""Closed-form scalar entropic functions for thermal bosonic states.
+"""Closed-form entropic functions for thermal bosonic states.
 
-Everything here is a pure function of real parameters, in nats.  All
-functions accept scalars or numpy arrays (elementwise) except
-``g_inverse`` and the functions built on it, which are scalar.
+Everything here is a pure function of real parameters, in nats, and accepts
+scalars or numpy arrays (elementwise): a scalar in gives a float out.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ENERGY, FINITE, GAIN, TRANSMISSIVITY, DomainError, SingularPointError, in_domain
 
@@ -17,15 +14,15 @@ from .errors import ENERGY, FINITE, GAIN, TRANSMISSIVITY, DomainError, SingularP
 # the series g(E) = E(1 - ln E) + E^2/2 + O(E^3 ln E) is exact to 1e-16 there.
 _G_SERIES_CUTOFF = 1e-8
 
-#: relative tolerance (in energy) for the bracketed inversion of g, the floor
-#: brentq accepts (4 machine epsilons).  No absolute tolerance is used: the root
-#: x ~ s / ln(1/s) falls below any fixed one as s -> 0.
-TOL_ROOT = 8.9e-16
-# brentq needs a positive absolute tolerance; the smallest normal double leaves
-# the relative one in charge for every root above ~1e-292
-_TINY = np.finfo(float).tiny
 _MAX = np.finfo(float).max
-_LOG_MAX = math.log(_MAX)
+_SMALLEST = np.nextafter(0.0, 1.0)  # the smallest subnormal double
+
+#: g_inverse stops an element once its Newton step in ln E is below this.  The
+#: residual is concave in ln E, so the error left after that step is of order
+#: its square, under the rounding of g itself.
+_INVERSE_RTOL = 1e-9
+#: a cap on the iterations of g_inverse; about 5 are used from its initial guess
+_INVERSE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -70,23 +67,56 @@ ENTROPY = (0.0, G_MAX, f"in [0, g(largest double) = {G_MAX:.17g}]")
 
 
 def g_inverse(s):
-    """The unique E >= 0 with g(E) = s.  Scalar, bracketed root-finding.
+    """The unique E >= 0 with g(E) = s, elementwise.
 
-    The root is found to relative accuracy TOL_ROOT in E.  Since g is concave
-    with g(0) = 0, E g'(E) <= g(E), so g(g_inverse(s)) = s holds to the same
-    relative accuracy, about 1e-15, for every s in [1e-290, G_MAX]; below that
-    the root nears the smallest normal double and the accuracy degrades.
-    Entropies above G_MAX = g(largest double) ~ 710.78 have no finite root.
+    Safeguarded Newton iteration in t = ln E on the residual ln g(e^t) - ln s,
+    whose t-derivative is E g'(E) / g(E) with g'(E) = ln(1 + 1/E).  The
+    residual is concave in t, so after the first step the iterates rise to the
+    root quadratically.  Each element keeps its own bracket, and a step that
+    leaves it becomes a bisection in t.  Since E is updated as E e^(-step), not
+    through t, g(g_inverse(s)) = s holds to about 1e-15 relative for every s in
+    [1e-290, G_MAX]; below that the root nears the subnormal doubles and the
+    accuracy degrades.  Entropies above G_MAX = g(largest double) ~ 710.78 have
+    no finite root.
     """
     s = in_domain("entropy", s, ENTROPY)
-    if s == 0.0:
-        return 0.0
-    # g(E) >= ln(E+1), so g(e^s) > s and [0, e^s] brackets the root; past the
-    # overflow of e^s the largest double brackets it, since s <= G_MAX.
-    hi = np.exp(s) if s < _LOG_MAX else _MAX
-    # The residual is taken relative to s: for tiny s the products of residuals
-    # in Brent's interpolation step would otherwise underflow and stall it.
-    return brentq(lambda E: g(E) / s - 1.0, 0.0, hi, xtol=_TINY, rtol=TOL_ROOT)
+    flat = np.atleast_1d(s).ravel()
+    out = np.zeros_like(flat)  # g_inverse(0) = 0
+    idx = np.flatnonzero(flat)
+    target = flat[idx]
+    with np.errstate(divide="ignore", over="ignore"):
+        # g(E) <= E (1 + ln(1 + 1/E)) gives g(lo) <= s, and g(E) >= ln(1 + E)
+        # gives g(hi) >= s; past the overflow of e^s the largest double does.
+        lo = np.maximum(target / (2.0 * (1.0 + np.log1p(1.0 / target))), _SMALLEST)
+        hi = np.minimum(np.exp(target), _MAX)
+        # the initial guess inverts g(E) = 1 + ln(E + 1/2) + O(1/E^2) for large
+        # s, and g(E) ~ E (1 + ln(1/E)) for small s by one fixed-point step
+        L = np.maximum(-np.log(target), 0.0)
+        guess = np.where(
+            target > 1.0, np.exp(target - 1.0) - 0.5, target / (1.0 + L + np.log1p(L))
+        )
+    E = np.clip(guess, lo, hi)
+    for _ in range(_INVERSE_MAX_ITER):
+        if not idx.size:
+            break
+        gE = g(E)
+        r = np.log(gE / target)
+        # g'(E) as log1p(E) - ln E below 1, where 1/E may overflow
+        g_prime = np.where(E >= 1.0, np.log1p(1.0 / np.maximum(E, 1.0)), np.log1p(E) - np.log(E))
+        step = r * gE / (E * g_prime)
+        lo = np.where(r < 0.0, E, lo)
+        hi = np.where(r > 0.0, E, hi)
+        with np.errstate(over="ignore"):
+            new = E * np.exp(-step)
+        done = np.abs(step) <= _INVERSE_RTOL
+        new = np.where(done | ((new > lo) & (new < hi)), new, np.sqrt(lo) * np.sqrt(hi))
+        done |= new == E  # the bracket has closed on E
+        out[idx[done]] = new[done]
+        keep = ~done
+        idx, target, E, lo, hi = idx[keep], target[keep], new[keep], lo[keep], hi[keep]
+    out[idx] = E
+    out = out.reshape(np.shape(s))
+    return out if out.ndim else float(out)
 
 
 def psi(kappa, E, eta):

@@ -89,7 +89,11 @@ def required_cutoff(E_max, tail=TAIL_TARGET):
     """Smallest cutoff whose geometric tail at energy E_max is below the target."""
     if in_domain("mean energy", E_max, ENERGY) == 0.0:
         return 2
-    return max(2, math.ceil(math.log(tail) / math.log(E_max / (E_max + 1.0))))
+    # ln(E/(E+1)) as -log1p(1/E), which stays nonzero when E/(E+1) rounds to 1
+    N = math.log(tail) / -math.log1p(1.0 / E_max)
+    if N == math.inf:  # N ~ E_max ln(1/tail) exceeds the largest double
+        raise DomainError(f"no cutoff reaches a tail of {tail:g} at mean energy {E_max:g}")
+    return max(2, math.ceil(N))
 
 
 def check_cutoff(N, E_max, tail=TAIL_TARGET):

@@ -84,6 +84,16 @@ class TestTmsBounds:
         with pytest.raises(DomainError):
             classical_esq(kappa, E)
 
+    @pytest.mark.parametrize("kappa, E, named", [
+        (1e308, 1.0, "kappa = 1e+308, E = 1"),
+        (2.0, np.array([1.0, 1e308, 1.5e308]), "kappa = 2, E = 1.5e+308"),
+    ])
+    def test_overflow_names_kappa_and_energy(self, kappa, E, named):
+        # finite inputs whose (kappa - 1/2) E + kappa - 1 overflows
+        with pytest.raises(DomainError, match="overflows") as err:
+            esq_bounds_tms(kappa, E)
+        assert named in str(err.value)
+
 
 class TestEquivalentParams:
     def test_attenuator_map(self):

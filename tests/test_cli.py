@@ -65,6 +65,12 @@ class TestBounds:
         rows = dict(line.split(",") for line in out.splitlines()[1:])
         assert float(rows["esq_lower"]) <= float(rows["esq_upper"])
 
+    def test_tms_overflow_exit_3_names_cause(self, capsys):
+        code, out, err = run(capsys, "bounds", "tms", "--kappa", "1e308", "--energy", "1")
+        assert code == 3
+        assert out == ""
+        assert "(kappa - 1/2) E + kappa - 1 overflows at kappa = 1e+308, E = 1" in err
+
     @pytest.mark.parametrize("energy", ["inf", "nan"])
     def test_channel_state_non_finite_energy_exit_3(self, capsys, energy):
         code, out, err = run(capsys, "bounds", "attenuator", "--eta", "0.5", "--energy", energy)
@@ -311,3 +317,13 @@ class TestOracle:
         )
         assert code == 5
         assert "N >= 81" in err
+
+    def test_cmi_huge_energy_cutoff_refusal_exit_5(self, capsys):
+        # E/(E+1) rounds to 1 at this energy; the rule's cutoff is still named
+        code, out, err = run(
+            capsys, "oracle", "cmi", "--kappa", "2", "--energy", "1e20", "--eta", "0.5",
+            "--cutoff", "10",
+        )
+        assert code == 5
+        assert out == ""
+        assert "the selection rule asks for N >= 34538776394910" in err

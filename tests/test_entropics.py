@@ -1,6 +1,7 @@
 """Unit tests for the closed-form entropic functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,34 @@ class TestGInverse:
         x = g_inverse(s)
         assert x > 0.0
         assert g(x) == pytest.approx(s, rel=1e-12)
+
+    def test_array_equals_scalar_calls_bitwise(self):
+        s = np.concatenate([[0.0, 1e-300, G_MAX], np.geomspace(1e-290, G_MAX, 997)])
+        x = g_inverse(s)
+        assert isinstance(g_inverse(1.0), float)
+        assert x.shape == s.shape
+        assert np.array_equal(x, [g_inverse(float(v)) for v in s])
+        assert g_inverse(s.reshape(2, 500)).shape == (2, 500)
+
+    def test_array_roundtrip(self):
+        s = np.geomspace(1e-200, G_MAX, 5001)
+        np.testing.assert_allclose(g(g_inverse(s)), s, rtol=1e-12, atol=0.0)
+
+    def test_documented_accuracy(self):
+        # about 1e-15 relative on [1e-290, G_MAX]; an update of E through
+        # t = ln E would lose up to 700 ulps of E to the rounding of t
+        s = np.geomspace(1e-290, G_MAX, 20001)
+        np.testing.assert_allclose(g(g_inverse(s)), s, rtol=2e-15, atol=0.0)
+
+    def test_subnormal_roots_stay_finite_and_monotone(self):
+        # below s ~ 3e-305 the root is subnormal and Newton steps stall or
+        # leave the bracket; the bisection fallback must keep them in it
+        s = np.geomspace(5e-324, 1e-290, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = g_inverse(s)
+        assert np.isfinite(x).all() and (x >= 0.0).all()
+        assert (np.diff(x) >= 0.0).all()
 
 
 class TestPsi:

@@ -58,6 +58,19 @@ class TestCutoffRule:
     def test_vacuum_needs_minimum(self):
         assert fock.required_cutoff(0.0) == 2
 
+    @pytest.mark.parametrize("E", [2.0**53, 1e20, 1e300])
+    def test_required_cutoff_past_unit_ratio(self, E):
+        # E/(E+1) rounds to 1 here; the rule's N ~ E ln(1/tail) must still come out
+        N = fock.required_cutoff(E)
+        assert N == pytest.approx(E * math.log(1e10), rel=1e-12)
+        with pytest.raises(CutoffError) as err:
+            fock.check_cutoff(10, E)
+        assert err.value.required == N
+
+    def test_required_cutoff_beyond_any_double(self):
+        with pytest.raises(DomainError, match="no cutoff"):
+            fock.required_cutoff(1e308)
+
     def test_check_cutoff_slack(self):
         # the rule tolerates a small overshoot of the tail target
         N = fock.required_cutoff(3.0)

@@ -1,7 +1,10 @@
 """Static hygiene checks over the package, the tests and the scripts."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +45,17 @@ def test_files_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only; the package and its CLI are numpy-only
+    code = (
+        "import sys, cvsquash, cvsquash.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"
