@@ -60,6 +60,8 @@ def esq_bounds_tms(kappa, E):
         raise DomainError(
             f"(kappa - 1/2) E + kappa - 1 overflows at kappa = {kappa:g}, E = {E_bad:g}"
         )
+    if 2.0 * kappa - 1.0 == math.inf:
+        raise DomainError(f"2 kappa - 1 overflows at kappa = {kappa:g}")
     return BoundReport(
         lower=math.log(2.0 * kappa - 1.0),
         upper=g(energy) - g(0.5 * E),
@@ -82,15 +84,22 @@ def tms_equivalent_params(channel, E):
 def esq_bounds_channel_state(channel, E):
     """Squashed-entanglement bounds for a channel applied to half a TMSV of energy E."""
     kp, ep = tms_equivalent_params(channel, E)  # checks E
+    # the largest intermediate: when it is finite, so is every other one
     if channel.kind == "attenuator":
         eta = channel.value
-        lower = math.log(((1.0 + eta) * E + 1.0) / ((1.0 - eta) * E + 1.0))
+        top = (1.0 + eta) * E + 1.0
+        if top == math.inf:
+            raise DomainError(f"(1 + eta) E + 1 overflows at eta = {eta:g}, E = {E:g}")
+        lower = math.log(top / ((1.0 - eta) * E + 1.0))
         upper = g(0.5 * (1.0 + eta) * E) - g(0.5 * (1.0 - eta) * E)
         provenance = ("corollary-1", "attenuator")
     else:
         kappa = channel.value
-        lower = math.log(((kappa + 1.0) * E + kappa) / ((kappa - 1.0) * E + kappa))
-        upper = g(0.5 * ((kappa + 1.0) * E + kappa - 1.0)) - g(0.5 * (kappa - 1.0) * (E + 1.0))
+        top = (kappa + 1.0) * E + kappa
+        if top == math.inf:
+            raise DomainError(f"(kappa + 1) E + kappa overflows at kappa = {kappa:g}, E = {E:g}")
+        lower = math.log(top / ((kappa - 1.0) * E + kappa))
+        upper = g(0.5 * (top - 1.0)) - g(0.5 * (kappa - 1.0) * (E + 1.0))
         provenance = ("corollary-1", "amplifier")
     mapped = esq_bounds_tms(kp, ep)
     if abs(mapped.lower - lower) > 1e-12 or abs(mapped.upper - upper) > 1e-12:

@@ -278,7 +278,13 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
-    # X, one gathered block stack, its Gram stack and the eigensolver's copy
+    if e_max == math.inf:
+        raise DomainError(
+            f"kappa (E + 1) - min(eta, 1 - eta) E - 1 overflows at kappa = {kappa:g},"
+            f" E = {E:g}, eta = {eta:g}"
+        )
+    # X, one gathered block stack, its folded Gram stack and the eigensolver's
+    # copy; the last two take about N^3 / 4 doubles each, well inside the bound
     _check_memory(N, 4 * 8 * (N + 1) ** 3, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
@@ -292,13 +298,24 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     k = np.arange(N + 1)
     n = k[:, None] + k[None, :]  # n = r + c
     c = np.minimum(k, N - 1)[None, :]  # c = N only meets n >= N, where lam is 0
-    return (lam[n] * beta[n, c])[:, :, None] * sigma[n]
+    X = sigma[n]
+    X *= (lam[n] * beta[n, c])[:, :, None]
+    return X
 
 
 def _blocked_entropy(blocks):
-    """Entropy of a block-diagonal state from a padded (blocks, m, k) stack of
-    its m x k unfoldings, through the m x m Gram matrix of each block."""
-    gram = blocks @ blocks.transpose(0, 2, 1)
+    """Entropy of a block-diagonal state from the padded (N, N, N + 1) stack of
+    its unfoldings, each block eigensolved on its smaller side.
+
+    Block d is zero outside rows <= d and columns < N - d, so with
+    h = ceil(N/2) the blocks d < h fit in h rows and the blocks d >= h in h
+    columns.  B B^T and B^T B share their nonzero spectrum: one stacked
+    eigensolve of N Gram matrices of size h x h gives every block.
+    """
+    h = (len(blocks) + 1) // 2
+    low = blocks[:h, :h, :]
+    high = blocks[h:, :, :h]
+    gram = np.concatenate((low @ low.transpose(0, 2, 1), high.transpose(0, 2, 1) @ high))
     return entropy_of_spectrum(np.linalg.eigvalsh(gram))
 
 
@@ -317,7 +334,8 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     (A, B, R and the attenuator environment C).  The purification conserves the
     charge n_A - n_B - n_R - n_C, so it fits in an N^3 array; rho_AR and rho_BR
     are block-diagonal in n_B + n_C and n_B + n_R, rho_R and rho_C are diagonal,
-    and S(ABR) = S(C).  Memory is O(N^3) and time O(N^4).  Cutoffs whose working
+    and S(ABR) = S(C).  Each charge block is eigensolved on its smaller side, of
+    size at most ceil(N/2).  Memory is O(N^3) and time O(N^4).  Cutoffs whose working
     set exceeds ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.
     The truncated state is left sub-normalized by ``oracle_lost_norm``.
     """
@@ -379,7 +397,7 @@ def random_one_mode_state(rng, N, support=10, rotations=6):
     rho[:support, :support] = np.diag(p)
     for _ in range(rotations):
         i, j = rng.choice(support + 2, size=2, replace=False)
-        rho = _rotate_pair(rho, i, j, rng)
+        _rotate_pair(rho, i, j, rng)
     rho = 0.5 * (rho + rho.conj().T)
     return TruncatedState(rho, cutoff=N, modes=1, tail_bound=0.0)
 
@@ -396,16 +414,18 @@ def random_two_mode_state(rng, N, support=4, rotations=8):
     rho[np.ix_(levels, levels)] = np.diag(p)
     for _ in range(rotations):
         i, j = rng.choice(levels, size=2, replace=False)
-        rho = _rotate_pair(rho, i, j, rng)
+        _rotate_pair(rho, i, j, rng)
     rho = 0.5 * (rho + rho.conj().T)
     return TruncatedState(rho, cutoff=N, modes=2, tail_bound=0.0)
 
 
 def _rotate_pair(rho, i, j, rng):
-    """Conjugate by a Haar-random U(2) block on basis states i, j."""
+    """Conjugate rho, in place, by a Haar-random U(2) block on basis states i, j."""
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    u = np.eye(rho.shape[0], dtype=complex)
-    u[np.ix_([i, j], [i, j])] = q
-    return u @ rho @ u.conj().T
+    # U = q on (i, j) and the identity elsewhere: only rows i, j and then
+    # columns i, j of U rho U^dag change
+    pair = [i, j]
+    rho[pair] = q @ rho[pair]
+    rho[:, pair] = rho[:, pair] @ q.conj().T

@@ -94,6 +94,11 @@ class TestTmsBounds:
             esq_bounds_tms(kappa, E)
         assert named in str(err.value)
 
+    def test_lower_bound_overflow_named(self):
+        # E = 0 keeps the upper bound's argument finite; 2 kappa - 1 still overflows
+        with pytest.raises(DomainError, match="2 kappa - 1 overflows at kappa = 1e\\+308"):
+            esq_bounds_tms(1e308, 0.0)
+
 
 class TestEquivalentParams:
     def test_attenuator_map(self):
@@ -136,6 +141,25 @@ class TestChannelStateBounds:
             g(0.5 * ((kappa + 1.0) * E + kappa - 1.0)) - g(0.5 * (kappa - 1.0) * (E + 1.0)),
             rel=1e-12,
         )
+
+    @pytest.mark.parametrize("channel, E, named", [
+        (ChannelParam.amplifier(1e308), 1.0, "kappa overflows at kappa = 1e+308, E = 1"),
+        (ChannelParam.amplifier(2.0), 1e308, "kappa overflows at kappa = 2, E = 1e+308"),
+        (ChannelParam.attenuator(1.0), 1e308, "(1 + eta) E + 1 overflows at eta = 1, E = 1e+308"),
+    ])
+    def test_overflow_names_the_combination(self, channel, E, named):
+        # finite inputs whose largest intermediate, (kappa + 1) E + kappa for the
+        # amplifier or (1 + eta) E + 1 for the attenuator, overflows
+        with pytest.raises(DomainError) as err:
+            esq_bounds_channel_state(channel, E)
+        assert named in str(err.value)
+
+    def test_largest_finite_intermediates(self):
+        # the same energies stay in range where (1 + eta) E + 1 and (kappa + 1) E + kappa do
+        report = esq_bounds_channel_state(ChannelParam.attenuator(0.5), 1e308)
+        assert report.lower == pytest.approx(math.log(3.0))
+        report = esq_bounds_channel_state(ChannelParam.amplifier(1e308), 0.0)
+        assert report.lower == report.upper == 0.0
 
     def test_large_energy_approaches_channel_value(self):
         eta = 0.5

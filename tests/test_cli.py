@@ -71,6 +71,16 @@ class TestBounds:
         assert out == ""
         assert "(kappa - 1/2) E + kappa - 1 overflows at kappa = 1e+308, E = 1" in err
 
+    @pytest.mark.parametrize("kappa, energy, named", [
+        ("1e308", "1", "(kappa + 1) E + kappa overflows at kappa = 1e+308, E = 1"),
+        ("2", "1e308", "(kappa + 1) E + kappa overflows at kappa = 2, E = 1e+308"),
+    ])
+    def test_amplifier_overflow_exit_3_names_cause(self, capsys, kappa, energy, named):
+        code, out, err = run(capsys, "bounds", "amplifier", "--kappa", kappa, "--energy", energy)
+        assert code == 3
+        assert out == ""
+        assert named in err
+
     @pytest.mark.parametrize("energy", ["inf", "nan"])
     def test_channel_state_non_finite_energy_exit_3(self, capsys, energy):
         code, out, err = run(capsys, "bounds", "attenuator", "--eta", "0.5", "--energy", energy)
@@ -327,3 +337,13 @@ class TestOracle:
         assert code == 5
         assert out == ""
         assert "the selection rule asks for N >= 34538776394910" in err
+
+    def test_cmi_overflow_exit_3_names_cause(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "cmi", "--kappa", "2", "--energy", "1e308", "--eta", "0.5",
+            "--cutoff", "10",
+        )
+        assert code == 3
+        assert out == ""
+        assert ("kappa (E + 1) - min(eta, 1 - eta) E - 1 overflows at kappa = 2, E = 1e+308,"
+                " eta = 0.5") in err

@@ -45,6 +45,24 @@ def stinespring_reference(rho, channel, complement):
     return joint.reshape(N, -1) @ V.reshape(N, -1).T
 
 
+def unfolded_blocked_entropy(blocks):
+    """Reference for fock._blocked_entropy: every block of the padded stack
+    eigensolved through its full N x N Gram matrix, with no fold."""
+    gram = blocks @ blocks.transpose(0, 2, 1)
+    return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram))
+
+
+def dense_rotation(rho, i, j, rng):
+    """Reference for fock._rotate_pair: the same Haar-random U(2) block, drawn
+    from the same generator, embedded in a dense unitary and applied as U rho U^dag."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    u = np.eye(len(rho), dtype=complex)
+    u[np.ix_([i, j], [i, j])] = q
+    return u @ rho @ u.conj().T
+
+
 class TestCutoffRule:
     def test_geometric_tail(self):
         assert fock.geometric_tail(0.0, 10) == 0.0
@@ -224,6 +242,52 @@ class TestOracleCmi:
         assert peak <= 4 * 8 * (N + 1) ** 3  # the estimate checked against the limit
         assert peak < 8 * N**4 / 10
 
+    #: odd and even cutoffs, down to the smallest, where h = ceil(N/2) = 1
+    FOLD_CUTOFFS = (2, 3, 4, 5, 17, 44, 45)
+
+    @staticmethod
+    def fold_points():
+        """Seeded (kappa, E, eta), with the edges eta = 0 and 1 and the optimum 1/2."""
+        rng = np.random.default_rng(11)
+        draws = [(float(rng.uniform(1.0, 2.5)), float(rng.uniform(0.0, 1.5)), eta)
+                 for eta in (0.0, 0.5, 1.0)]
+        draws += [tuple(float(x) for x in rng.uniform((1.0, 0.0, 0.0), (2.5, 1.5, 1.0)))
+                  for _ in range(3)]
+        return draws
+
+    @pytest.mark.parametrize("N", FOLD_CUTOFFS)
+    def test_fold_matches_unfolded_reference(self, monkeypatch, N):
+        folded = [fock.oracle_cmi(*p, N, enforce_cutoff=False) for p in self.fold_points()]
+        monkeypatch.setattr(fock, "_blocked_entropy", unfolded_blocked_entropy)
+        unfolded = [fock.oracle_cmi(*p, N, enforce_cutoff=False) for p in self.fold_points()]
+        assert np.abs(np.subtract(folded, unfolded)).max() <= 1e-13
+
+    @pytest.mark.parametrize("N", FOLD_CUTOFFS)
+    def test_blocks_vanish_outside_the_fold(self, monkeypatch, N):
+        # block d lives in rows b <= d and columns r < N - d, which the fold relies on
+        seen = []
+
+        def record(blocks):
+            seen.append(blocks)
+            return 0.0
+
+        monkeypatch.setattr(fock, "_blocked_entropy", record)
+        for point in self.fold_points():
+            fock.oracle_cmi(*point, N, enforce_cutoff=False)
+        assert len(seen) == 2 * len(self.fold_points())
+        d, b, r = np.ogrid[:N, :N, :N + 1]
+        outside = (b > d) | (r >= N - d)
+        for blocks in seen:
+            assert blocks.shape == (N, N, N + 1)
+            assert not blocks[np.broadcast_to(outside, blocks.shape)].any()
+            assert blocks[~np.broadcast_to(outside, blocks.shape)].any()
+
+    def test_overflow_names_the_combination(self):
+        with pytest.raises(DomainError, match="overflows at kappa = 2, E = 1e"):
+            fock.oracle_cmi(2.0, 1e308, 0.5, 10)
+        with pytest.raises(DomainError, match="overflows"):
+            fock.oracle_lost_norm(1e308, 1.0, 0.5, 10)
+
     def test_memory_refusal(self):
         with pytest.raises(CutoffError, match="limit of 1024 MiB") as err:
             fock.oracle_cmi(1.5, 0.5, 0.5, 100_000)
@@ -325,6 +389,15 @@ class TestRandomStates:
         state = fock.random_two_mode_state(rng, 12)
         assert state.trace == pytest.approx(1.0, abs=1e-10)
         assert state.modes == 2
+
+    @pytest.mark.parametrize("dim, i, j", [(40, 0, 11), (40, 7, 3), (144, 5, 100)])
+    def test_rotate_pair_matches_dense_conjugation(self, dim, i, j):
+        start = np.random.default_rng(2)
+        rho = np.diag(start.dirichlet(np.ones(dim))).astype(complex)
+        rho[i, j] = rho[j, i] = 0.01
+        expected = dense_rotation(rho, i, j, np.random.default_rng(5))
+        fock._rotate_pair(rho, i, j, np.random.default_rng(5))
+        assert np.abs(rho - expected).max() < 1e-15
 
     def test_seeded_reproducibility(self):
         a = fock.random_one_mode_state(np.random.default_rng(11), 20)
