@@ -177,16 +177,21 @@ def cmd_oracle(args):
         }
         make, complement = kinds[args.kind]
         channel = make(args.param)
-        state = fock.thermal_fock(args.energy, args.cutoff)
+        k, E = channel.value, in_domain("mean energy", args.energy, ENERGY)
+        # the covariance reference comes first, so that an overflow of its
+        # output energy is named before the Fock route sees the input
+        formula, energy = {
+            "att": ("eta E", k * E),  # cannot overflow
+            "amp": ("kappa E + kappa - 1", k * E + k - 1.0),
+            "comp": ("(kappa - 1) (E + 1)", (k - 1.0) * (E + 1.0)),
+        }[args.kind]
+        if energy == math.inf:
+            raise DomainError(f"{formula} overflows at kappa = {k:g}, E = {E:g}")
+        reference = g(energy)
+        state = fock.thermal_fock(E, args.cutoff)
         out = fock.apply_channel_fock(state, channel, complement=complement)
         fock_value = fock.spectral_entropy(out)
         lost = ("tail_bound", out.tail_bound)
-        if args.kind == "att":
-            reference = g(args.param * args.energy)
-        elif args.kind == "amp":
-            reference = g(args.param * args.energy + args.param - 1.0)
-        else:
-            reference = g((args.param - 1.0) * (args.energy + 1.0))
     lines = [
         f"fock: {_fmt(fock_value, precision)}",
         f"covariance: {_fmt(reference, precision)}",

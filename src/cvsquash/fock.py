@@ -183,6 +183,8 @@ def _channel_energies(E_in, channel, complement):
         return max(E_in, 1.0e-12)
     kappa = channel.value
     grown = kappa * (E_in + 1.0) - 1.0
+    if grown == math.inf:
+        raise DomainError(f"kappa (E + 1) - 1 overflows at kappa = {kappa:g}, E = {E_in:g}")
     return max(E_in, grown if not complement else max(grown, (kappa - 1.0) * (E_in + 1.0)))
 
 
@@ -208,9 +210,11 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     vacuum-ancilla amplitudes, truncated to the input's cutoff;
     ``complement=True`` keeps the ancilla instead of the output.  What the
     truncation loses, 1 - tr(out), is the output's ``tail_bound``.
-    ``enforce_cutoff=False`` skips the thermal-tail refusal; appropriate for
+    ``enforce_cutoff=False`` skips the thermal-tail refusals; appropriate for
     states with bounded support, where the mean-energy heuristic is far too
-    pessimistic.
+    pessimistic.  When the cutoff is enforced, an input whose recorded
+    ``tail_bound`` is above what the cutoff rule allows is refused as well:
+    its mean photon number, taken within the cutoff, understates its energy.
     """
     if state.modes != 1:
         raise DomainError("channel actions are defined on one-mode states")
@@ -222,6 +226,16 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     _check_memory(N, 4 * 16 * N**2, E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
+        if state.tail_bound > _TAIL_SLACK * TAIL_TARGET:
+            # a geometric tail q^N reaches the target at N ln(target) / ln(q^N);
+            # a tail that rounds to 1 counts as the largest double below 1
+            ln_tail = math.log(min(state.tail_bound, 1.0 - 2.0**-53))
+            hint = math.ceil(N * math.log(TAIL_TARGET) / ln_tail)
+            raise CutoffError(
+                f"the input state records a tail bound of {state.tail_bound:.6g} at cutoff"
+                f" {N}; the selection rule asks for N >= {hint}",
+                required=hint,
+            )
     rho = state.matrix
     out = np.zeros_like(rho, dtype=np.result_type(rho, float))
     for dest, src, amp in _kraus_terms(channel, complement, N):

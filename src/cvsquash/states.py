@@ -4,13 +4,14 @@ All states are zero-mean.  Mode bookkeeping is positional with string labels;
 partial traces and entropies are taken by label.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
-from .symplectic import _entropies, gaussian_entropy, marginal, validate_covariance
+from .symplectic import _entropies, marginal, n_modes_of
 
 _SIGMA_Z = np.diag([1.0, -1.0])
 #: signs of the P-quadrature block of extension_family relative to its
@@ -18,21 +19,70 @@ _SIGMA_Z = np.diag([1.0, -1.0])
 _P_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
+@functools.cache
+def _construction_subsets(n):
+    """The whole state, each mode and each all-but-one-mode group, as
+    nonempty frozensets of mode indices without repeats."""
+    whole = frozenset(range(n))
+    subsets = [whole] + [frozenset({m}) for m in range(n)] + [whole - {m} for m in range(n)]
+    return tuple(s for s in dict.fromkeys(subsets) if s)
+
+
+@functools.lru_cache(maxsize=256)
+def _kept(n, subsets):
+    """(len(subsets), 2n, 2n) mask of the covariance entries each subset keeps."""
+    kept = np.zeros((len(subsets), n), dtype=bool)
+    for row, subset in enumerate(subsets):
+        kept[row, list(subset)] = True
+    kept = np.repeat(kept, 2, axis=1)
+    return kept[:, :, None] & kept[:, None, :]
+
+
+def _padded(cov, subsets):
+    """Stack of copies of cov, one per subset of mode indices, with every mode
+    outside the subset replaced by a vacuum block, which adds no entropy."""
+    n = len(cov) // 2
+    return np.where(_kept(n, tuple(subsets)), cov, 0.5 * np.eye(2 * n))
+
+
 @dataclass(frozen=True)
 class GaussianState:
+    """Zero-mean Gaussian state: covariance, mode labels and mean vector.
+
+    Construction validates the covariance with one stacked kernel call, which
+    also gives the entropies of the whole state, of each mode and of each
+    all-but-one-mode marginal: every marginal of a state of up to three modes.
+    ``entropy`` and ``gaussian_cmi`` read them; any other group of modes costs
+    one more kernel call, whose result is kept as well.
+    """
+
     cov: np.ndarray
     labels: tuple
     mean: np.ndarray = None
+    #: von Neumann entropies by frozenset of mode indices
+    _memo: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_covariance(self.cov)
-        n = self.cov.shape[0] // 2
+        cov = np.array(self.cov, dtype=float)  # a read-only copy keeps the memo valid
+        cov.flags.writeable = False
+        object.__setattr__(self, "cov", cov)
+        n = n_modes_of(cov)
+        subsets = _construction_subsets(n)
+        object.__setattr__(self, "_memo", dict(zip(subsets, _entropies(_padded(cov, subsets)))))
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise DomainError(f"need {n} distinct mode labels, got {self.labels}")
         if self.mean is None:
             object.__setattr__(self, "mean", np.zeros(2 * n))
         elif len(self.mean) != 2 * n:
             raise DomainError("mean vector length must match the covariance")
+
+    def _subset_entropies(self, subsets):
+        """Entropies of frozensets of mode indices; those not in the memo come
+        from one padded kernel call and are kept."""
+        missing = [s for s in dict.fromkeys(subsets) if s not in self._memo]
+        if missing:
+            self._memo.update(zip(missing, _entropies(_padded(self.cov, missing))))
+        return [self._memo[s] for s in subsets]
 
     @property
     def n_modes(self):
@@ -48,9 +98,10 @@ class GaussianState:
         return marginal(self.cov, self.mode_indices(labels))
 
     def entropy(self, labels=None):
-        if labels is None:
-            labels = self.labels
-        return gaussian_entropy(self.marginal_cov(labels))
+        modes = self.mode_indices(self.labels if labels is None else labels)
+        if not modes or len(set(modes)) != len(modes):
+            raise DomainError(f"mode subset {modes} is empty or has duplicates")
+        return float(self._subset_entropies([frozenset(modes)])[0])
 
 
 def thermal_state(E, label="A"):
@@ -132,19 +183,17 @@ def extension_family(kappa, E, eta, labels=("A", "B", "R")):
 def gaussian_cmi(state, part_a, part_b, part_r=()):
     """Conditional mutual information I(A;B|R) = S(AR) + S(BR) - S(R) - S(ABR) in nats.
 
-    The four marginals are padded back to the full state size with vacuum
-    blocks, which add no entropy, and their entropies come from one stacked
-    kernel call.
+    The four entropies come from the state's memo, which its construction
+    filled with the whole state, each mode and each all-but-one-mode marginal;
+    so on a state of up to three modes with R nonempty, the CMI costs no
+    kernel call beyond the one that validated the state.  Other groups, such
+    as the empty R of a mutual information, take one more padded call.
     """
     part_a, part_b, part_r = tuple(part_a), tuple(part_b), tuple(part_r)
     parts = part_a + part_b + part_r
     if len(set(parts)) != len(parts):
         raise DomainError("parts A, B, R must be disjoint")
-    kept = np.zeros((4, state.n_modes), dtype=bool)
-    for row, subset in enumerate((part_a + part_r, part_b + part_r, part_r, parts)):
-        kept[row, state.mode_indices(subset)] = True
-    kept = np.repeat(kept, 2, axis=1)
-    vacuum = 0.5 * np.eye(2 * state.n_modes)
-    stack = np.where(kept[:, :, None] & kept[:, None, :], state.cov, vacuum)
-    s_ar, s_br, s_r, s_abr = _entropies(stack)
+    subsets = [frozenset(state.mode_indices(subset))
+               for subset in (part_a + part_r, part_b + part_r, part_r, parts)]
+    s_ar, s_br, s_r, s_abr = state._subset_entropies(subsets)
     return float(s_ar + s_br - s_r - s_abr)

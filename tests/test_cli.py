@@ -328,6 +328,31 @@ class TestOracle:
         assert code == 5
         assert "N >= 81" in err
 
+    @pytest.mark.parametrize("kind, param", [("amp", "2"), ("att", "0.5")])
+    def test_channel_truncated_input_exit_5(self, capsys, kind, param):
+        # the cutoff holds only 4e-5 of the input's trace
+        code, out, err = run(
+            capsys, "oracle", "channel", "--kind", kind, "--param", param, "--energy", "1e6",
+            "--cutoff", "40",
+        )
+        assert code == 5
+        assert out == ""
+        assert "the selection rule asks for N >= 23025863" in err
+
+    @pytest.mark.parametrize("kind, param, energy, named", [
+        ("amp", "1e308", "1", "kappa E + kappa - 1 overflows at kappa = 1e+308, E = 1"),
+        ("amp", "2", "1e308", "kappa E + kappa - 1 overflows at kappa = 2, E = 1e+308"),
+        ("comp", "1e308", "1", "(kappa - 1) (E + 1) overflows at kappa = 1e+308, E = 1"),
+    ])
+    def test_channel_overflow_exit_3_names_cause(self, capsys, kind, param, energy, named):
+        code, out, err = run(
+            capsys, "oracle", "channel", "--kind", kind, "--param", param, "--energy", energy,
+            "--cutoff", "40",
+        )
+        assert code == 3
+        assert out == ""
+        assert named in err
+
     def test_cmi_huge_energy_cutoff_refusal_exit_5(self, capsys):
         # E/(E+1) rounds to 1 at this energy; the rule's cutoff is still named
         code, out, err = run(

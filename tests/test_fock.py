@@ -203,6 +203,43 @@ class TestChannels:
         with pytest.raises(CutoffError, match="limit of 0.0625 MiB"):
             fock.apply_channel_fock(state, ChannelParam.amplifier(2.0), enforce_cutoff=False)
 
+    @pytest.mark.parametrize("channel", [ChannelParam.amplifier(2.0),
+                                         ChannelParam.attenuator(0.5)], ids=["amp", "att"])
+    def test_truncated_input_refused(self, channel):
+        # the truncated mean photon number (8e-4) passes the output check; the
+        # input's own tail (E/(E+1))^40 does not, and names the rule's cutoff at E
+        state = fock.thermal_fock(1e6, 40)
+        with pytest.raises(CutoffError, match="tail bound of 0.99996 at cutoff 40") as err:
+            fock.apply_channel_fock(state, channel)
+        assert err.value.required == fock.required_cutoff(1e6)
+        fock.apply_channel_fock(state, channel, enforce_cutoff=False)
+
+    @pytest.mark.parametrize("tail, refused", [(2e-9, True), (5e-10, False)])
+    def test_input_tail_against_the_slack(self, tail, refused):
+        # a vacuum with a recorded tail: only the input's own tail can refuse it
+        matrix = np.zeros((8, 8))
+        matrix[0, 0] = 1.0 - tail
+        state = fock.TruncatedState(matrix, cutoff=8, modes=1, tail_bound=tail)
+        channel = ChannelParam.attenuator(0.5)
+        if not refused:
+            fock.apply_channel_fock(state, channel)
+            return
+        with pytest.raises(CutoffError) as err:
+            fock.apply_channel_fock(state, channel)
+        # a geometric tail 2e-9 at N = 8 reaches 1e-10 at N = 8 ln(1e-10) / ln(2e-9)
+        assert err.value.required == 10
+
+    def test_input_tail_that_rounds_to_one_refused(self):
+        state = fock.thermal_fock(1e20, 40)
+        assert state.tail_bound == 1.0
+        with pytest.raises(CutoffError):
+            fock.apply_channel_fock(state, ChannelParam.amplifier(2.0))
+
+    def test_output_energy_overflow_named(self):
+        state = fock.thermal_fock(1.0, 40)
+        with pytest.raises(DomainError, match=r"kappa \(E \+ 1\) - 1 overflows at kappa = 1e\+308"):
+            fock.apply_channel_fock(state, ChannelParam.amplifier(1e308), enforce_cutoff=False)
+
     def test_attenuator_complement_unsupported(self):
         state = fock.thermal_fock(1.0, 40)
         with pytest.raises(DomainError):

@@ -1,11 +1,14 @@
 """Unit tests for the named Gaussian states and conditional mutual information."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from cvsquash import symplectic
 from cvsquash.entropics import g
-from cvsquash.errors import DomainError
+from cvsquash.errors import DomainError, InvalidStateError
 from cvsquash.states import (
     GaussianState,
     attenuated_tmsv_cov,
@@ -19,8 +22,47 @@ from cvsquash.states import (
 from cvsquash.symplectic import (
     apply_symplectic,
     embed_symplectic,
+    gaussian_entropy,
     two_mode_squeezer_symplectic,
+    validate_covariance,
 )
+
+
+def two_call_cmi(state, part_a, part_b, part_r=()):
+    """The CMI as computed before construction kept its entropies: the four
+    marginals padded with vacuum in a stack of their own, in a second kernel
+    call, independent of the state's memo."""
+    kept = np.zeros((4, state.n_modes), dtype=bool)
+    parts = part_a + part_b + part_r
+    for row, subset in enumerate((part_a + part_r, part_b + part_r, part_r, parts)):
+        kept[row, state.mode_indices(subset)] = True
+    kept = np.repeat(kept, 2, axis=1)
+    vacuum = 0.5 * np.eye(2 * state.n_modes)
+    stack = np.where(kept[:, :, None] & kept[:, None, :], state.cov, vacuum)
+    s_ar, s_br, s_r, s_abr = symplectic._entropies(stack)
+    return float(s_ar + s_br - s_r - s_abr)
+
+
+def random_state(rng, n_modes):
+    """A seeded physical state: 1/2 I plus a random positive matrix, so that
+    sigma + i Delta / 2 >= 0."""
+    a = rng.normal(size=(2 * n_modes, 2 * n_modes))
+    return GaussianState(cov=0.5 * np.eye(2 * n_modes) + a @ a.T,
+                         labels=tuple("ABCD"[:n_modes]))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Shapes of the stacks passed to the symplectic kernel."""
+    calls = []
+    spectra = symplectic._spectra
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return spectra(stack)
+
+    monkeypatch.setattr(symplectic, "_spectra", counted)
+    return calls
 
 
 class TestGaussianState:
@@ -147,3 +189,94 @@ class TestCmi:
         state = gamma_attenuated(0.5, 1.0)
         mi = state.entropy(("A",)) + state.entropy(("B",)) - state.entropy()
         assert gaussian_cmi(state, "A", "B") == pytest.approx(mi, abs=1e-12)
+
+
+class TestEntropyMemo:
+    def test_one_kernel_call_per_extension_cmi(self, kernel_calls):
+        gaussian_cmi(extension_family(3.0, 2.0, 0.4), "A", "B", "R")
+        # the whole state, three one-mode and three two-mode marginals
+        assert kernel_calls == [(7, 6, 6)]
+
+    def test_cmi_bit_identical_to_two_call_path(self):
+        rng = np.random.default_rng(12)
+        draws = np.column_stack([
+            rng.uniform(1.0, 10.0, 300), rng.uniform(0.0, 50.0, 300), rng.uniform(0.0, 1.0, 300)
+        ]).tolist()
+        edges = [(kappa, E, eta) for kappa in (1.0, 10.0) for E in (0.0, 50.0)
+                 for eta in (0.0, 0.5, 1.0)]
+        for kappa, E, eta in draws + edges:
+            state = extension_family(kappa, E, eta)
+            assert gaussian_cmi(state, "A", "B", "R") == two_call_cmi(state, "A", "B", "R")
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_every_marginal_from_construction(self, n_modes, kernel_calls):
+        rng = np.random.default_rng(20 + n_modes)
+        subsets = [subset for size in range(1, n_modes + 1)
+                   for subset in itertools.combinations("ABC"[:n_modes], size)]
+        for _ in range(5):
+            state = random_state(rng, n_modes)
+            expected = [gaussian_entropy(state.marginal_cov(subset)) for subset in subsets]
+            del kernel_calls[:]
+            for subset, value in zip(subsets, expected):
+                assert state.entropy(subset) == pytest.approx(value, rel=1e-13, abs=1e-14)
+                assert state.entropy(subset[::-1]) == state.entropy(subset)
+            assert kernel_calls == []  # every one read from the memo
+
+    def test_group_on_four_modes_is_lazy_and_kept(self, kernel_calls):
+        state = random_state(np.random.default_rng(31), 4)
+        assert kernel_calls == [(9, 8, 8)]  # whole, four of one mode, four of three
+        s_ab = state.entropy(("A", "B"))
+        assert state.entropy(("B", "A")) == s_ab
+        assert kernel_calls[1:] == [(1, 8, 8)]
+        # the two groups one CMI lacks share one more call
+        cmi = gaussian_cmi(state, "A", "C", "D")
+        assert kernel_calls[2:] == [(2, 8, 8)]
+        assert cmi == two_call_cmi(state, ("A",), ("C",), ("D",))
+        assert s_ab == pytest.approx(gaussian_entropy(state.marginal_cov(("A", "B"))), rel=1e-13)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gamma_attenuated(0.3, 2.0),
+        lambda: tms_thermal_state(2.5, 0.7),
+        lambda: extension_family(4.0, 3.0, 0.2),
+    ], ids=["attenuated", "tms", "extension"])
+    def test_mutual_information_with_empty_r(self, make):
+        state = make()
+        mi = state.entropy(("A",)) + state.entropy(("B",)) - state.entropy(("A", "B"))
+        assert gaussian_cmi(state, "A", "B") == mi
+        assert gaussian_cmi(state, "A", "B") == two_call_cmi(state, ("A",), ("B",))
+
+    @pytest.mark.parametrize("cov", [
+        0.3 * np.eye(4),
+        np.diag([1.0, 1.0, -1.0, 1.0]),
+        np.array([[1.0, 0.2], [0.0, 1.0]]),
+        np.diag([1.0, np.nan]),
+        np.diag([0.2, 1.0, 1.0, 1.0, 1.0, 1.0]),
+        # each mode alone is thermal; the pair has nu = 1 - 0.95 < 1/2
+        np.block([[np.eye(2), 0.95 * np.diag([1.0, -1.0])],
+                  [0.95 * np.diag([1.0, -1.0]), np.eye(2)]]),
+    ], ids=["uncertainty", "indefinite", "asymmetric", "nan", "squeezed-too-far",
+            "correlated-too-far"])
+    def test_unphysical_covariance_raises_at_construction(self, cov):
+        with pytest.raises(InvalidStateError) as expected:
+            validate_covariance(cov)
+        with pytest.raises(InvalidStateError) as raised:
+            GaussianState(cov=cov, labels=tuple("ABC"[:len(cov) // 2]))
+        assert str(raised.value) == str(expected.value)
+
+    def test_covariance_is_a_read_only_copy(self):
+        cov = np.diag([1.5, 1.5, 2.5, 2.5])
+        state = GaussianState(cov=cov, labels=("A", "B"))
+        cov[0, 0] = 0.1  # the caller's array, not the state's
+        assert state.entropy(("A",)) == pytest.approx(g(1.0), rel=1e-12)
+        with pytest.raises(ValueError):
+            state.cov[0, 0] = 0.1
+
+    def test_memo_not_in_repr_or_equality(self):
+        state = thermal_state(1.0)
+        assert "_memo" not in repr(state)
+        assert [f.name for f in dataclasses.fields(state) if f.compare] == ["cov", "labels", "mean"]
+
+    @pytest.mark.parametrize("labels", [(), ("A", "A")])
+    def test_empty_or_repeated_subset_rejected(self, labels):
+        with pytest.raises(DomainError):
+            tms_thermal_state(2.0, 1.0).entropy(labels)
