@@ -34,7 +34,6 @@ from .errors import (
     CutoffError,
     DomainError,
     InvalidStateError,
-    QuadratureError,
     SingularPointError,
 )
 from .states import (
@@ -59,7 +58,6 @@ __all__ = [
     "GaussianState",
     "InvalidStateError",
     "MinimizerResult",
-    "QuadratureError",
     "SingularPointError",
     "VerifyReport",
     "channel_esq",

@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .entropics import ChannelParam, g
 from .errors import (CUTOFF, ENERGY, GAIN, CutoffError, DomainError, InvalidStateError,
-                     QuadratureError, SingularPointError, in_domain)
+                     SingularPointError, in_domain)
 from .states import extension_family, gaussian_cmi
 from .verify import SUITES, run_suite
 
@@ -267,8 +267,6 @@ def build_parser():
     p_fig.add_argument("--e-min", type=float, default=0.0, dest="e_min")
     p_fig.add_argument("--e-max", type=float, default=1.0, dest="e_max")
     p_fig.add_argument("--steps", type=int, default=200)
-    # accepted for compatibility and ignored, as is GAUSSQ_JOBS
-    p_fig.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p_fig)
     p_fig.set_defaults(func=cmd_figure1)
 
@@ -276,7 +274,6 @@ def build_parser():
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--tolerance", type=_tolerance, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -303,7 +300,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, InvalidStateError, SingularPointError, QuadratureError) as exc:
+    except (DomainError, InvalidStateError, SingularPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CutoffError as exc:

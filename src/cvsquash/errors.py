@@ -28,10 +28,6 @@ class CutoffError(RuntimeError):
         self.required = required
 
 
-class QuadratureError(RuntimeError):
-    """A numerical quadrature grid cannot cover the required measure mass."""
-
-
 _MAX = sys.float_info.max
 
 #: parameter domains (lo, hi, wording) of the closed interval [lo, hi]; an

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CUTOFF, ENERGY, GAIN, TRANSMISSIVITY, CutoffError, DomainError,
-                     InvalidStateError, QuadratureError, in_domain)
+                     InvalidStateError, in_domain)
 
 #: geometric tail mass a computation is sized for
 TAIL_TARGET = 1e-10
@@ -61,21 +61,10 @@ class TruncatedState:
         return float(np.real(np.trace(self.matrix)))
 
     def mean_photon_number(self, mode=0):
-        n = np.arange(self.cutoff, dtype=float)
-        p = self.photon_probabilities(mode)
-        return float(p @ n)
-
-    def photon_probabilities(self, mode=0):
-        dims = (self.cutoff,) * self.modes
-        diag = np.real(np.diagonal(self.matrix)).reshape(dims)
+        diag = np.real(np.diagonal(self.matrix)).reshape((self.cutoff,) * self.modes)
         axes = tuple(i for i in range(self.modes) if i != mode)
-        return diag.sum(axis=axes) if axes else diag
-
-
-def ladder(N):
-    """Lowering operator: sqrt(n) on the superdiagonal."""
-    N = in_domain("cutoff", N, CUTOFF)
-    return np.diag(np.sqrt(np.arange(1.0, N)), 1)
+        p = diag.sum(axis=axes) if axes else diag
+        return float(p @ np.arange(self.cutoff, dtype=float))
 
 
 def geometric_tail(E, N):
@@ -134,14 +123,6 @@ def tmsv_vector(E, N):
     E = in_domain("mean energy", E, ENERGY)
     N = in_domain("cutoff", N, CUTOFF)
     return np.diag(np.sqrt((E / (E + 1.0)) ** np.arange(N) / (E + 1.0)))
-
-
-def displacement_unitary(r, N):
-    """Displacement operator exp(r a^dag - conj(r) a) on the cutoff space, as
-    exp(-iG) from the eigenvectors of the Hermitian generator G = i(r a^dag - conj(r) a)."""
-    a = ladder(N)
-    w, V = np.linalg.eigh(1j * (r * a.T - np.conj(r) * a))
-    return (V * np.exp(-1j * w)) @ V.conj().T
 
 
 def partial_trace(state, keep):
@@ -278,6 +259,19 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
     return np.where(valid, np.exp(0.5 * log_amp), 0.0)
 
 
+def oracle_energy(kappa, E, eta):
+    """Largest mean photon number of a mode of the purification behind
+    ``oracle_cmi``, the energy its cutoff rule is applied to; DomainError if it
+    overflows."""
+    e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
+    if e_max == math.inf:
+        raise DomainError(
+            f"kappa (E + 1) - min(eta, 1 - eta) E - 1 overflows at kappa = {kappa:g},"
+            f" E = {E:g}, eta = {eta:g}"
+        )
+    return e_max
+
+
 def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     """Truncated pure state of modes (A, B, R, C) behind ``oracle_cmi``, as
     X[r, c, b], after the domain, memory and cutoff checks.
@@ -291,12 +285,7 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
-    e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
-    if e_max == math.inf:
-        raise DomainError(
-            f"kappa (E + 1) - min(eta, 1 - eta) E - 1 overflows at kappa = {kappa:g},"
-            f" E = {E:g}, eta = {eta:g}"
-        )
+    e_max = oracle_energy(kappa, E, eta)
     # X, one gathered block stack, its folded Gram stack and the eigensolver's
     # copy; the last two take about N^3 / 4 doubles each, well inside the bound
     _check_memory(N, 4 * 8 * (N + 1) ** 3, e_max)
@@ -365,39 +354,6 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     s_r = entropy_of_spectrum(prob.sum(axis=(1, 2)))
     s_c = entropy_of_spectrum(prob.sum(axis=(0, 2)))  # = S(ABR), by purity
     return s_ar + s_br - s_r - s_c
-
-
-def verify_displaced_thermal_mixture(E, E_prime, N, grid=(64, 64), radius=None):
-    """Max entrywise deviation between thermal(E) and the Gaussian-displaced
-    mixture of thermal(E_prime) states, integrated on a polar quadrature grid."""
-    E = in_domain("mean energy", E, ENERGY)
-    E_prime = in_domain("E'", E_prime, (0.0, E, f"in [0, E] = [0, {E}]"))
-    target = thermal_fock(E, N).matrix
-    if E_prime == E:
-        return 0.0
-    v = E - E_prime
-    n_r, n_theta = grid
-    r_required = math.sqrt(v * math.log(1e10))
-    if radius is None:
-        radius = r_required
-    elif radius < r_required:
-        raise QuadratureError(
-            f"quadrature radius {radius} misses Gaussian mass; need >= {r_required:.4g}"
-        )
-    # radial integral in u = r^2 with normalized weight exp(-u/v)/v
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    u = 0.5 * (nodes + 1.0) * radius**2
-    w = 0.5 * radius**2 * weights * np.exp(-u / v) / v
-    # uniform angles average to a harmonic mask on the Fock matrix entries
-    m = np.arange(N)
-    mask = ((m[:, None] - m[None, :]) % n_theta == 0).astype(float)
-    omega = thermal_fock(E_prime, N).matrix
-    mixture = np.zeros((N, N))
-    for ui, wi in zip(u, w):
-        D = displacement_unitary(math.sqrt(ui), N)
-        mixture += wi * np.real(D @ omega @ D.conj().T)
-    mixture *= mask
-    return float(np.abs(mixture - target).max())
 
 
 def random_one_mode_state(rng, N, support=10, rotations=6):

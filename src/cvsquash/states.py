@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
 from .symplectic import _entropies, marginal, n_modes_of
 
-_SIGMA_Z = np.diag([1.0, -1.0])
+_Z = np.diag([1.0, -1.0])
 #: signs of the P-quadrature block of extension_family relative to its
 #: Q-quadrature block: Z = diag(1, -1) on each of the AB and AR correlations
 _P_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
@@ -47,7 +47,7 @@ def _padded(cov, subsets):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero-mean Gaussian state: covariance, mode labels and mean vector.
+    """Zero-mean Gaussian state: covariance and mode labels.
 
     Construction validates the covariance with one stacked kernel call, which
     also gives the entropies of the whole state, of each mode and of each
@@ -58,7 +58,6 @@ class GaussianState:
 
     cov: np.ndarray
     labels: tuple
-    mean: np.ndarray = None
     #: von Neumann entropies by frozenset of mode indices
     _memo: dict = field(default=None, init=False, repr=False, compare=False)
 
@@ -71,10 +70,6 @@ class GaussianState:
         object.__setattr__(self, "_memo", dict(zip(subsets, _entropies(_padded(cov, subsets)))))
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise DomainError(f"need {n} distinct mode labels, got {self.labels}")
-        if self.mean is None:
-            object.__setattr__(self, "mean", np.zeros(2 * n))
-        elif len(self.mean) != 2 * n:
-            raise DomainError("mean vector length must match the covariance")
 
     def _subset_entropies(self, subsets):
         """Entropies of frozensets of mode indices; those not in the memo come
@@ -124,7 +119,7 @@ def tms_thermal_state(kappa, E, labels=("A", "B")):
         kappa * (E + 1.0) - 0.5,
         (kappa - 1.0) * (E + 1.0) + 0.5,
         (E + 1.0) * np.sqrt(kappa * (kappa - 1.0)),
-        _SIGMA_Z,
+        _Z,
     )
     return GaussianState(cov=cov, labels=tuple(labels))
 
@@ -139,7 +134,7 @@ def gamma_amplified(kappa, E, labels=("A", "B")):
     kappa = in_domain("amplifier gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     cov = _two_mode_cov(
-        kappa * E + kappa - 0.5, E + 0.5, np.sqrt(kappa * E * (E + 1.0)), _SIGMA_Z
+        kappa * E + kappa - 0.5, E + 0.5, np.sqrt(kappa * E * (E + 1.0)), _Z
     )
     return GaussianState(cov=cov, labels=tuple(labels))
 
@@ -148,7 +143,7 @@ def attenuated_tmsv_cov(eta, E):
     """Closed-form covariance of the AR state: attenuator on half a TMSV of energy E."""
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     E = in_domain("mean energy", E, ENERGY)
-    return _two_mode_cov(E + 0.5, eta * E + 0.5, np.sqrt(eta * E * (E + 1.0)), _SIGMA_Z)
+    return _two_mode_cov(E + 0.5, eta * E + 0.5, np.sqrt(eta * E * (E + 1.0)), _Z)
 
 
 def extension_family(kappa, E, eta, labels=("A", "B", "R")):

@@ -7,9 +7,7 @@ real symmetric numpy arrays; the vacuum is (1/2) * identity.
 import numpy as np
 
 from .entropics import g
-from .errors import GAIN, TRANSMISSIVITY, DomainError, InvalidStateError, in_domain
-
-_SIGMA_Z = np.diag([1.0, -1.0])
+from .errors import DomainError, InvalidStateError
 
 #: base tolerance on nu_min - 1/2 when validating covariance matrices; scaled
 #: up with the matrix norm so roundoff from congruence chains at large energy
@@ -17,17 +15,12 @@ _SIGMA_Z = np.diag([1.0, -1.0])
 _NU_TOL = 1e-10
 
 
-def symplectic_form(n_modes):
-    """Block-diagonal [[0, 1], [-1, 0]] form on n modes."""
-    if n_modes < 1:
-        raise DomainError("need at least one mode")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 def n_modes_of(sigma):
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise InvalidStateError(f"covariance matrix must be square 2n x 2n, got {sigma.shape}")
+    if not sigma.size:
+        raise InvalidStateError("need at least one mode")
     return sigma.shape[0] // 2
 
 
@@ -125,78 +118,3 @@ def marginal(sigma, modes):
     idx = np.array([2 * m + q for m in modes for q in (0, 1)])
     return sigma[np.ix_(idx, idx)]
 
-
-def beam_splitter_symplectic(eta):
-    """4x4 quadrature action of the beam-splitter a -> sqrt(eta) a + sqrt(1-eta) b."""
-    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
-    c, s = np.sqrt(eta), np.sqrt(1.0 - eta)
-    i2 = np.eye(2)
-    return np.block([[c * i2, s * i2], [-s * i2, c * i2]])
-
-
-def two_mode_squeezer_symplectic(kappa):
-    """4x4 quadrature action of the two-mode squeezer a -> sqrt(k) a + sqrt(k-1) b^dag.
-
-    The b^dag conjugation mixes Q with Q and P with -P of the partner mode.
-    """
-    kappa = in_domain("squeezing gain", kappa, GAIN)
-    c, s = np.sqrt(kappa), np.sqrt(kappa - 1.0)
-    return np.block([[c * np.eye(2), s * _SIGMA_Z], [s * _SIGMA_Z, c * np.eye(2)]])
-
-
-def is_symplectic(S, tol=1e-10):
-    S = np.asarray(S, dtype=float)
-    n = n_modes_of(S)
-    delta = symplectic_form(n)
-    return np.abs(S @ delta @ S.T - delta).max() <= tol
-
-
-def apply_symplectic(S, sigma):
-    """Congruence action sigma -> S sigma S^T, symmetrized against roundoff."""
-    S = np.asarray(S, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if S.shape != sigma.shape:
-        raise DomainError(f"shape mismatch: S {S.shape} vs sigma {sigma.shape}")
-    out = S @ sigma @ S.T
-    return 0.5 * (out + out.T)
-
-
-def embed_symplectic(S_pair, n_modes, modes):
-    """Embed a 4x4 two-mode symplectic into 2n x 2n, acting on the given mode pair."""
-    m0, m1 = modes
-    out = np.eye(2 * n_modes)
-    idx = np.array([2 * m0, 2 * m0 + 1, 2 * m1, 2 * m1 + 1])
-    out[np.ix_(idx, idx)] = S_pair
-    return out
-
-
-def _one_mode(sigma):
-    sigma = np.asarray(sigma, dtype=float)
-    if n_modes_of(sigma) != 1:
-        raise DomainError("channel actions are defined on one-mode covariances")
-    return sigma
-
-
-def attenuator_cov(sigma, eta):
-    """Covariance action of the noiseless attenuator: eta sigma + (1-eta)/2 I."""
-    sigma = _one_mode(sigma)
-    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
-    return eta * sigma + 0.5 * (1.0 - eta) * np.eye(2)
-
-
-def amplifier_cov(sigma, kappa):
-    """Covariance action of the noiseless amplifier: kappa sigma + (kappa-1)/2 I."""
-    sigma = _one_mode(sigma)
-    kappa = in_domain("amplifier gain", kappa, GAIN)
-    return kappa * sigma + 0.5 * (kappa - 1.0) * np.eye(2)
-
-
-def amplifier_complement_cov(sigma, kappa):
-    """Covariance action of the amplifier's complementary channel.
-
-    Fixed by the other marginal of the squeezer dilation with vacuum ancilla:
-    (kappa - 1) Z sigma Z + kappa/2 I with Z = diag(1, -1).
-    """
-    sigma = _one_mode(sigma)
-    kappa = in_domain("amplifier gain", kappa, GAIN)
-    return (kappa - 1.0) * (_SIGMA_Z @ sigma @ _SIGMA_Z) + 0.5 * kappa * np.eye(2)

@@ -220,8 +220,7 @@ def oracle_cmi_deviations():
     at its rule-selected cutoff.  Returns a list of deviations."""
     deviations = []
     for kappa, E, eta in oracle_cmi_grid():
-        e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
-        N = fock.required_cutoff(e_max)
+        N = fock.required_cutoff(fock.oracle_energy(kappa, E, eta))
         reference = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
         deviations.append(abs(fock.oracle_cmi(kappa, E, eta, N) - reference))
     return deviations

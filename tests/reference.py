@@ -1,0 +1,53 @@
+"""Independent covariance-route references for the tests, written apart from
+``cvsquash`` so that a cross-check never leans on the code it checks.
+
+Quadrature ordering is (Q1, P1, Q2, P2, ...), as in the package.  These are
+the textbook symplectic matrices of the Gaussian unitaries behind the
+package's closed forms, with no parameter validation.
+"""
+
+import numpy as np
+
+_Z = np.diag([1.0, -1.0])
+
+
+def symplectic_form(n_modes):
+    """Block-diagonal [[0, 1], [-1, 0]] form on n modes."""
+    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def is_symplectic(S, tol=1e-10):
+    """Whether S Delta S^T equals Delta to within tol, entrywise."""
+    delta = symplectic_form(len(S) // 2)
+    return np.abs(S @ delta @ S.T - delta).max() <= tol
+
+
+def beam_splitter_symplectic(eta):
+    """4x4 quadrature action of the beam splitter a -> sqrt(eta) a + sqrt(1-eta) b."""
+    c, s = np.sqrt(eta), np.sqrt(1.0 - eta)
+    i2 = np.eye(2)
+    return np.block([[c * i2, s * i2], [-s * i2, c * i2]])
+
+
+def two_mode_squeezer_symplectic(kappa):
+    """4x4 quadrature action of the two-mode squeezer a -> sqrt(k) a + sqrt(k-1) b^dag.
+
+    The b^dag conjugation mixes Q with Q and P with -P of the partner mode.
+    """
+    c, s = np.sqrt(kappa), np.sqrt(kappa - 1.0)
+    return np.block([[c * np.eye(2), s * _Z], [s * _Z, c * np.eye(2)]])
+
+
+def embed_symplectic(S_pair, n_modes, modes):
+    """Embed a 4x4 two-mode symplectic into 2n x 2n, acting on the given mode pair."""
+    m0, m1 = modes
+    out = np.eye(2 * n_modes)
+    idx = np.array([2 * m0, 2 * m0 + 1, 2 * m1, 2 * m1 + 1])
+    out[np.ix_(idx, idx)] = S_pair
+    return out
+
+
+def apply_symplectic(S, sigma):
+    """Congruence action sigma -> S sigma S^T, symmetrized against roundoff."""
+    out = S @ sigma @ S.T
+    return 0.5 * (out + out.T)

@@ -142,10 +142,15 @@ class TestFigure1:
         _, second, _ = run(capsys, "figure1", "--steps", "50")
         assert first == second
 
-    def test_jobs_do_not_change_output(self, capsys):
-        _, serial, _ = run(capsys, "figure1", "--steps", "20", "--jobs", "1")
-        _, parallel, _ = run(capsys, "figure1", "--steps", "20", "--jobs", "4")
-        assert serial == parallel
+    @pytest.mark.parametrize("argv", [["figure1", "--jobs", "2"], ["verify", "gap", "--jobs", "2"]],
+                             ids=["figure1", "verify"])
+    def test_jobs_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

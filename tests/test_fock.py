@@ -9,8 +9,9 @@ from scipy.linalg import expm
 
 from cvsquash import fock
 from cvsquash.entropics import ChannelParam, g
-from cvsquash.errors import CutoffError, DomainError, QuadratureError
+from cvsquash.errors import CutoffError, DomainError
 from cvsquash.states import extension_family, gaussian_cmi
+from cvsquash.verify import oracle_cmi_grid
 
 
 def expm_column(kind, value, n, size):
@@ -121,15 +122,6 @@ class TestThermal:
     def test_tmsv_normalization(self):
         c = fock.tmsv_vector(1.0, 64)
         assert np.sum(c**2) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestUnitaries:
-    def test_displacement_unitary(self):
-        D = fock.displacement_unitary(0.5, 48)
-        assert np.abs(D @ D.conj().T - np.eye(48)).max() < 1e-10
-        # coherent-state photon statistics from the vacuum column
-        p = np.abs(D[:, 0]) ** 2
-        assert p @ np.arange(48) == pytest.approx(0.25, abs=1e-10)
 
 
 class TestPartialTrace:
@@ -325,6 +317,14 @@ class TestOracleCmi:
         with pytest.raises(DomainError, match="overflows"):
             fock.oracle_lost_norm(1e308, 1.0, 0.5, 10)
 
+    def test_grid_cutoffs_follow_the_refusal_rule(self):
+        # verify oracle takes each cutoff from the energy that oracle_cmi refuses by
+        for kappa, E, eta in oracle_cmi_grid():
+            N = fock.required_cutoff(fock.oracle_energy(kappa, E, eta))
+            with pytest.raises(CutoffError) as err:
+                fock.oracle_cmi(kappa, E, eta, N // 2)
+            assert err.value.required == N
+
     def test_memory_refusal(self):
         with pytest.raises(CutoffError, match="limit of 1024 MiB") as err:
             fock.oracle_cmi(1.5, 0.5, 0.5, 100_000)
@@ -392,25 +392,6 @@ class TestVacuumAncillaAmplitudes:
         vacuum[0, 0, 0] = 1.0
         assert np.array_equal(X, vacuum)
         assert fock.oracle_cmi(1.0, 0.0, 0.5, N) == 0.0
-
-
-class TestDisplacedThermalMixture:
-    def test_identity_holds(self):
-        assert fock.verify_displaced_thermal_mixture(1.0, 0.4, 40) < 1e-9
-
-    def test_degenerate_case(self):
-        assert fock.verify_displaced_thermal_mixture(2.0, 2.0, 20) == 0.0
-
-    def test_pure_displaced_vacuum(self):
-        assert fock.verify_displaced_thermal_mixture(0.5, 0.0, 40) < 1e-9
-
-    def test_quadrature_radius_check(self):
-        with pytest.raises(QuadratureError):
-            fock.verify_displaced_thermal_mixture(1.0, 0.4, 40, radius=0.5)
-
-    def test_ordering_rejected(self):
-        with pytest.raises(DomainError):
-            fock.verify_displaced_thermal_mixture(0.4, 1.0, 40)
 
 
 class TestRandomStates:

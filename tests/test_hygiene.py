@@ -47,6 +47,16 @@ def test_no_unused_imports(path):
     assert unused_imports(tree) == []
 
 
+def test_reference_imports_no_package():
+    # the tests' references stay independent of the code they cross-check
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "numpy" in modules
+    assert not {m for m in modules if m.split(".")[0] == "cvsquash"}
+
+
 def test_package_imports_no_scipy():
     # scipy is a test dependency only; the package and its CLI are numpy-only
     code = (

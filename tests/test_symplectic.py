@@ -10,21 +10,21 @@ from scipy.linalg import expm
 
 from cvsquash.entropics import g
 from cvsquash.errors import DomainError, InvalidStateError
+from cvsquash.states import GaussianState
 from cvsquash.symplectic import (
     _spectra,
-    amplifier_complement_cov,
-    amplifier_cov,
-    apply_symplectic,
-    attenuator_cov,
-    beam_splitter_symplectic,
-    embed_symplectic,
     gaussian_entropy,
-    is_symplectic,
     marginal,
     symplectic_eigenvalues,
+    validate_covariance,
+)
+from tests.reference import (
+    apply_symplectic,
+    beam_splitter_symplectic,
+    embed_symplectic,
+    is_symplectic,
     symplectic_form,
     two_mode_squeezer_symplectic,
-    validate_covariance,
 )
 
 
@@ -85,6 +85,16 @@ class TestSpectrum:
         sigma = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(InvalidStateError):
             symplectic_eigenvalues(sigma)
+
+    @pytest.mark.parametrize("compute", [
+        symplectic_eigenvalues,
+        gaussian_entropy,
+        validate_covariance,
+        lambda cov: GaussianState(cov=cov, labels=()),
+    ], ids=["symplectic_eigenvalues", "gaussian_entropy", "validate_covariance", "GaussianState"])
+    def test_no_modes_rejected(self, compute):
+        with pytest.raises(InvalidStateError, match="need at least one mode"):
+            compute(np.zeros((0, 0)))
 
     @given(E=st.floats(min_value=0.0, max_value=100.0), r=st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=100)
@@ -215,37 +225,3 @@ class TestMarginal:
         with pytest.raises(DomainError):
             marginal(np.eye(4), [0, 0])
 
-
-class TestChannelActions:
-    def test_attenuator_interpolates(self):
-        sigma = thermal_cov(4.0)
-        assert np.allclose(attenuator_cov(sigma, 1.0), sigma)
-        assert np.allclose(attenuator_cov(sigma, 0.0), 0.5 * np.eye(2))
-
-    def test_attenuator_thermal_output(self):
-        out = attenuator_cov(thermal_cov(4.0), 0.25)
-        assert symplectic_eigenvalues(out) == pytest.approx([1.5])
-
-    def test_amplifier_thermal_output(self):
-        kappa, E = 2.0, 1.0
-        out = amplifier_cov(thermal_cov(E), kappa)
-        assert symplectic_eigenvalues(out) == pytest.approx([kappa * E + kappa - 0.5])
-
-    def test_complement_thermal_output(self):
-        kappa, E = 2.0, 1.0
-        out = amplifier_complement_cov(thermal_cov(E), kappa)
-        assert symplectic_eigenvalues(out) == pytest.approx(
-            [(kappa - 1.0) * (E + 1.0) + 0.5]
-        )
-
-    def test_stinespring_consistency(self):
-        # channel action equals the squeezer dilation with a vacuum ancilla
-        kappa, E = 3.0, 2.0
-        joint = np.kron(np.diag([E + 0.5, 0.5]), np.eye(2))
-        out = apply_symplectic(two_mode_squeezer_symplectic(kappa), joint)
-        assert np.allclose(marginal(out, [0]), amplifier_cov(thermal_cov(E), kappa))
-        assert np.allclose(marginal(out, [1]), amplifier_complement_cov(thermal_cov(E), kappa))
-
-    def test_multimode_rejected(self):
-        with pytest.raises(DomainError):
-            attenuator_cov(np.eye(4), 0.5)
