@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (CUTOFF, ENERGY, GAIN, TRANSMISSIVITY, CutoffError, DomainError,
                      InvalidStateError, in_domain)
@@ -148,13 +149,16 @@ def partial_trace(state, keep):
 
 
 def entropy_of_spectrum(eigs):
-    lam = np.clip(np.real(np.asarray(eigs)), 0.0, None)
-    lam = lam[lam > _EIG_FLOOR]
-    return 0.0 - float(np.sum(lam * np.log(lam)))  # +0.0, not -0.0, for a pure spectrum
+    """-sum lambda ln lambda over the last axis of ``eigs``, one entropy per spectrum."""
+    lam = np.real(np.asarray(eigs))
+    lam = np.where(lam > _EIG_FLOOR, lam, 1.0)  # a dropped eigenvalue adds 1 ln 1 = 0
+    s = 0.0 - np.sum(lam * np.log(lam), axis=-1)  # +0.0, not -0.0, for a pure spectrum
+    return float(s) if s.ndim == 0 else s
 
 
 def spectral_entropy(state):
-    """Von Neumann entropy -sum lambda ln lambda of a truncated state."""
+    """Von Neumann entropy -sum lambda ln lambda of a truncated state, or of each
+    matrix of a (..., dim, dim) stack."""
     matrix = state.matrix if isinstance(state, TruncatedState) else np.asarray(state)
     return entropy_of_spectrum(np.linalg.eigvalsh(matrix))
 
@@ -169,19 +173,49 @@ def _channel_energies(E_in, channel, complement):
     return max(E_in, grown if not complement else max(grown, (kappa - 1.0) * (E_in + 1.0)))
 
 
-def _kraus_terms(channel, complement, N):
-    """Kraus operators of the channel on a vacuum ancilla, read from the amplitude
-    table, each as (dest, src, amp): K = sum_i amp[i] |dest[i]><src[i]|, where
-    dest and src are slices of levels."""
-    if channel.kind == "attenuator":  # K_j |m + j> = beta[m + j, j] |m>
-        beta = _vacuum_ancilla_amplitudes("beam-splitter", float(channel.value), N)
-        return [(slice(0, N - j), slice(j, N), beta[j:, j]) for j in range(N)]
-    sigma = _vacuum_ancilla_amplitudes("squeezer", float(channel.value), N)
-    if complement:  # K_t |t - j> = sigma[t - j, j] |j>, for output t of the amplifier
-        return [(slice(0, t + 1), slice(t, None, -1), np.diagonal(sigma[t::-1]))
-                for t in range(N)]
-    # K_j |n> = sigma[n, j] |n + j>
-    return [(slice(j, N), slice(0, N - j), sigma[: N - j, j]) for j in range(N)]
+def _kraus_sum(rho, channel, complement):
+    """Kraus sum of the channel on a vacuum ancilla over a sequence of (N, N)
+    matrices, as one (states, N, N) stack.
+
+    Each channel has the form out[a, b] = sum_j W[j, a] W[j, b] rho[a -+ j, b -+ j],
+    with W read from the amplitude table (0 outside it):
+        attenuator   W[j, a] = beta[a + j, j]    rho[a + j, b + j]
+        amplifier    W[j, a] = sigma[a - j, j]   rho[a - j, b - j]
+        complement   W[t, a] = sigma[t - a, a]   rho[t - a, t - b]
+    where t is the amplifier's output level.  rho is zero-padded to 2N x 2N, so
+    that the shifted copies are one strided view with no copy; the complement
+    pads rho flipped, so that a and b step forward through memory.  Complex data
+    is read as interleaved floats, and one real einsum adds the terms in the
+    order j = 0, 1, ..., N - 1.
+    """
+    N = len(rho[0])
+    n = np.arange(N)
+    j, a = n[:, None], n[None, :]
+    kind = "beam-splitter" if channel.kind == "attenuator" else "squeezer"
+    table = _vacuum_ancilla_amplitudes(kind, float(channel.value), N)
+    # W's table entries, and where the shifted view starts and steps in the padding
+    if channel.kind == "attenuator":
+        rows, cols, corner, base, step = a + j, j, 0, 0, 1
+    elif complement:
+        rows, cols, corner, base, step = j - a, a, 0, N - 1, -1
+    else:
+        rows, cols, corner, base, step = a - j, j, N, N, -1
+    inside = (rows >= 0) & (rows < N)
+    W = np.where(inside, table[np.where(inside, rows, 0), cols], 0.0)
+
+    dtype = np.result_type(float, *{m.dtype for m in rho})
+    pad = np.zeros((len(rho), 2 * N, 2 * N), dtype)
+    window = pad[:, corner:corner + N, corner:corner + N]
+    np.stack(rho, out=window[:, ::-1, ::-1] if complement else window)
+    out = np.empty((len(rho), N, N), dtype)
+    k = 2 if dtype.kind == "c" else 1  # floats per entry
+    flat = pad.view(np.float64)
+    row, col = flat.strides[1:]
+    shifted = as_strided(flat[:, base:, k * base:], shape=(len(rho), N, N, k * N),
+                         strides=(flat.strides[0], step * (row + k * col), row, col))
+    np.einsum("ja,jc,sjac->sac", W, np.repeat(W, k, axis=1), shifted,
+              out=out.view(np.float64))
+    return out
 
 
 def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
@@ -196,33 +230,44 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     pessimistic.  When the cutoff is enforced, an input whose recorded
     ``tail_bound`` is above what the cutoff rule allows is refused as well:
     its mean photon number, taken within the cutoff, understates its energy.
+
+    ``state`` may also be a sequence of one-mode states at one cutoff: they go
+    through the channel as one stack, the checks apply to the stack's largest
+    energy and tail, and the outputs come back as a list.
     """
-    if state.modes != 1:
+    states = [state] if isinstance(state, TruncatedState) else list(state)
+    if not states:
+        raise DomainError("no states to apply the channel to")
+    if any(s.modes != 1 for s in states):
         raise DomainError("channel actions are defined on one-mode states")
     if complement and channel.kind != "amplifier":
         raise DomainError("only the amplifier complement is supported")
-    N = state.cutoff
-    E_out = _channel_energies(state.mean_photon_number(), channel, complement)
-    # the table, the output and two temporaries of the widest Kraus term
-    _check_memory(N, 4 * 16 * N**2, E_out)
+    N = states[0].cutoff
+    if any(s.cutoff != N for s in states):
+        raise DomainError("the states of a stack must share one cutoff")
+    E_in = max(s.mean_photon_number() for s in states)
+    E_out = _channel_energies(E_in, channel, complement)
+    # per state the 2N x 2N complex padding (64 N^2 B) and the output (16 N^2 B);
+    # once W and its repeat (24 N^2 B)
+    _check_memory(N, len(states) * 80 * N**2 + 24 * N**2, E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
-        if state.tail_bound > _TAIL_SLACK * TAIL_TARGET:
+        tail = max(s.tail_bound for s in states)
+        if tail > _TAIL_SLACK * TAIL_TARGET:
             # a geometric tail q^N reaches the target at N ln(target) / ln(q^N);
             # a tail that rounds to 1 counts as the largest double below 1
-            ln_tail = math.log(min(state.tail_bound, 1.0 - 2.0**-53))
+            ln_tail = math.log(min(tail, 1.0 - 2.0**-53))
             hint = math.ceil(N * math.log(TAIL_TARGET) / ln_tail)
             raise CutoffError(
-                f"the input state records a tail bound of {state.tail_bound:.6g} at cutoff"
+                f"the input state records a tail bound of {tail:.6g} at cutoff"
                 f" {N}; the selection rule asks for N >= {hint}",
                 required=hint,
             )
-    rho = state.matrix
-    out = np.zeros_like(rho, dtype=np.result_type(rho, float))
-    for dest, src, amp in _kraus_terms(channel, complement, N):
-        out[dest, dest] += np.outer(amp, amp) * rho[src, src]
-    lost = 1.0 - float(np.real(np.trace(out)))
-    return TruncatedState(out, cutoff=N, modes=1, tail_bound=max(lost, 0.0))
+    out = _kraus_sum([s.matrix for s in states], channel, complement)
+    lost = 1.0 - np.real(np.trace(out, axis1=1, axis2=2))
+    outputs = [TruncatedState(m, cutoff=N, modes=1, tail_bound=max(float(t), 0.0))
+               for m, t in zip(out, lost)]
+    return outputs[0] if isinstance(state, TruncatedState) else outputs
 
 
 def _vacuum_ancilla_amplitudes(kind, value, N):
@@ -319,7 +364,7 @@ def _blocked_entropy(blocks):
     low = blocks[:h, :h, :]
     high = blocks[h:, :, :h]
     gram = np.concatenate((low @ low.transpose(0, 2, 1), high.transpose(0, 2, 1) @ high))
-    return entropy_of_spectrum(np.linalg.eigvalsh(gram))
+    return entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
 
 
 def oracle_lost_norm(kappa, E, eta, N):
@@ -358,7 +403,8 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
 
 def random_one_mode_state(rng, N, support=10, rotations=6):
     """Seeded random state: Dirichlet-weighted diagonal mixture on the lowest
-    levels, stirred by Haar-random rotations of random level pairs."""
+    ``support`` levels, stirred by Haar-random rotations of random level pairs
+    among the lowest support + 2 (at most N)."""
     N = in_domain("cutoff", N, CUTOFF)
     if support > N:
         raise DomainError("support exceeds the cutoff")
@@ -366,7 +412,7 @@ def random_one_mode_state(rng, N, support=10, rotations=6):
     rho = np.zeros((N, N), dtype=complex)
     rho[:support, :support] = np.diag(p)
     for _ in range(rotations):
-        i, j = rng.choice(support + 2, size=2, replace=False)
+        i, j = rng.choice(min(support + 2, N), size=2, replace=False)
         _rotate_pair(rho, i, j, rng)
     rho = 0.5 * (rho + rho.conj().T)
     return TruncatedState(rho, cutoff=N, modes=1, tail_bound=0.0)

@@ -1,9 +1,11 @@
-"""Independent covariance-route references for the tests, written apart from
-``cvsquash`` so that a cross-check never leans on the code it checks.
+"""Independent references for the tests, written apart from ``cvsquash`` so
+that a cross-check never leans on the code it checks.
 
-Quadrature ordering is (Q1, P1, Q2, P2, ...), as in the package.  These are
-the textbook symplectic matrices of the Gaussian unitaries behind the
-package's closed forms, with no parameter validation.
+Quadrature ordering is (Q1, P1, Q2, P2, ...), as in the package.  The
+covariance-route references are the textbook symplectic matrices of the
+Gaussian unitaries behind the package's closed forms, with no parameter
+validation.  The Fock-route reference is the per-term Kraus sum, which takes
+its amplitude table as an argument.
 """
 
 import numpy as np
@@ -51,3 +53,22 @@ def apply_symplectic(S, sigma):
     """Congruence action sigma -> S sigma S^T, symmetrized against roundoff."""
     out = S @ sigma @ S.T
     return 0.5 * (out + out.T)
+
+
+def kraus_sum_loop(rho, table, attenuator, complement=False):
+    """Per-term reference for the Fock route's channel action sum_K K rho K^dag:
+    one outer product and slice update per Kraus term, read from the
+    vacuum-ancilla amplitude table (the beam splitter's for the attenuator, the
+    squeezer's for the amplifier and its complement)."""
+    N = len(rho)
+    if attenuator:  # K_j |m + j> = beta[m + j, j] |m>
+        terms = [(slice(0, N - j), slice(j, N), table[j:, j]) for j in range(N)]
+    elif complement:  # K_t |t - j> = sigma[t - j, j] |j>, for output t of the amplifier
+        terms = [(slice(0, t + 1), slice(t, None, -1), np.diagonal(table[t::-1]))
+                 for t in range(N)]
+    else:  # K_j |n> = sigma[n, j] |n + j>
+        terms = [(slice(j, N), slice(0, N - j), table[: N - j, j]) for j in range(N)]
+    out = np.zeros_like(rho, dtype=np.result_type(rho, float))
+    for dest, src, amp in terms:
+        out[dest, dest] += np.outer(amp, amp) * rho[src, src]
+    return out

@@ -13,6 +13,8 @@ from cvsquash.errors import CutoffError, DomainError
 from cvsquash.states import extension_family, gaussian_cmi
 from cvsquash.verify import oracle_cmi_grid
 
+from .reference import kraus_sum_loop
+
 
 def expm_column(kind, value, n, size):
     """Reference for the closed-form amplitude table: column 0 of exp(G), where G
@@ -50,7 +52,7 @@ def unfolded_blocked_entropy(blocks):
     """Reference for fock._blocked_entropy: every block of the padded stack
     eigensolved through its full N x N Gram matrix, with no fold."""
     gram = blocks @ blocks.transpose(0, 2, 1)
-    return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram))
+    return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
 
 
 def dense_rotation(rho, i, j, rng):
@@ -195,6 +197,20 @@ class TestChannels:
         with pytest.raises(CutoffError, match="limit of 0.0625 MiB"):
             fock.apply_channel_fock(state, ChannelParam.amplifier(2.0), enforce_cutoff=False)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_memory_estimate_is_the_refusal_boundary(self, monkeypatch, count):
+        # per state the 2N x 2N complex padding and the output, once W and its repeat
+        N = 40
+        states = [fock.thermal_fock(1.0, N) for _ in range(count)]
+        state = states[0] if count == 1 else states
+        estimate = count * 80 * N**2 + 24 * N**2
+        channel = ChannelParam.amplifier(2.0)
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate - 1)
+        with pytest.raises(CutoffError, match="limit"):
+            fock.apply_channel_fock(state, channel, enforce_cutoff=False)
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate)
+        fock.apply_channel_fock(state, channel, enforce_cutoff=False)
+
     @pytest.mark.parametrize("channel", [ChannelParam.amplifier(2.0),
                                          ChannelParam.attenuator(0.5)], ids=["amp", "att"])
     def test_truncated_input_refused(self, channel):
@@ -236,6 +252,96 @@ class TestChannels:
         state = fock.thermal_fock(1.0, 40)
         with pytest.raises(DomainError):
             fock.apply_channel_fock(state, ChannelParam.attenuator(0.5), complement=True)
+
+
+EXACT_CHANNELS = [
+    (ChannelParam.amplifier(1.2), False),
+    (ChannelParam.amplifier(2.0), False),
+    (ChannelParam.amplifier(1.2), True),
+    (ChannelParam.amplifier(2.0), True),
+    (ChannelParam.attenuator(0.0), False),
+    (ChannelParam.attenuator(0.37), False),
+    (ChannelParam.attenuator(1.0), False),
+]
+EXACT_IDS = ["amp-1.2", "amp-2", "comp-1.2", "comp-2", "att-0", "att-0.37", "att-1"]
+
+
+def loop_reference(state, channel, complement):
+    attenuator = channel.kind == "attenuator"
+    kind = "beam-splitter" if attenuator else "squeezer"
+    table = fock._vacuum_ancilla_amplitudes(kind, channel.value, state.cutoff)
+    return kraus_sum_loop(state.matrix, table, attenuator, complement)
+
+
+def exact_input(kind, N):
+    if kind == "thermal":
+        return fock.thermal_fock(0.5, N)
+    return fock.random_one_mode_state(np.random.default_rng(N), N, support=min(10, N))
+
+
+class TestKrausSum:
+    """The strided contraction against the per-term loop it replaced: the terms
+    add in the same order, so the outputs agree bit for bit."""
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("N", [3, 5, 12, 40, 81])
+    @pytest.mark.parametrize("kind", ["thermal", "random"])
+    def test_equals_the_per_term_loop(self, channel, complement, N, kind):
+        state = exact_input(kind, N)
+        out = fock.apply_channel_fock(state, channel, complement=complement,
+                                      enforce_cutoff=False)
+        expected = loop_reference(state, channel, complement)
+        assert out.matrix.dtype == expected.dtype
+        assert (out.matrix == expected).all()
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    def test_stack_equals_single_calls(self, channel, complement):
+        rng = np.random.default_rng(8)
+        states = [fock.random_one_mode_state(rng, 40) for _ in range(5)]
+        stacked = fock.apply_channel_fock(states, channel, complement=complement,
+                                          enforce_cutoff=False)
+        assert len(stacked) == 5
+        for state, out in zip(states, stacked):
+            single = fock.apply_channel_fock(state, channel, complement=complement,
+                                             enforce_cutoff=False)
+            assert (out.matrix == single.matrix).all()
+            assert out.tail_bound == single.tail_bound
+
+    def test_stack_checks_its_largest_tail(self):
+        clean = fock.thermal_fock(0.5, 40)
+        truncated = fock.thermal_fock(1e6, 40)
+        with pytest.raises(CutoffError, match="tail bound of 0.99996"):
+            fock.apply_channel_fock([clean, truncated], ChannelParam.attenuator(0.5))
+
+    @pytest.mark.parametrize("states", [[], [8, 12]], ids=["empty", "mixed-cutoffs"])
+    def test_bad_stack_refused(self, states):
+        states = [fock.thermal_fock(0.5, N) for N in states]
+        with pytest.raises(DomainError):
+            fock.apply_channel_fock(states, ChannelParam.attenuator(0.5),
+                                    enforce_cutoff=False)
+
+
+class TestStackedEntropy:
+    def test_stack_equals_single_spectra(self):
+        rng = np.random.default_rng(9)
+        matrices = [fock.random_one_mode_state(rng, 40).matrix for _ in range(5)]
+        stacked = fock.spectral_entropy(np.stack(matrices))
+        assert stacked.shape == (5,)
+        assert stacked.tolist() == [fock.spectral_entropy(m) for m in matrices]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_compressed_sum(self, seed):
+        # reference: the floor's survivors alone, summed; zeros in their place
+        # change only the summation order, so the gap is a few ulps of the sum
+        rng = np.random.default_rng(seed)
+        eigs = rng.dirichlet(np.ones(40), size=6)
+        eigs[:, :25] *= 10.0 ** rng.integers(-18, -12, size=(6, 25))
+        entropies = fock.entropy_of_spectrum(eigs)
+        for lam, value in zip(eigs, entropies):
+            kept = lam[lam > 1e-14]
+            terms = kept * np.log(kept)
+            expected = -np.sum(terms)
+            assert abs(value - expected) <= 40 * np.finfo(float).eps * np.sum(np.abs(terms))
 
 
 class TestOracleCmi:
@@ -416,6 +522,13 @@ class TestRandomStates:
         expected = dense_rotation(rho, i, j, np.random.default_rng(5))
         fock._rotate_pair(rho, i, j, np.random.default_rng(5))
         assert np.abs(rho - expected).max() < 1e-15
+
+    @pytest.mark.parametrize("support", [9, 10])
+    def test_support_up_to_the_cutoff(self, support):
+        # the rotations draw from the lowest support + 2 levels, capped at N
+        state = fock.random_one_mode_state(np.random.default_rng(0), 10, support=support)
+        assert state.trace == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(state.matrix).min() > -1e-12
 
     def test_seeded_reproducibility(self):
         a = fock.random_one_mode_state(np.random.default_rng(11), 20)
