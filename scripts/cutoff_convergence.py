@@ -32,7 +32,7 @@ def channel_study(kappa, E, cutoffs):
 
 def cmi_study(kappa, E, eta, cutoffs):
     reference = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
-    e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
+    e_max = fock.oracle_energy(kappa, E, eta)
     rows = []
     for N in cutoffs:
         value = fock.oracle_cmi(kappa, E, eta, N, enforce_cutoff=False)

@@ -110,7 +110,9 @@ def cmd_channel(args):
     return 0
 
 
-def _sweep_rows(kappas, e_min, e_max, steps):
+def _sweep(kappas, e_min, e_max, steps):
+    """The figure1 sweep, one block per kappa: (kappa, esq_lower, table), where
+    the (steps, 3) table holds the columns E, esq_upper and esq_classical."""
     in_domain("--steps", steps, CUTOFF)  # at least 2, as a cutoff
     if not kappas:
         raise DomainError("the kappa list must be nonempty")
@@ -118,30 +120,33 @@ def _sweep_rows(kappas, e_min, e_max, steps):
     e_min = in_domain("--e-min", e_min, ENERGY)
     e_max = in_domain("--e-max", e_max, (e_min, ENERGY[1], f"finite and >= --e-min = {e_min}"))
     energies = e_min + (e_max - e_min) * np.arange(steps) / (steps - 1)
-    rows = []
+    blocks = []
     for kappa in kappas:
         report = esq_bounds_tms(kappa, energies)
         classical, _ = classical_esq(kappa, energies)
-        rows.extend((kappa, E, report.lower, upper, cl) for E, upper, cl in
-                    zip(energies.tolist(), report.upper.tolist(), classical.tolist()))
-    return rows
+        blocks.append((kappa, report.lower, np.stack((energies, report.upper, classical), axis=1)))
+    return blocks
 
 
 def cmd_figure1(args):
-    rows = _sweep_rows(args.kappas, args.e_min, args.e_max, args.steps)
+    blocks = _sweep(args.kappas, args.e_min, args.e_max, args.steps)
     if args.format == "json":
         names = FIGURE1_HEADER.split(",")
         payload = [
-            {name: _json_value(value, args.precision) for name, value in zip(names, row)}
-            for row in rows
+            {name: _json_value(value, args.precision)
+             for name, value in zip(names, (kappa, E, lower, upper, classical))}
+            for kappa, lower, table in blocks for E, upper, classical in table.tolist()
         ]
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        # _sweep_rows rejects non-finite values, so no value needs _fmt's "inf"
-        template = ",".join([f"{{:.{args.precision}g}}"] * len(rows[0]))
-        lines = [FIGURE1_HEADER]
-        lines.extend(template.format(*row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        # _sweep rejects non-finite values, so no value needs _fmt's "inf"; kappa and
+        # esq_lower are formatted once per block, the table's rows in one % call
+        spec = f"%.{args.precision}g"
+        parts = [FIGURE1_HEADER + "\n"]
+        for kappa, lower, table in blocks:
+            row = f"{spec % kappa},{spec},{spec % lower},{spec},{spec}\n"
+            parts.append(row * len(table) % tuple(table.ravel().tolist()))
+        text = "".join(parts)
     _emit(text, args.output)
     return 0
 

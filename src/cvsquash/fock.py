@@ -406,8 +406,7 @@ def random_one_mode_state(rng, N, support=10, rotations=6):
     ``support`` levels, stirred by Haar-random rotations of random level pairs
     among the lowest support + 2 (at most N)."""
     N = in_domain("cutoff", N, CUTOFF)
-    if support > N:
-        raise DomainError("support exceeds the cutoff")
+    support = in_domain("support", support, (1, N, f"an integer in [1, N = {N}]"))
     p = rng.dirichlet(np.ones(support))
     rho = np.zeros((N, N), dtype=complex)
     rho[:support, :support] = np.diag(p)
@@ -421,8 +420,9 @@ def random_one_mode_state(rng, N, support=10, rotations=6):
 def random_two_mode_state(rng, N, support=4, rotations=8):
     """Seeded random two-mode state with bounded per-mode support."""
     N = in_domain("cutoff", N, CUTOFF)
-    if support > N:
-        raise DomainError("support exceeds the cutoff")
+    lo = 2 if rotations > 0 else 1  # a rotation needs two levels to draw
+    support = in_domain("support", support,
+                        (lo, N, f"an integer in [{lo}, N = {N}] at rotations = {rotations}"))
     dim = N * N
     levels = [a * N + b for a in range(support) for b in range(support)]
     p = rng.dirichlet(np.ones(len(levels)))

@@ -5,8 +5,11 @@ Quadrature ordering is (Q1, P1, Q2, P2, ...), as in the package.  The
 covariance-route references are the textbook symplectic matrices of the
 Gaussian unitaries behind the package's closed forms, with no parameter
 validation.  The Fock-route reference is the per-term Kraus sum, which takes
-its amplitude table as an argument.
+its amplitude table as an argument.  The figure1 reference renders sweep rows
+one at a time, as the command line once did.
 """
+
+import json
 
 import numpy as np
 
@@ -72,3 +75,20 @@ def kraus_sum_loop(rho, table, attenuator, complement=False):
     for dest, src, amp in terms:
         out[dest, dest] += np.outer(amp, amp) * rho[src, src]
     return out
+
+
+FIGURE1_HEADER = "kappa,E,esq_lower,esq_upper,esq_classical"
+
+
+def figure1_text(rows, precision, fmt):
+    """Row-by-row reference for the ``figure1`` output of finite 5-tuples
+    (kappa, E, esq_lower, esq_upper, esq_classical): one ``str.format`` per CSV
+    row, or one dict per JSON row with each value rounded to ``precision``
+    significant digits."""
+    names = FIGURE1_HEADER.split(",")
+    if fmt == "json":
+        payload = [{name: float(format(float(value), f".{precision}g"))
+                    for name, value in zip(names, row)} for row in rows]
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    template = ",".join([f"{{:.{precision}g}}"] * len(names))
+    return "\n".join([FIGURE1_HEADER] + [template.format(*row) for row in rows]) + "\n"

@@ -9,7 +9,9 @@ import jsonschema
 import pytest
 
 from cvsquash.bounds import classical_esq, esq_bounds_tms
-from cvsquash.cli import _sweep_rows, build_parser, main
+from cvsquash.cli import _sweep, build_parser, main
+
+from .reference import figure1_text
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "bound_report.schema.json"
 
@@ -186,11 +188,44 @@ class TestFigure1:
 
     @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 3.7, 9.9])
     def test_rows_match_scalar_api(self, kappa):
-        rows = _sweep_rows([kappa], 0.0, 5.0, 400)
-        for k, E, lower, upper, classical in rows:
+        [(k, lower, table)] = _sweep([kappa], 0.0, 5.0, 400)
+        assert len(table) == 400
+        for E, upper, classical in table.tolist():
             report = esq_bounds_tms(kappa, E)
             assert (k, lower, upper) == (kappa, report.lower, report.upper)
             assert classical == classical_esq(kappa, E)[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("precision", [0, 1, 3, 12, 17])
+    def test_matches_row_by_row_rendering(self, capsys, fmt, precision):
+        # [0, 1e-9] keeps g on its series branch
+        kappas = [1.0, 1.2, 9.9, 83.9]
+        for steps in (2, 3, 400):
+            for e_min, e_max in ((0.0, 1.0), (0.0, 5.0), (2.0, 2.0), (0.0, 1e-9)):
+                code, out, _ = run(capsys, "figure1", "--kappas", ",".join(map(repr, kappas)),
+                                   "--e-min", repr(e_min), "--e-max", repr(e_max),
+                                   "--steps", str(steps), "--precision", str(precision),
+                                   "--format", fmt)
+                assert code == 0
+                rows = [(kappa, E, lower, upper, classical)
+                        for kappa, lower, table in _sweep(kappas, e_min, e_max, steps)
+                        for E, upper, classical in table.tolist()]
+                assert out == figure1_text(rows, precision, fmt)
+
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    def test_overflow_writes_nothing(self, capsys, tmp_path, existing):
+        # every row is computed before the output file is opened
+        target = tmp_path / "p"
+        if existing is not None:
+            target.write_text(existing)
+        code, out, err = run(capsys, "figure1", "--kappas", "2,1e308", "--e-max", "5",
+                             "--steps", "3", "--output", str(target))
+        assert (code, out) == (3, "")
+        assert "(kappa - 1/2) E + kappa - 1" in err
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_text() == existing
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

@@ -530,6 +530,27 @@ class TestRandomStates:
         assert state.trace == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(state.matrix).min() > -1e-12
 
+    @pytest.mark.parametrize("draw, support, text", [
+        (fock.random_one_mode_state, 0, "[1, N = 10]"),
+        (fock.random_one_mode_state, -1, "[1, N = 10]"),
+        (fock.random_one_mode_state, 11, "[1, N = 10]"),
+        (fock.random_one_mode_state, 2.0, "[1, N = 10]"),
+        (fock.random_two_mode_state, 0, "[2, N = 10] at rotations = 8"),
+        (fock.random_two_mode_state, -1, "[2, N = 10] at rotations = 8"),
+        (fock.random_two_mode_state, 1, "[2, N = 10] at rotations = 8"),
+        (fock.random_two_mode_state, 11, "[2, N = 10] at rotations = 8"),
+    ])
+    def test_support_outside_range_named(self, draw, support, text):
+        with pytest.raises(DomainError) as err:
+            draw(np.random.default_rng(0), 10, support=support)
+        assert str(err.value) == f"support must be an integer in {text}, got {support}"
+
+    def test_two_mode_support_one_without_rotations(self):
+        # with no rotation to draw a pair for, one level per mode is a valid state
+        state = fock.random_two_mode_state(np.random.default_rng(0), 3, support=1, rotations=0)
+        assert state.matrix[0, 0] == 1.0
+        assert state.trace == 1.0
+
     def test_seeded_reproducibility(self):
         a = fock.random_one_mode_state(np.random.default_rng(11), 20)
         b = fock.random_one_mode_state(np.random.default_rng(11), 20)
