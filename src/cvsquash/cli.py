@@ -8,6 +8,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -51,11 +53,30 @@ def _json_value(x, precision):
 
 
 def _emit(text, output):
+    """Write text to stdout, or in place over the file at output.
+
+    A regular file is overwritten from its start and then cut to the written
+    length, with no truncation first: on ext4, a file truncated to zero and
+    rewritten is flushed when it is closed.  The inode, its links and its mode
+    stay as they were.  A failed write still cuts the file to the bytes written,
+    so it holds a prefix of text and nothing of the old contents.
+    """
     if output in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)  # not /dev/null or a FIFO
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _render_report(report, extras, fmt, precision):

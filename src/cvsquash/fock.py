@@ -305,9 +305,14 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
 
 
 def oracle_energy(kappa, E, eta):
-    """Largest mean photon number of a mode of the purification behind
-    ``oracle_cmi``, the energy its cutoff rule is applied to; DomainError if it
-    overflows."""
+    """The energy that the cutoff rule of ``oracle_cmi`` is applied to:
+    max(kappa (E + 1) - min(eta, 1 - eta) E - 1, E); DomainError if it overflows.
+
+    This is not the largest mean photon number of a mode of the purification:
+    mode A has mean kappa (E + 1) - 1 at every eta, so at 0 < eta < 1 the rule
+    sizes the cutoff for a smaller energy than the truncation of n_A loses norm
+    to (ROADMAP item 12).
+    """
     e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
     if e_max == math.inf:
         raise DomainError(
@@ -331,8 +336,8 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
-    # X, one gathered block stack, its folded Gram stack and the eigensolver's
-    # copy; the last two take about N^3 / 4 doubles each, well inside the bound
+    # an upper bound on X, the two halves of one gathered block stack (3 N^3 / 8
+    # doubles), its folded Gram stack and the eigensolver's copy (N^3 / 4 each)
     _check_memory(N, 4 * 8 * (N + 1) ** 3, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
@@ -351,18 +356,22 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     return X
 
 
-def _blocked_entropy(blocks):
-    """Entropy of a block-diagonal state from the padded (N, N, N + 1) stack of
-    its unfoldings, each block eigensolved on its smaller side.
+def _blocked_entropy(T, rest):
+    """Entropy of a block-diagonal state whose block d is the N x (N + 1) matrix
+    T[rest[d, b], b, j], rows b and columns j, each block eigensolved on its
+    smaller side.
 
-    Block d is zero outside rows <= d and columns < N - d, so with
+    Block d is zero outside rows b <= d and columns j < N - d, so with
     h = ceil(N/2) the blocks d < h fit in h rows and the blocks d >= h in h
-    columns.  B B^T and B^T B share their nonzero spectrum: one stacked
-    eigensolve of N Gram matrices of size h x h gives every block.
+    columns, and only those are gathered.  B B^T and B^T B share their nonzero
+    spectrum: one stacked eigensolve of N Gram matrices of size h x h gives
+    every block.
     """
-    h = (len(blocks) + 1) // 2
-    low = blocks[:h, :h, :]
-    high = blocks[h:, :, :h]
+    N = len(rest)
+    h = (N + 1) // 2
+    k = np.arange(N)
+    low = T[rest[:h, :h], k[:h]]
+    high = T[:, :, :h][rest[h:], k]
     gram = np.concatenate((low @ low.transpose(0, 2, 1), high.transpose(0, 2, 1) @ high))
     return entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
 
@@ -392,9 +401,9 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     # [block, b] -> block - b, or the all-zero index N where that is negative
     rest = np.where(k[:, None] >= k[None, :], k[:, None] - k[None, :], N)
     # rho_AR, block d = n_B + n_C: rows b, columns r, entries X[r, d - b, b]
-    s_ar = _blocked_entropy(X.transpose(1, 2, 0)[rest, k])
+    s_ar = _blocked_entropy(X.transpose(1, 2, 0), rest)
     # rho_BR, block e = n_B + n_R: rows b, columns c, entries X[e - b, c, b]
-    s_br = _blocked_entropy(X.transpose(0, 2, 1)[rest, k])
+    s_br = _blocked_entropy(X.transpose(0, 2, 1), rest)
     prob = X**2
     s_r = entropy_of_spectrum(prob.sum(axis=(1, 2)))
     s_c = entropy_of_spectrum(prob.sum(axis=(0, 2)))  # = S(ABR), by purity

@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line surface."""
 
+import errno
 import json
 import math
+import os
 import pathlib
+import threading
 import tracemalloc
 
 import jsonschema
@@ -243,6 +246,126 @@ class TestFigure1:
         code, out, _ = run(capsys, "figure1", "--kappas", "2", "--steps", "2", "--precision", "0")
         assert code == 0
         assert out.splitlines()[1:] == ["2,0,1,1,1", "2,1,1,1,1"]
+
+
+class TestOutputFile:
+    """--output rewrites an existing file in place: the same bytes as a write to
+    a new path, on the same inode, links and mode, and no old bytes after it."""
+
+    COMMANDS = {
+        "bounds": ["bounds", "tms", "--kappa", "2", "--energy", "1"],
+        "channel": ["channel", "attenuator", "--eta", "0.5"],
+        "figure1-csv": ["figure1", "--steps", "40"],
+        "figure1-json": ["figure1", "--steps", "40", "--format", "json"],
+    }
+    #: old contents against the new text's length n
+    OLD = {"longer": lambda n: 3 * n + 7, "shorter": lambda n: n // 2, "same": lambda n: n}
+
+    @staticmethod
+    def fresh(capsys, tmp_path, argv):
+        target = tmp_path / "fresh"
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (0, "")
+        data = target.read_bytes()
+        assert data == run(capsys, *argv)[1].encode("utf-8")
+        return data
+
+    @pytest.mark.parametrize("old", OLD)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rewrite_keeps_inode_and_mode(self, capsys, tmp_path, command, old):
+        argv = self.COMMANDS[command]
+        expected = self.fresh(capsys, tmp_path, argv)
+        target = tmp_path / "existing"
+        target.write_bytes(b"#" * self.OLD[old](len(expected)))
+        target.chmod(0o640)
+        before = target.stat()
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == expected
+        after = target.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_links_are_kept(self, capsys, tmp_path, command):
+        argv = self.COMMANDS[command]
+        expected = self.fresh(capsys, tmp_path, argv)
+        target = tmp_path / "target"
+        target.write_bytes(b"#" * (2 * len(expected)))
+        symlink, hardlink = tmp_path / "symlink", tmp_path / "hardlink"
+        symlink.symlink_to(target)
+        os.link(target, hardlink)
+        assert run(capsys, *argv, "--output", str(symlink))[0] == 0
+        assert symlink.is_symlink()
+        assert target.read_bytes() == hardlink.read_bytes() == expected
+
+    def test_dev_null(self, capsys):
+        assert run(capsys, *self.COMMANDS["figure1-csv"], "--output", os.devnull) == (0, "", "")
+
+    def test_fifo(self, capsys, tmp_path):
+        # a FIFO cannot be cut to length, so only regular files are
+        argv = self.COMMANDS["figure1-csv"]
+        expected = self.fresh(capsys, tmp_path, argv)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        code = run(capsys, *argv, "--output", str(fifo))[0]
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [expected]
+
+    def test_directory_exit_4(self, capsys, tmp_path):
+        code, out, err = run(capsys, *self.COMMANDS["bounds"], "--output", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_never_opens_with_truncation(self, capsys, tmp_path, monkeypatch, command):
+        target = tmp_path / "existing"
+        target.write_text("old\n" * 1000)
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(target):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run(capsys, *self.COMMANDS[command], "--output", str(target))[0] == 0
+        assert len(flags) == 1
+        assert not flags[0] & os.O_TRUNC
+
+    @pytest.mark.parametrize("counted", [True, False], ids=["short-write", "lost-count"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_write_leaves_no_old_bytes(self, capsys, tmp_path, monkeypatch, command,
+                                              counted):
+        # the first write stores half the text; with counted, it reports that
+        # and the next write fails, otherwise it fails itself, uncounted
+        argv = self.COMMANDS[command]
+        expected = self.fresh(capsys, tmp_path, argv)
+        target = tmp_path / "existing"
+        target.write_bytes(b"#" * (3 * len(expected)))
+        real_write = os.write
+        calls = []
+
+        def full_disk(fd, data):
+            calls.append(len(data))
+            if len(calls) == 1:
+                stored = real_write(fd, bytes(data[:len(data) // 2]))
+                if counted:
+                    return stored
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full_disk)
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (4, "")
+        assert "No space left on device" in err
+        data = target.read_bytes()
+        assert len(data) == (len(expected) // 2 if counted else 0)
+        assert data == expected[:len(data)]
 
 
 class TestVerify:

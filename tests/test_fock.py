@@ -48,10 +48,28 @@ def stinespring_reference(rho, channel, complement):
     return joint.reshape(N, -1) @ V.reshape(N, -1).T
 
 
-def unfolded_blocked_entropy(blocks):
+def full_gather(T, rest):
+    """The padded (N, N, N + 1) stack of every block that fock._blocked_entropy
+    reads, whole: block d is the matrix T[rest[d, b], b, j]."""
+    return T[rest, np.arange(len(rest))]
+
+
+def unfolded_blocked_entropy(T, rest):
     """Reference for fock._blocked_entropy: every block of the padded stack
     eigensolved through its full N x N Gram matrix, with no fold."""
+    blocks = full_gather(T, rest)
     gram = blocks @ blocks.transpose(0, 2, 1)
+    return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
+
+
+def full_gather_blocked_entropy(T, rest):
+    """Reference for fock._blocked_entropy: the same fold, sliced out of the
+    whole gathered stack instead of gathered half by half."""
+    blocks = full_gather(T, rest)
+    h = (len(blocks) + 1) // 2
+    low = blocks[:h, :h, :]
+    high = blocks[h:, :, :h]
+    gram = np.concatenate((low @ low.transpose(0, 2, 1), high.transpose(0, 2, 1) @ high))
     return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
 
 
@@ -402,8 +420,8 @@ class TestOracleCmi:
         # block d lives in rows b <= d and columns r < N - d, which the fold relies on
         seen = []
 
-        def record(blocks):
-            seen.append(blocks)
+        def record(T, rest):
+            seen.append(full_gather(T, rest))
             return 0.0
 
         monkeypatch.setattr(fock, "_blocked_entropy", record)
@@ -416,6 +434,24 @@ class TestOracleCmi:
             assert blocks.shape == (N, N, N + 1)
             assert not blocks[np.broadcast_to(outside, blocks.shape)].any()
             assert blocks[~np.broadcast_to(outside, blocks.shape)].any()
+
+    def test_half_gather_is_bit_identical_to_full_gather(self, monkeypatch):
+        # the grid at its rule-selected cutoffs, and seeded draws at small and
+        # benchmark-sized cutoffs, odd and even
+        points = [(p, fock.required_cutoff(fock.oracle_energy(*p))) for p in oracle_cmi_grid()]
+        points += [(p, N) for N in (2, 3, 28, 44) for p in self.fold_points()]
+        half_gather = fock._blocked_entropy
+        pairs = []
+
+        def both(T, rest):
+            pairs.append((half_gather(T, rest), full_gather_blocked_entropy(T, rest)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(fock, "_blocked_entropy", both)
+        for point, N in points:
+            fock.oracle_cmi(*point, N, enforce_cutoff=False)
+        assert len(pairs) == 2 * len(points)
+        assert all(half == full for half, full in pairs)
 
     def test_overflow_names_the_combination(self):
         with pytest.raises(DomainError, match="overflows at kappa = 2, E = 1e"):
