@@ -26,15 +26,6 @@ class BoundReport:
         ):
             raise AssertionError(f"exact value {self.exact} outside bounds")
 
-    def to_dict(self):
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "provenance": list(self.provenance),
-            "parameters": dict(self.parameters),
-        }
-
 
 @dataclass(frozen=True)
 class MinimizerResult:

@@ -131,6 +131,8 @@ def partial_trace(state, keep):
     keep = list(keep)
     if not keep or any(m < 0 or m >= state.modes for m in keep):
         raise DomainError(f"keep set {keep} out of range for {state.modes} modes")
+    if len(set(keep)) != len(keep):
+        raise DomainError(f"keep set {keep} has duplicates")
     N, m = state.cutoff, state.modes
     dims = (N,) * (2 * m)
     rho = state.matrix.reshape(dims)

@@ -1,8 +1,8 @@
 """Acceptance suite: the eleven headline checks, one printed pass/fail line each.
 
 Each test evaluates its criterion in full, prints a single summary line, and
-asserts.  Grid-based checks reuse the deterministic verification suites where
-one exists; tolerances are stated inline.
+asserts.  Grid and spot checks run the registered verification suites, which
+hold their tolerances; the others state theirs inline.
 """
 
 import math
@@ -17,30 +17,8 @@ from cvsquash.bounds import (
     secret_key_capacity,
 )
 from cvsquash.cli import main
-from cvsquash.entropics import (
-    ChannelParam,
-    cmi_cosh_lower,
-    cond_epi_rhs,
-    g,
-    g_inverse,
-    gap_f,
-    h,
-)
-from cvsquash.states import (
-    attenuated_tmsv_cov,
-    extension_family,
-    gaussian_cmi,
-)
-from cvsquash.symplectic import gaussian_entropy, marginal
-from cvsquash.verify import (
-    LN_E_OVER_2,
-    epi_spot_check,
-    moe_spot_check,
-    oracle_channel_deviations,
-    oracle_cmi_deviations,
-    oracle_cmi_grid,
-    run_suite,
-)
+from cvsquash.entropics import ChannelParam, g_inverse, h
+from cvsquash.verify import LN_E_OVER_2, run_suite
 
 
 def _report(criterion, name, ok, detail):
@@ -49,62 +27,33 @@ def _report(criterion, name, ok, detail):
     assert ok, f"criterion {criterion} ({name}): {detail}"
 
 
-def test_criterion_01_gap_bound():
+def _check_suites(criterion, name, suites, seconds=math.inf):
+    """Run each suite of suites, a map from its name to (tolerance, expected
+    check count), and print one line for all of them."""
     start = time.time()
-    kappa = np.linspace(1.0, 10.0, 500)[:, None]
-    E = np.linspace(0.0, 100.0, 500)[None, :]
-    worst = float(gap_f(kappa, E).max())
-    decay = gap_f(2.0, 1e3)
+    reports = [run_suite(suite, tolerance=tolerance) for suite, (tolerance, _) in suites.items()]
     elapsed = time.time() - start
-    ok = worst <= LN_E_OVER_2 + 1e-12 and decay < 1e-3 and elapsed < 5.0
-    _report(1, "gap bound", ok,
-            f"max gap {worst:.6f} vs ln(e/2) {LN_E_OVER_2:.6f}, "
-            f"gap(2, 1e3) = {decay:.2e}, {elapsed:.2f} s")
+    ok = elapsed < seconds and all(
+        report.passed and report.checks_run == suites[report.suite][1] for report in reports
+    )
+    detail = "".join(
+        f"{report.suite} {report.checks_run} checks, worst violation "
+        f"{report.max_violation:.2e} (tol {report.tolerance:.0e}); "
+        for report in reports
+    )
+    _report(criterion, name, ok, f"{detail}{elapsed:.2f} s")
+
+
+def test_criterion_01_gap_bound():
+    _check_suites(1, "gap bound", {"gap": (1e-12, 250001)}, seconds=5.0)
 
 
 def test_criterion_02_extension_family_consistency():
-    start = time.time()
-    worst_closed = 0.0
-    for kappa in np.linspace(1.0, 10.0, 50):
-        for E in np.linspace(0.0, 50.0, 50):
-            cmi = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
-            closed = g((kappa - 0.5) * E + kappa - 1.0) - g(0.5 * E)
-            worst_closed = max(worst_closed, abs(0.5 * cmi - closed))
-    worst_sym = 0.0
-    worst_min = 0.0
-    for kappa in (1.0, 1.5, 2.0, 3.0, 5.0):
-        for E in (0.0, 0.1, 0.5, 1.0, 5.0, 20.0):
-            half = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
-            for eta in (0.0, 0.1, 0.25, 0.4, 0.5, 0.75):
-                lo = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
-                hi = gaussian_cmi(extension_family(kappa, E, 1.0 - eta), "A", "B", "R")
-                worst_sym = max(worst_sym, abs(lo - hi))
-                worst_min = max(worst_min, half - lo)
-    elapsed = time.time() - start
-    ok = worst_closed <= 1e-10 and worst_sym <= 1e-12 and worst_min <= 1e-10 and elapsed < 5.0
-    _report(2, "extension-family consistency", ok,
-            f"closed-form dev {worst_closed:.2e} (tol 1e-10), "
-            f"eta-symmetry {worst_sym:.2e} (tol 1e-12), "
-            f"min-at-half slack {worst_min:.2e}, {elapsed:.2f} s")
+    _check_suites(2, "extension-family consistency", {"jensen": (1e-10, 2680)}, seconds=5.0)
 
 
 def test_criterion_03_epi_chain():
-    worst_chain = -math.inf
-    worst_identity = 0.0
-    for kappa in np.linspace(1.0, 10.0, 50):
-        floor = 2.0 * math.log(2.0 * kappa - 1.0)
-        for E in np.linspace(0.0, 50.0, 50):
-            ar = attenuated_tmsv_cov(0.5, E)
-            s = gaussian_entropy(ar) - gaussian_entropy(marginal(ar, [1]))
-            cmi = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
-            cosh_bound = cmi_cosh_lower(kappa, s)
-            epi_a, epi_b = cond_epi_rhs(kappa, s)
-            worst_chain = max(worst_chain, cosh_bound - cmi, floor - cosh_bound)
-            worst_identity = max(worst_identity, abs(cosh_bound - (epi_a + epi_b - s)))
-    ok = worst_chain <= 1e-9 and worst_identity <= 1e-12
-    _report(3, "conditional EPI chain", ok,
-            f"chain violation {worst_chain:.2e} (tol 1e-9), "
-            f"cosh identity dev {worst_identity:.2e} (tol 1e-12)")
+    _check_suites(3, "conditional EPI chain", {"epi-chain": (1e-9, 2794)})
 
 
 def test_criterion_04_corollary_mapping():
@@ -191,29 +140,12 @@ def test_criterion_08_convexity():
 
 
 def test_criterion_09_fock_oracle():
-    start = time.time()
-    channel_devs = oracle_channel_deviations()
-    cmi_devs = oracle_cmi_deviations()
-    elapsed = time.time() - start
-    ok = (
-        max(channel_devs) <= 1e-6
-        and len(cmi_devs) == len(oracle_cmi_grid())
-        and max(cmi_devs) <= 1e-5
-        and elapsed < 600.0
-    )
-    _report(9, "Fock-oracle cross-validation", ok,
-            f"channel entropy dev {max(channel_devs):.2e} (tol 1e-6), "
-            f"cmi dev {max(cmi_devs):.2e} (tol 1e-5) on {len(cmi_devs)} of "
-            f"{len(oracle_cmi_grid())} grid points, {elapsed:.1f} s")
+    _check_suites(9, "Fock-oracle cross-validation", {"oracle": (1e-5, 48)}, seconds=600.0)
 
 
 def test_criterion_10_spot_checks():
-    moe = moe_spot_check()
-    epi = epi_spot_check()
-    ok = moe.passed and epi.passed
-    _report(10, "MOE and conditional-EPI spot checks", ok,
-            f"output-entropy violation {moe.max_violation:.2e}, "
-            f"conditional violation {epi.max_violation:.2e} (tol 1e-6)")
+    _check_suites(10, "MOE and conditional-EPI spot checks",
+                  {"moe-spot": (1e-6, 800), "epi-spot": (1e-6, 100)})
 
 
 def test_criterion_11_figure1(capsys, tmp_path):

@@ -36,11 +36,6 @@ class TestBoundReport:
         with pytest.raises(AssertionError):
             BoundReport(lower=1.0, upper=np.array([2.0, 0.5, 3.0]))
 
-    def test_to_dict(self):
-        d = BoundReport(lower=0.0, upper=1.0, provenance=("x",)).to_dict()
-        assert d["lower"] == 0.0
-        assert d["provenance"] == ["x"]
-
 
 class TestTmsBounds:
     def test_trivial_at_kappa_one(self):

@@ -11,8 +11,10 @@ import tracemalloc
 import jsonschema
 import pytest
 
+from cvsquash import entropics, fock, verify
 from cvsquash.bounds import classical_esq, esq_bounds_tms
 from cvsquash.cli import _sweep, build_parser, main
+from cvsquash.states import extension_family, gaussian_cmi
 
 from .reference import figure1_text
 
@@ -400,6 +402,41 @@ class TestVerify:
         assert "suite: separation" in out
         assert "checks_run:" in out
         assert "max_violation:" in out
+
+    def test_epi_spot(self, capsys):
+        code, out, _ = run(capsys, "verify", "epi-spot")
+        assert code == 0
+        assert "suite: epi-spot" in out
+        assert "checks_run: 100" in out
+
+    def test_moe_spot_is_a_choice(self):
+        # parsed, not run: acceptance criterion 10 runs it
+        assert build_parser().parse_args(["verify", "moe-spot"]).suite == "moe-spot"
+
+    def test_jensen_holds_eta_symmetry_to_1e_12(self, capsys, monkeypatch):
+        # offset every CMI with eta > 1/2 by 5e-11, within the 1e-10 tolerance
+        monkeypatch.setattr(verify, "extension_family",
+                            lambda kappa, E, eta: (extension_family(kappa, E, eta), eta))
+        monkeypatch.setattr(verify, "gaussian_cmi", lambda tagged, *modes: (
+            gaussian_cmi(tagged[0], *modes) + (5e-11 if tagged[1] > 0.5 else 0.0)))
+        code, out, _ = run(capsys, "verify", "jensen")
+        assert code == 1
+        assert "passed: false" in out
+
+    def test_epi_chain_holds_cosh_identity_to_1e_12(self, capsys, monkeypatch):
+        rhs = entropics.cond_epi_rhs
+        monkeypatch.setattr(entropics, "cond_epi_rhs",
+                            lambda kappa, s: (rhs(kappa, s)[0] + 1e-11, rhs(kappa, s)[1]))
+        code, out, _ = run(capsys, "verify", "epi-chain")
+        assert code == 1
+        assert "passed: false" in out
+
+    def test_oracle_holds_channel_entropies_to_1e_6(self, capsys, monkeypatch):
+        entropy = fock.spectral_entropy
+        monkeypatch.setattr(fock, "spectral_entropy", lambda state: entropy(state) + 2e-6)
+        code, out, _ = run(capsys, "verify", "oracle")
+        assert code == 1
+        assert "passed: false" in out
 
 
 class TestOracle:

@@ -164,6 +164,12 @@ class TestPartialTrace:
         with pytest.raises(DomainError):
             fock.partial_trace(state, [1])
 
+    def test_repeated_mode(self):
+        a = fock.thermal_fock(1.0, 4).matrix
+        joint = fock.TruncatedState(np.kron(a, a), cutoff=4, modes=2, tail_bound=0.5)
+        with pytest.raises(DomainError, match=r"keep set \[0, 0\] has duplicates"):
+            fock.partial_trace(joint, [0, 0])
+
 
 class TestChannels:
     def test_attenuator_output_entropy(self):

@@ -3,10 +3,13 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+from cvsquash.verify import SUITES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: every module except the package's __init__.py, whose imports are re-exports
@@ -69,3 +72,9 @@ def test_package_imports_no_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_readme_lists_every_suite():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    line = readme.split("Verification suites:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", line) == sorted(SUITES)
