@@ -233,9 +233,9 @@ def verify_oracle(tolerance=1e-5, seed=7):
 @_suite
 def verify_moe_spot(tolerance=1e-6, seed=7):
     """Theorem 4/5 spot check: no random state beats the thermal output-entropy bound."""
-    samples, kappas = 200, (1.2, 2.0)
+    samples, N, kappas = 200, 40, (1.2, 2.0)
     rng = np.random.default_rng(seed)
-    states = [fock.random_one_mode_state(rng, 40) for _ in range(samples)]
+    states = [fock.random_one_mode_state(rng, N) for _ in range(samples)]
     s_in = fock.spectral_entropy(np.stack([s.matrix for s in states]))
     # output entropies of the amplifier and of its complement, per gain; each
     # channel takes all the states as one stack
