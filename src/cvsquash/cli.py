@@ -33,6 +33,8 @@ DEFAULT_PRECISION = 12
 
 #: fixed, versioned sweep header
 FIGURE1_HEADER = "kappa,E,esq_lower,esq_upper,esq_classical"
+#: memory a figure1 row takes, by format: the tracemalloc peak of a 1e5-row sweep
+FIGURE1_ROW_BYTES = {"csv": 220, "json": 1430}
 
 
 def _fmt(x, precision):
@@ -133,8 +135,8 @@ def cmd_channel(args):
 
 def _sweep(kappas, e_min, e_max, steps):
     """The figure1 sweep, one block per kappa: (kappa, esq_lower, table), where
-    the (steps, 3) table holds the columns E, esq_upper and esq_classical."""
-    in_domain("--steps", steps, CUTOFF)  # at least 2, as a cutoff
+    the (steps, 3) table holds the columns E, esq_upper and esq_classical.
+    steps is an integer >= 2, checked by the caller."""
     if not kappas:
         raise DomainError("the kappa list must be nonempty")
     in_domain("--kappas", kappas, GAIN)
@@ -150,6 +152,11 @@ def _sweep(kappas, e_min, e_max, steps):
 
 
 def cmd_figure1(args):
+    rows = in_domain("--steps", args.steps, CUTOFF) * len(args.kappas)  # at least 2, as a cutoff
+    nbytes = rows * FIGURE1_ROW_BYTES[args.format]
+    if nbytes > fock.ORACLE_MEMORY_LIMIT:  # refused before anything is allocated
+        raise DomainError(f"figure1 sweep of {rows} rows needs {nbytes / 2**20:.4g} MiB,"
+                          f" above the limit of {fock.ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB")
     blocks = _sweep(args.kappas, args.e_min, args.e_max, args.steps)
     if args.format == "json":
         names = FIGURE1_HEADER.split(",")

@@ -1,11 +1,11 @@
 """Constructors for the named Gaussian states and conditional mutual information.
 
 All states are zero-mean.  Mode bookkeeping is positional with string labels;
-partial traces and entropies are taken by label.
+partial traces and entropies are taken by label.  The constructors take
+parameter arrays, which broadcast, and give one state holding their stack.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,9 +13,8 @@ import numpy as np
 from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
 from .symplectic import _entropies, marginal, n_modes_of
 
-_Z = np.diag([1.0, -1.0])
-#: signs of the P-quadrature block of extension_family relative to its
-#: Q-quadrature block: Z = diag(1, -1) on each of the AB and AR correlations
+#: signs of the P-quadrature block of a constructor's covariance relative to
+#: its Q-quadrature block: Z = diag(1, -1) on each correlation of the first mode
 _P_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
@@ -29,36 +28,39 @@ def _construction_subsets(n):
 
 
 @functools.lru_cache(maxsize=256)
-def _kept(n, subsets):
-    """(len(subsets), 2n, 2n) mask of the covariance entries each subset keeps."""
+def _padding(n, subsets, ndim):
+    """Mask of the covariance entries each subset keeps, shaped to broadcast
+    against a stack of ndim dimensions with the subset axis first; and the vacuum."""
     kept = np.zeros((len(subsets), n), dtype=bool)
     for row, subset in enumerate(subsets):
         kept[row, list(subset)] = True
     kept = np.repeat(kept, 2, axis=1)
-    return kept[:, :, None] & kept[:, None, :]
+    kept = (kept[:, :, None] & kept[:, None, :]).reshape(-1, *(1,) * (ndim - 2), 2 * n, 2 * n)
+    return kept, 0.5 * np.eye(2 * n)
 
 
 def _padded(cov, subsets):
-    """Stack of copies of cov, one per subset of mode indices, with every mode
-    outside the subset replaced by a vacuum block, which adds no entropy."""
-    n = len(cov) // 2
-    return np.where(_kept(n, tuple(subsets)), cov, 0.5 * np.eye(2 * n))
+    """Copies of the stack cov along a new first axis, one per subset of mode
+    indices, with every mode outside it a vacuum block, which adds no entropy."""
+    kept, vacuum = _padding(cov.shape[-1] // 2, tuple(subsets), cov.ndim)
+    return np.where(kept, cov, vacuum)
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero-mean Gaussian state: covariance and mode labels.
+    """Zero-mean Gaussian state: mode labels and a covariance, or a stack of them.
 
     Construction validates the covariance with one stacked kernel call, which
     also gives the entropies of the whole state, of each mode and of each
     all-but-one-mode marginal: every marginal of a state of up to three modes.
     ``entropy`` and ``gaussian_cmi`` read them; any other group of modes costs
-    one more kernel call, whose result is kept as well.
+    one more kernel call, whose result is kept as well.  Each is a float for
+    one covariance and an array of the stack's shape for a stack.
     """
 
     cov: np.ndarray
     labels: tuple
-    #: von Neumann entropies by frozenset of mode indices
+    #: von Neumann entropies by frozenset of mode indices, one array per subset
     _memo: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,31 +98,45 @@ class GaussianState:
         modes = self.mode_indices(self.labels if labels is None else labels)
         if not modes or len(set(modes)) != len(modes):
             raise DomainError(f"mode subset {modes} is empty or has duplicates")
-        return float(self._subset_entropies([frozenset(modes)])[0])
+        out = self._subset_entropies([frozenset(modes)])[0]
+        return out if out.ndim else float(out)
+
+
+def _params(*checks):
+    """The (name, value, domain) checks of in_domain, their values brought to one
+    shape by adding 0.0 times all of them, which is exact for finite values."""
+    params = [in_domain(*check) for check in checks]
+    try:
+        zero = sum(0.0 * p for p in params)
+    except ValueError:
+        shapes = ", ".join(str(np.shape(p)) for p in params)
+        raise DomainError(f"parameter shapes {shapes} do not broadcast") from None
+    return [p + zero for p in params]
+
+
+def _covariance(q):
+    """Covariances (..., 2n, 2n) from the nested rows q, all entries of one shape,
+    of their Q-quadrature blocks; the P block is Q times the signs _P_SIGNS."""
+    q = np.array(q)
+    q = q.transpose(*range(2, q.ndim), 0, 1)
+    n = q.shape[-1]
+    cov = np.zeros(q.shape[:-2] + (2 * n, 2 * n))
+    cov[..., 0::2, 0::2] = q
+    cov[..., 1::2, 1::2] = _P_SIGNS[:n, :n] * q
+    return cov
 
 
 def thermal_state(E, label="A"):
     """One-mode thermal state with mean energy E: covariance (E + 1/2) I."""
     E = in_domain("mean energy", E, ENERGY)
-    return GaussianState(cov=(E + 0.5) * np.eye(2), labels=(label,))
-
-
-def _two_mode_cov(diag_a, diag_b, off, off_matrix):
-    return np.block(
-        [[diag_a * np.eye(2), off * off_matrix], [off * off_matrix.T, diag_b * np.eye(2)]]
-    )
+    return GaussianState(cov=_covariance([[E + 0.5]]), labels=(label,))
 
 
 def tms_thermal_state(kappa, E, labels=("A", "B")):
     """Two-mode squeezer applied to thermal(E) tensor vacuum; closed-form covariance."""
-    kappa = in_domain("squeezing gain", kappa, GAIN)
-    E = in_domain("mean energy", E, ENERGY)
-    cov = _two_mode_cov(
-        kappa * (E + 1.0) - 0.5,
-        (kappa - 1.0) * (E + 1.0) + 0.5,
-        (E + 1.0) * np.sqrt(kappa * (kappa - 1.0)),
-        _Z,
-    )
+    kappa, E = _params(("squeezing gain", kappa, GAIN), ("mean energy", E, ENERGY))
+    ab = (E + 1.0) * np.sqrt(kappa * (kappa - 1.0))
+    cov = _covariance([[kappa * (E + 1.0) - 0.5, ab], [ab, (kappa - 1.0) * (E + 1.0) + 0.5]])
     return GaussianState(cov=cov, labels=tuple(labels))
 
 
@@ -131,19 +147,17 @@ def gamma_attenuated(eta, E, labels=("A", "B")):
 
 def gamma_amplified(kappa, E, labels=("A", "B")):
     """Amplifier with gain kappa on half of a two-mode squeezed vacuum."""
-    kappa = in_domain("amplifier gain", kappa, GAIN)
-    E = in_domain("mean energy", E, ENERGY)
-    cov = _two_mode_cov(
-        kappa * E + kappa - 0.5, E + 0.5, np.sqrt(kappa * E * (E + 1.0)), _Z
-    )
-    return GaussianState(cov=cov, labels=tuple(labels))
+    kappa, E = _params(("amplifier gain", kappa, GAIN), ("mean energy", E, ENERGY))
+    c = np.sqrt(kappa * E * (E + 1.0))
+    return GaussianState(cov=_covariance([[kappa * E + kappa - 0.5, c], [c, E + 0.5]]),
+                         labels=tuple(labels))
 
 
 def attenuated_tmsv_cov(eta, E):
     """Closed-form covariance of the AR state: attenuator on half a TMSV of energy E."""
-    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
-    E = in_domain("mean energy", E, ENERGY)
-    return _two_mode_cov(E + 0.5, eta * E + 0.5, np.sqrt(eta * E * (E + 1.0)), _Z)
+    eta, E = _params(("transmissivity", eta, TRANSMISSIVITY), ("mean energy", E, ENERGY))
+    c = np.sqrt(eta * E * (E + 1.0))
+    return _covariance([[E + 0.5, c], [c, eta * E + 0.5]])
 
 
 def extension_family(kappa, E, eta, labels=("A", "B", "R")):
@@ -158,21 +172,16 @@ def extension_family(kappa, E, eta, labels=("A", "B", "R")):
     The AB blocks are evaluated as in tms_thermal_state, so tracing out R
     leaves exactly its covariance.
     """
-    kappa = in_domain("squeezing gain", kappa, GAIN)
-    E = in_domain("mean energy", E, ENERGY)
-    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
-    c = math.sqrt(eta * E * (E + 1.0))
-    t, s = math.sqrt(kappa), math.sqrt(kappa - 1.0)
-    ab = (E + 1.0) * math.sqrt(kappa * (kappa - 1.0))
-    q = np.array([  # the Q quadratures of A, B, R
-        [kappa * (E + 1.0) - 0.5, ab, t * c],
-        [ab, (kappa - 1.0) * (E + 1.0) + 0.5, s * c],
-        [t * c, s * c, eta * E + 0.5],
-    ])
-    cov = np.zeros((6, 6))
-    cov[0::2, 0::2] = q
-    cov[1::2, 1::2] = _P_SIGNS * q
-    return GaussianState(cov=cov, labels=tuple(labels))
+    kappa, E, eta = _params(("squeezing gain", kappa, GAIN), ("mean energy", E, ENERGY),
+                            ("transmissivity", eta, TRANSMISSIVITY))
+    c, t, s, root = np.sqrt((eta * E * (E + 1.0), kappa, kappa - 1.0, kappa * (kappa - 1.0)))
+    ab, tc, sc = (E + 1.0) * root, t * c, s * c
+    q = [  # the Q quadratures of A, B, R
+        [kappa * (E + 1.0) - 0.5, ab, tc],
+        [ab, (kappa - 1.0) * (E + 1.0) + 0.5, sc],
+        [tc, sc, eta * E + 0.5],
+    ]
+    return GaussianState(cov=_covariance(q), labels=tuple(labels))
 
 
 def gaussian_cmi(state, part_a, part_b, part_r=()):
@@ -191,4 +200,5 @@ def gaussian_cmi(state, part_a, part_b, part_r=()):
     subsets = [frozenset(state.mode_indices(subset))
                for subset in (part_a + part_r, part_b + part_r, part_r, parts)]
     s_ar, s_br, s_r, s_abr = state._subset_entropies(subsets)
-    return float(s_ar + s_br - s_r - s_abr)
+    out = s_ar + s_br - s_r - s_abr
+    return out if out.ndim else float(out)

@@ -1,7 +1,8 @@
 """Covariance-matrix formalism for multimode Gaussian states.
 
 Quadrature ordering is (Q1, P1, Q2, P2, ...).  Covariance matrices are plain
-real symmetric numpy arrays; the vacuum is (1/2) * identity.
+real symmetric numpy arrays, or stacks (..., 2n, 2n) of them, on which every
+function acts matrix by matrix; the vacuum is (1/2) * identity.
 """
 
 import numpy as np
@@ -17,11 +18,11 @@ _NU_TOL = 1e-10
 
 def n_modes_of(sigma):
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
         raise InvalidStateError(f"covariance matrix must be square 2n x 2n, got {sigma.shape}")
-    if not sigma.size:
+    if not sigma.shape[-1]:
         raise InvalidStateError("need at least one mode")
-    return sigma.shape[0] // 2
+    return sigma.shape[-1] // 2
 
 
 def _spectra(stack):
@@ -103,7 +104,8 @@ def gaussian_entropy(sigma):
     """Von Neumann entropy sum_k g(nu_k - 1/2) of the Gaussian state with covariance sigma."""
     sigma = np.asarray(sigma, dtype=float)
     n_modes_of(sigma)
-    return float(_entropies(sigma))
+    out = _entropies(sigma)
+    return out if out.ndim else float(out)
 
 
 def marginal(sigma, modes):
@@ -116,5 +118,5 @@ def marginal(sigma, modes):
     if len(set(modes)) != len(modes):
         raise DomainError(f"mode subset {modes} has duplicates")
     idx = np.array([2 * m + q for m in modes for q in (0, 1)])
-    return sigma[np.ix_(idx, idx)]
+    return sigma[..., idx[:, None], idx]
 

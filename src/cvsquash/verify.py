@@ -79,69 +79,57 @@ def verify_convexity(tolerance=1e-6, seed=0):
     The finite-difference comparison skips kappa = 1, where psi vanishes
     identically and the quotient is pure roundoff noise.
     """
-    worst = 0.0
-    checks = 0
-    kappas = np.linspace(1.0, 10.0, 30)
+    # axes (eta, kappa, E)
+    etas = np.linspace(0.05, 0.999, 30)[:, None, None]
+    kappas = np.linspace(1.0, 10.0, 30)[None, :, None]
     energies = np.linspace(0.0, 10.0, 30)
-    etas = np.linspace(0.05, 0.999, 30)
-    for eta in etas:
-        delta = min(max(0.02 * (1.0 - eta), 4e-5), 0.5 * eta)
-        for kappa in kappas:
-            closed = se.psi_second_derivative(kappa, energies, eta)
-            worst = max(worst, float((-closed).max() - 1e-12))
-            if kappa == kappas[0]:
-                checks += len(energies)
-                continue
-            fd = (
-                -se.psi(kappa, energies, eta + 2.0 * delta)
-                + 16.0 * se.psi(kappa, energies, eta + delta)
-                - 30.0 * se.psi(kappa, energies, eta)
-                + 16.0 * se.psi(kappa, energies, eta - delta)
-                - se.psi(kappa, energies, eta - 2.0 * delta)
-            ) / (12.0 * delta**2)
-            rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1.0)
-            worst = max(worst, float(rel.max()))
-            checks += len(energies)
-    return VerifyReport.build("convexity", checks, worst, tolerance, seed)
+    delta = np.minimum(np.maximum(0.02 * (1.0 - etas), 4e-5), 0.5 * etas)
+    closed = se.psi_second_derivative(kappas, energies, etas)
+    k = kappas[:, 1:]  # no finite difference at kappa = 1
+    fd = (
+        -se.psi(k, energies, etas + 2.0 * delta)
+        + 16.0 * se.psi(k, energies, etas + delta)
+        - 30.0 * se.psi(k, energies, etas)
+        + 16.0 * se.psi(k, energies, etas - delta)
+        - se.psi(k, energies, etas - 2.0 * delta)
+    ) / (12.0 * delta**2)
+    rel = np.abs(fd - closed[:, 1:]) / np.maximum(np.abs(closed[:, 1:]), 1.0)
+    # psi'' >= 0 is held to 1e-6 of the tolerance: -1e-12 by default
+    worst = max(1e6 * float((-closed).max()), float(rel.max()))
+    return VerifyReport.build("convexity", closed.size, worst, tolerance, seed)
 
 
 @_suite
 def verify_jensen(tolerance=1e-10, seed=0):
     """Extension-family CMI: closed form at eta = 1/2, eta-symmetry, minimum at 1/2."""
-    worst = 0.0
-    checks = 0
-    for kappa in np.linspace(1.0, 10.0, 50):
-        for E in np.linspace(0.0, 50.0, 50):
-            half = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
-            closed = se.g((kappa - 0.5) * E + kappa - 1.0) - se.g(0.5 * E)
-            worst = max(worst, abs(0.5 * half - closed))
-            checks += 1
-    for kappa in (1.0, 1.5, 2.0, 3.0, 5.0):
-        for E in (0.0, 0.1, 0.5, 1.0, 5.0, 20.0):
-            half = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
-            for eta in (0.0, 0.1, 0.25, 0.4, 0.5, 0.75):
-                lo = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
-                hi = gaussian_cmi(extension_family(kappa, E, 1.0 - eta), "A", "B", "R")
-                # eta-symmetry is held to 1e-2 of the tolerance: 1e-12 by default
-                worst = max(worst, 1e2 * abs(lo - hi), half - lo)
-                checks += 1
-    return VerifyReport.build("jensen", checks, worst, tolerance, seed)
+    kappa, E = np.meshgrid(np.linspace(1.0, 10.0, 50), np.linspace(0.0, 50.0, 50),
+                           indexing="ij")
+    half = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
+    closed = se.g((kappa - 0.5) * E + kappa - 1.0) - se.g(0.5 * E)
+    kappa, E, eta = np.meshgrid((1.0, 1.5, 2.0, 3.0, 5.0), (0.0, 0.1, 0.5, 1.0, 5.0, 20.0),
+                                (0.0, 0.1, 0.25, 0.4, 0.5, 0.75), indexing="ij")
+    mid, lo, hi = gaussian_cmi(
+        extension_family(kappa, E, np.stack((np.full_like(eta, 0.5), eta, 1.0 - eta))),
+        "A", "B", "R")
+    # eta-symmetry is held to 1e-2 of the tolerance: 1e-12 by default
+    worst = max(np.abs(0.5 * half - closed).max(), (1e2 * np.abs(lo - hi)).max(),
+                (mid - lo).max())
+    return VerifyReport.build("jensen", half.size + lo.size, worst, tolerance, seed)
 
 
 @_suite
 def verify_corollary_map(tolerance=1e-12, seed=7):
     """gamma states coincide entrywise with the mapped squeezed thermal-vacuum states."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(1000):
-        E = rng.uniform(0.0, 10.0)
-        eta = rng.uniform(0.0, 1.0)
-        kp, ep = bd.tms_equivalent_params(se.ChannelParam.attenuator(eta), E)
-        dev = np.abs(gamma_attenuated(eta, E).cov - tms_thermal_state(kp, ep).cov).max()
-        kappa = rng.uniform(1.0, 5.0)
-        kp, ep = bd.tms_equivalent_params(se.ChannelParam.amplifier(kappa), E)
-        dev_amp = np.abs(gamma_amplified(kappa, E).cov - tms_thermal_state(kp, ep).cov).max()
-        worst = max(worst, float(dev), float(dev_amp))
+    # the columns of E ~ U[0, 10), eta ~ U[0, 1) and kappa ~ U[1, 5), drawn as
+    # rng.uniform would draw them one point at a time
+    E, eta, kappa = (np.random.default_rng(seed).random((1000, 3)) * (10.0, 1.0, 4.0)
+                     + (0.0, 0.0, 1.0)).T
+    # a channel of an array of parameters maps each point on its own
+    kp, ep = bd.tms_equivalent_params(se.ChannelParam("attenuator", eta), E)
+    dev = np.abs(gamma_attenuated(eta, E).cov - tms_thermal_state(kp, ep).cov)
+    kp, ep = bd.tms_equivalent_params(se.ChannelParam("amplifier", kappa), E)
+    dev_amp = np.abs(gamma_amplified(kappa, E).cov - tms_thermal_state(kp, ep).cov)
+    worst = max(dev.max(), dev_amp.max())
     return VerifyReport.build("corollary-map", 2000, worst, tolerance, seed)
 
 
@@ -167,32 +155,23 @@ def verify_separation(tolerance=1e-12, seed=0):
 def verify_epi_chain(tolerance=1e-9, seed=0):
     """Conditional-EPI chain on the Gaussian extension family, with the eta = 1/2
     plane, where s = 0 and the chain reduces to CMI >= 2 ln(2 kappa - 1)."""
-    points = [
-        (kappa, E, eta)
-        for kappa in (1.0, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0)
-        for E in (0.0, 0.1, 0.5, 1.0, 5.0, 20.0)
-        for eta in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    ]
-    points += [
-        (kappa, E, 0.5)
-        for kappa in np.linspace(1.0, 10.0, 50)
-        for E in np.linspace(0.0, 50.0, 50)
-    ]
-    worst = 0.0
-    for kappa, E, eta in points:
-        ar = attenuated_tmsv_cov(eta, E)
-        s = gaussian_entropy(ar) - gaussian_entropy(marginal(ar, [1]))
-        cmi = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
-        cosh_bound = se.cmi_cosh_lower(kappa, s)
-        epi_a, epi_b = se.cond_epi_rhs(kappa, s)
-        worst = max(
-            worst,
-            cosh_bound - cmi,
-            2.0 * math.log(2.0 * kappa - 1.0) - cosh_bound,
-            # the cosh identity is held to 1e-3 of the tolerance: 1e-12 by default
-            1e3 * abs(cosh_bound - (epi_a + epi_b - s)),
-        )
-    return VerifyReport.build("epi-chain", len(points), worst, tolerance, seed)
+    grid = np.meshgrid((1.0, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0), (0.0, 0.1, 0.5, 1.0, 5.0, 20.0),
+                       (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0), indexing="ij")
+    plane = np.meshgrid(np.linspace(1.0, 10.0, 50), np.linspace(0.0, 50.0, 50), 0.5,
+                        indexing="ij")
+    kappa, E, eta = (np.concatenate((a.ravel(), b.ravel())) for a, b in zip(grid, plane))
+    ar = attenuated_tmsv_cov(eta, E)
+    s = gaussian_entropy(ar) - gaussian_entropy(marginal(ar, [1]))
+    cmi = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
+    cosh_bound = se.cmi_cosh_lower(kappa, s)
+    epi_a, epi_b = se.cond_epi_rhs(kappa, s)
+    worst = max(
+        (cosh_bound - cmi).max(),
+        (2.0 * np.log(2.0 * kappa - 1.0) - cosh_bound).max(),
+        # the cosh identity is held to 1e-3 of the tolerance: 1e-12 by default
+        (1e3 * np.abs(cosh_bound - (epi_a + epi_b - s))).max(),
+    )
+    return VerifyReport.build("epi-chain", kappa.size, worst, tolerance, seed)
 
 
 def oracle_cmi_grid():
@@ -223,9 +202,10 @@ def verify_oracle(tolerance=1e-5, seed=7):
                 att = se.ChannelParam.attenuator(eta)
                 out = fock.spectral_entropy(fock.apply_channel_fock(state, att))
                 deviations.append(10.0 * abs(out - se.g(eta * E)))
-    for kappa, E, eta in oracle_cmi_grid():
+    grid = oracle_cmi_grid()
+    references = gaussian_cmi(extension_family(*np.transpose(grid)), "A", "B", "R")
+    for (kappa, E, eta), reference in zip(grid, references):
         N = fock.required_cutoff(fock.oracle_energy(kappa, E, eta))
-        reference = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
         deviations.append(abs(fock.oracle_cmi(kappa, E, eta, N) - reference))
     return VerifyReport.build("oracle", len(deviations), max(deviations), tolerance, seed)
 

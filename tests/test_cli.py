@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 
 from cvsquash import entropics, fock, verify
@@ -181,6 +182,23 @@ class TestFigure1:
     def test_invalid_sweep_exit_3(self, capsys):
         code, _, _ = run(capsys, "figure1", "--steps", "1")
         assert code == 3
+
+    def test_sweep_above_memory_limit_refused(self, capsys):
+        code, out, err = run(capsys, "figure1", "--kappas", "2", "--steps", "100000000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: figure1 sweep of 100000000000 rows needs")
+
+    def test_memory_charge_per_row_by_format(self, capsys, monkeypatch):
+        # six rows fit at 220 B each (CSV) and not at 1430 B each (JSON)
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 6 * 220)
+        argv = ("figure1", "--kappas", "1.5,2", "--steps", "3", "--format")
+        assert run(capsys, *argv, "csv")[0] == 0
+        code, _, err = run(capsys, *argv, "json")
+        assert code == 3
+        assert "of 6 rows" in err
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 6 * 220 - 1)
+        assert run(capsys, *argv, "csv")[0] == 3
 
     @pytest.mark.parametrize("flag, value", [
         ("--kappas", "nan"), ("--kappas", "inf"), ("--kappas", "0.3"), ("--e-max", "inf"),
@@ -418,8 +436,17 @@ class TestVerify:
         monkeypatch.setattr(verify, "extension_family",
                             lambda kappa, E, eta: (extension_family(kappa, E, eta), eta))
         monkeypatch.setattr(verify, "gaussian_cmi", lambda tagged, *modes: (
-            gaussian_cmi(tagged[0], *modes) + (5e-11 if tagged[1] > 0.5 else 0.0)))
+            gaussian_cmi(tagged[0], *modes) + np.where(np.asarray(tagged[1]) > 0.5, 5e-11, 0.0)))
         code, out, _ = run(capsys, "verify", "jensen")
+        assert code == 1
+        assert "passed: false" in out
+
+    def test_convexity_holds_psi_second_derivative_to_1e_12(self, capsys, monkeypatch):
+        # psi'' lowered by 1e-9 is negative at its zeros on the grid
+        second = entropics.psi_second_derivative
+        monkeypatch.setattr(entropics, "psi_second_derivative",
+                            lambda kappa, E, eta: second(kappa, E, eta) - 1e-9)
+        code, out, _ = run(capsys, "verify", "convexity")
         assert code == 1
         assert "passed: false" in out
 

@@ -1,6 +1,7 @@
 """Static hygiene checks over the package, the tests and the scripts."""
 
 import ast
+import inspect
 import os
 import pathlib
 import re
@@ -78,3 +79,13 @@ def test_readme_lists_every_suite():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     line = readme.split("Verification suites:", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`([^`]+)`", line) == sorted(SUITES)
+
+
+def test_readme_states_each_suite_tolerance():
+    # each bullet "`name` (criterion NN, tolerance T, ...)" gives the suite's default
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = dict(re.findall(r"^- `([^`]+)` \(criterion \d\d, tolerance ([^,]+),", readme, re.M))
+    assert sorted(stated) == sorted(SUITES)
+    for name, text in stated.items():
+        default = inspect.signature(SUITES[name]).parameters["tolerance"].default
+        assert float(text) == default, name

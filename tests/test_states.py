@@ -275,3 +275,107 @@ class TestEntropyMemo:
     def test_empty_or_repeated_subset_rejected(self, labels):
         with pytest.raises(DomainError):
             tms_thermal_state(2.0, 1.0).entropy(labels)
+
+
+def stack_points():
+    """Seeded draws and the corners of kappa in [1, 10], E in [0, 50], eta in [0, 1],
+    as three arrays."""
+    rng = np.random.default_rng(18)
+    draws = np.column_stack([
+        rng.uniform(1.0, 10.0, 60), rng.uniform(0.0, 50.0, 60), rng.uniform(0.0, 1.0, 60)
+    ])
+    corners = list(itertools.product((1.0, 10.0), (0.0, 50.0), (0.0, 0.5, 1.0)))
+    return np.concatenate([draws, corners]).T
+
+
+#: each constructor as a function of (kappa, E, eta)
+CONSTRUCTORS = {
+    "thermal": lambda kappa, E, eta: thermal_state(E),
+    "tms": lambda kappa, E, eta: tms_thermal_state(kappa, E),
+    "attenuated": lambda kappa, E, eta: gamma_attenuated(eta, E),
+    "amplified": lambda kappa, E, eta: gamma_amplified(kappa, E),
+    "extension": lambda kappa, E, eta: extension_family(kappa, E, eta),
+}
+
+
+class TestStacks:
+    """A stack of parameters takes the path of a scalar call, element by element."""
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_stack_equals_scalar_calls(self, name):
+        make = CONSTRUCTORS[name]
+        points = stack_points()
+        stacked = make(*points)
+        labels = stacked.labels
+        subsets = [subset for size in range(1, len(labels) + 1)
+                   for subset in itertools.combinations(labels, size)]
+        entropies = [stacked.entropy(subset) for subset in subsets]
+        cmi = gaussian_cmi(stacked, labels[0], labels[-1], labels[1:-1]) if len(labels) > 1 else None
+        for i, point in enumerate(points.T.tolist()):
+            scalar = make(*point)
+            assert np.array_equal(stacked.cov[i], scalar.cov)
+            for subset, values in zip(subsets, entropies):
+                assert values[i] == scalar.entropy(subset)
+            if cmi is not None:
+                assert cmi[i] == gaussian_cmi(scalar, labels[0], labels[-1], labels[1:-1])
+
+    def test_attenuated_tmsv_cov(self):
+        kappa, E, eta = stack_points()
+        stacked = attenuated_tmsv_cov(eta, E)
+        assert stacked.shape == (len(E), 4, 4)
+        for i in range(len(E)):
+            assert np.array_equal(stacked[i], attenuated_tmsv_cov(float(eta[i]), float(E[i])))
+
+    def test_parameters_broadcast(self):
+        kappa, E = np.linspace(1.0, 10.0, 4), np.linspace(0.0, 50.0, 5)
+        state = extension_family(kappa[:, None], E, 0.5)
+        assert state.cov.shape == (4, 5, 6, 6)
+        cmi = gaussian_cmi(state, "A", "B", "R")
+        assert cmi.shape == (4, 5)
+        for i, j in itertools.product(range(4), range(5)):
+            scalar = extension_family(float(kappa[i]), float(E[j]), 0.5)
+            assert np.array_equal(state.cov[i, j], scalar.cov)
+            assert cmi[i, j] == gaussian_cmi(scalar, "A", "B", "R")
+
+    def test_scalar_call_gives_floats(self):
+        state = extension_family(2.0, 1.0, 0.5)
+        assert state.cov.shape == (6, 6)
+        assert type(state.entropy()) is float
+        assert type(gaussian_cmi(state, "A", "B", "R")) is float
+        assert type(gaussian_cmi(state, "A", "B")) is float
+
+    def test_one_kernel_call_per_stacked_cmi(self, kernel_calls):
+        kappa, E, eta = stack_points()
+        gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
+        assert kernel_calls == [(7, len(E), 6, 6)]
+
+    @pytest.mark.parametrize("make", [
+        lambda a, b: tms_thermal_state(a, b),
+        lambda a, b: gamma_attenuated(b, a),
+        lambda a, b: gamma_amplified(a, b),
+        lambda a, b: attenuated_tmsv_cov(b, a),
+        lambda a, b: extension_family(a, b, 0.5),
+        lambda a, b: extension_family(2.0, a, b),
+    ], ids=["tms", "attenuated", "amplified", "attenuated_tmsv_cov", "extension",
+            "extension-eta"])
+    def test_shapes_that_do_not_broadcast(self, make):
+        with pytest.raises(DomainError, match="do not broadcast") as raised:
+            make(np.full(3, 1.0), np.full(4, 0.5))
+        assert "(3,)" in str(raised.value) and "(4,)" in str(raised.value)
+
+    @pytest.mark.parametrize("bad", [
+        0.3 * np.eye(4),
+        np.diag([1.0, 1.0, -1.0, 1.0]),
+        np.array([[1.0, 0.2, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        np.diag([1.0, np.nan, 1.0, 1.0]),
+        np.block([[np.eye(2), 0.95 * np.diag([1.0, -1.0])],
+                  [0.95 * np.diag([1.0, -1.0]), np.eye(2)]]),
+    ], ids=["uncertainty", "indefinite", "asymmetric", "nan", "correlated-too-far"])
+    def test_one_unphysical_member_raises_as_alone(self, bad):
+        with pytest.raises(InvalidStateError) as alone:
+            GaussianState(cov=bad, labels=("A", "B"))
+        stack = np.stack([tms_thermal_state(2.0, 1.0).cov, bad, 0.5 * np.eye(4)])
+        with pytest.raises(InvalidStateError) as stacked:
+            GaussianState(cov=stack, labels=("A", "B"))
+        assert str(stacked.value) == str(alone.value)

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from cvsquash.entropics import g
 from cvsquash.errors import DomainError, InvalidStateError
-from cvsquash.states import GaussianState
+from cvsquash.states import GaussianState, extension_family
 from cvsquash.symplectic import (
     _spectra,
     gaussian_entropy,
@@ -26,6 +26,7 @@ from tests.reference import (
     symplectic_form,
     two_mode_squeezer_symplectic,
 )
+from tests.test_states import stack_points
 
 
 def thermal_cov(E):
@@ -163,6 +164,56 @@ class TestStackedKernel:
         assert symplectic_eigenvalues(apply_symplectic(S, sigma)) == pytest.approx(
             sorted(nu, reverse=True), rel=1e-9, abs=1e-9
         )
+
+
+def extension_stack():
+    """Extension-family covariances at the seeded draws and corners of stack_points."""
+    return extension_family(*stack_points()).cov
+
+
+class TestStackedFunctions:
+    """Each public function takes a stack and equals its per-matrix calls."""
+
+    @pytest.mark.parametrize("source", ["extension", "random"])
+    def test_stack_equals_per_matrix_calls(self, source):
+        if source == "extension":
+            stack = extension_stack()
+        else:
+            stack = random_physical_stack(np.random.default_rng(5), 3, 24).reshape(4, 6, 6, 6)
+        flat = stack.reshape(-1, 6, 6)
+        entropy, nu = gaussian_entropy(stack), symplectic_eigenvalues(stack)
+        assert entropy.shape == stack.shape[:-2] and nu.shape == stack.shape[:-2] + (3,)
+        assert np.array_equal(entropy.ravel(), [gaussian_entropy(sigma) for sigma in flat])
+        assert np.array_equal(nu.reshape(-1, 3), [symplectic_eigenvalues(sigma) for sigma in flat])
+        for modes in ([0], [2, 0], [1, 2]):
+            sub = marginal(stack, modes).reshape(-1, 2 * len(modes), 2 * len(modes))
+            assert np.array_equal(sub, [marginal(sigma, modes) for sigma in flat])
+            assert np.array_equal(gaussian_entropy(marginal(stack, modes)).ravel(),
+                                  [gaussian_entropy(sigma) for sigma in sub])
+        assert np.array_equal(validate_covariance(stack), stack)
+
+    def test_one_matrix_gives_a_float(self):
+        assert type(gaussian_entropy(extension_stack()[0])) is float
+
+    @pytest.mark.parametrize("bad", [
+        0.3 * np.eye(4),
+        np.diag([1.0, 1.0, -1.0, 1.0]),
+        np.diag([1.0, np.nan, 1.0, 1.0]),
+    ], ids=["uncertainty", "indefinite", "nan"])
+    @pytest.mark.parametrize("compute", [symplectic_eigenvalues, gaussian_entropy,
+                                         validate_covariance],
+                             ids=["symplectic_eigenvalues", "gaussian_entropy",
+                                  "validate_covariance"])
+    def test_one_unphysical_member_raises_as_alone(self, bad, compute):
+        with pytest.raises(InvalidStateError) as alone:
+            compute(bad)
+        with pytest.raises(InvalidStateError) as stacked:
+            compute(np.stack([0.5 * np.eye(4), bad, np.diag([1.5, 1.5, 0.5, 0.5])]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_marginal_of_a_stack_checks_modes(self):
+        with pytest.raises(DomainError):
+            marginal(extension_stack(), [3])
 
 
 class TestEntropy:
