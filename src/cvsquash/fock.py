@@ -179,44 +179,72 @@ def _kraus_sum(rho, channel, complement):
     """Kraus sum of the channel on a vacuum ancilla over a sequence of (N, N)
     matrices, as one (states, N, N) stack.
 
-    Each channel has the form out[a, b] = sum_j W[j, a] W[j, b] rho[a -+ j, b -+ j],
-    with W read from the amplitude table (0 outside it):
-        attenuator   W[j, a] = beta[a + j, j]    rho[a + j, b + j]
-        amplifier    W[j, a] = sigma[a - j, j]   rho[a - j, b - j]
-        complement   W[t, a] = sigma[t - a, a]   rho[t - a, t - b]
-    where t is the amplifier's output level.  rho is zero-padded to 2N x 2N, so
-    that the shifted copies are one strided view with no copy; the complement
-    pads rho flipped, so that a and b step forward through memory.  Complex data
-    is read as interleaved floats, and one real einsum adds the terms in the
-    order j = 0, 1, ..., N - 1.
+    All three channels conserve a - b, so diagonal k of the output depends only
+    on diagonal k of the input, out[a, a + k] = sum_i T[k, a, i] rho[i, i + k], with
+        amplifier    T[k, a, i] = sigma[i, a - i] sigma[i + k, a - i]
+        attenuator   T[k, a, i] = beta[i, i - a] beta[i + k, i - a]
+        complement   T[k, a, i] = sigma[i + k, a] sigma[i, a + k],  on conj(rho)
+    and the amplitude tables 0 outside them.  T[k, a, i] = 0 once a + k or
+    i + k reaches N, and by hermiticity only k >= 0 is needed.
+
+    The table is laid out in rows of N + 1, zero-padded to 2N rows (the
+    attenuator's with its columns reversed, so that a steps forward) and
+    flattened.  Each factor of T[k] is that flat table shifted by 0, 1 or N + 1
+    places per k, so one product of two strided views makes P[k, x] for every
+    k, and T[k] is a strided view of P[k] in which a steps by 1 and i by N
+    (N + 1 for the complement).  Where a column index leaves the table's row,
+    it reads the pad column or a neighbouring row, and the product is still
+    T[k, a, i]: one of its factors then lies where the table is 0.
+
+    The states are stacked state-last and zero-padded to (N, 2N, states), so
+    the k-th diagonals of every state are one strided view D[k, i] of
+    interleaved floats.  One real batched matmul T @ D writes diagonal k into
+    the upper triangle of a zeroed (N + 1, N, states) stack; a + k >= N lands
+    below the diagonal or in the spare row, as 0.  With T[0] halved, out + out^H
+    fills the lower triangle, so every output equals its conjugate transpose
+    exactly.  BLAS fixes no order for the terms of a sum, so the outputs agree
+    with a per-term loop to rounding, not bit for bit.
     """
-    N = len(rho[0])
-    n = np.arange(N)
-    j, a = n[:, None], n[None, :]
-    kind = "beam-splitter" if channel.kind == "attenuator" else "squeezer"
-    table = _vacuum_ancilla_amplitudes(kind, float(channel.value), N)
-    # W's table entries, and where the shifted view starts and steps in the padding
-    if channel.kind == "attenuator":
-        rows, cols, corner, base, step = a + j, j, 0, 0, 1
-    elif complement:
-        rows, cols, corner, base, step = j - a, a, 0, N - 1, -1
-    else:
-        rows, cols, corner, base, step = a - j, j, N, N, -1
-    inside = (rows >= 0) & (rows < N)
-    W = np.where(inside, table[np.where(inside, rows, 0), cols], 0.0)
+    N, S = len(rho[0]), len(rho)
+    R = N + 1
+    attenuator = channel.kind == "attenuator"
+    table = _vacuum_ancilla_amplitudes("beam-splitter" if attenuator else "squeezer",
+                                       float(channel.value), N)
+    pad = np.zeros((2 * N, R))
+    pad[:N, :N] = table[:, ::-1] if attenuator else table
+    pad = pad.ravel()
+    e = pad.itemsize
+    # each factor's shift per k; then in P[k], the place of a = i = 0 and i's step
+    if complement:  # x = i R + a
+        shifts, start, step = (R, 1), 0, R
+    elif attenuator:  # x = i N + a + N - 1, in the reversed columns
+        shifts, start, step = (0, R), N - 1, N
+    else:  # x = i N + a
+        shifts, start, step = (0, R), 0, N
+    # einsum, unlike the multiply ufunc, copies no strided operand into a buffer
+    factors = [as_strided(pad, (N, N * R), (shift * e, e)) for shift in shifts]
+    P = np.einsum("kx,kx->kx", *factors)
+    P[0] *= 0.5  # the main diagonal, which out + out^H counts twice
+    T = as_strided(P[:, start:], (N, N, N), (P.strides[0], e, step * e))
 
     dtype = np.result_type(float, *{m.dtype for m in rho})
-    pad = np.zeros((len(rho), 2 * N, 2 * N), dtype)
-    window = pad[:, corner:corner + N, corner:corner + N]
-    np.stack(rho, out=window[:, ::-1, ::-1] if complement else window)
-    out = np.empty((len(rho), N, N), dtype)
-    k = 2 if dtype.kind == "c" else 1  # floats per entry
-    flat = pad.view(np.float64)
-    row, col = flat.strides[1:]
-    shifted = as_strided(flat[:, base:, k * base:], shape=(len(rho), N, N, k * N),
-                         strides=(flat.strides[0], step * (row + k * col), row, col))
-    np.einsum("ja,jc,sjac->sac", W, np.repeat(W, k, axis=1), shifted,
-              out=out.view(np.float64))
+    f = 2 if dtype.kind == "c" else 1  # floats per entry
+    padded = np.zeros((N, 2 * N, S), dtype)
+    np.stack(rho, axis=-1, out=padded[:, :N])
+    upper = np.zeros((R, N, S), dtype)
+    # [k, i or a, (state, float)], the last axis at unit stride in both
+    row = f * S * e
+    D = as_strided(padded.view(np.float64), (N, N, f * S), (row, (2 * N + 1) * row, e))
+    U = as_strided(upper.view(np.float64), (N, N, f * S), (row, R * row, e))
+    np.matmul(T, D, out=U)
+    if complement:  # T @ conj(D) = conj(T @ D), as T is real
+        np.conjugate(upper, out=upper)
+    upper = upper[:N].transpose(2, 0, 1)
+    # a ufunc would buffer the transposed read; copyto does not
+    out = np.empty((S, N, N), dtype)
+    np.copyto(out, upper.transpose(0, 2, 1))
+    np.conjugate(out, out=out)
+    out += upper
     return out
 
 
@@ -249,9 +277,9 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
         raise DomainError("the states of a stack must share one cutoff")
     E_in = max(s.mean_photon_number() for s in states)
     E_out = _channel_energies(E_in, channel, complement)
-    # per state the 2N x 2N complex padding (64 N^2 B) and the output (16 N^2 B);
-    # once W and its repeat (24 N^2 B)
-    _check_memory(N, len(states) * 80 * N**2 + 24 * N**2, E_out)
+    # the transfer tensor (8 N^2 (N + 1) B) with the table and its padding, and per
+    # state the padded input, its upper triangle and the output: below 80 N^2 B each
+    _check_memory(N, 8 * N**3 + 80 * N**2 * (len(states) + 1), E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
         tail = max(s.tail_bound for s in states)
@@ -338,9 +366,11 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
-    # an upper bound on X, the two halves of one gathered block stack (3 N^3 / 8
-    # doubles), its folded Gram stack and the eigensolver's copy (N^3 / 4 each)
-    _check_memory(N, 4 * 8 * (N + 1) ** 3, e_max)
+    # X and prob = X**2 at once (N (N + 1)^2 doubles each) are the largest working
+    # set; a gathered block stack, its Gram stack and the eigensolver's copy take
+    # less than prob.  Measured (tracemalloc), a call peaks at 2.03 x 8 N^3 B at
+    # N = 200 and at 2.49 x at N = 20, where the interpreter's own allocations count.
+    _check_memory(N, 2.5 * 8 * N**3, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 

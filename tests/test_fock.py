@@ -171,6 +171,12 @@ class TestPartialTrace:
             fock.partial_trace(joint, [0, 0])
 
 
+def channel_charge(N, count):
+    """The working set ``apply_channel_fock`` charges for ``count`` states at
+    cutoff N: the transfer tensor, and 80 N^2 B per state and once more."""
+    return 8 * N**3 + 80 * N**2 * (count + 1)
+
+
 class TestChannels:
     def test_attenuator_output_entropy(self):
         state = fock.thermal_fock(1.0, fock.required_cutoff(1.0))
@@ -223,17 +229,34 @@ class TestChannels:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_memory_estimate_is_the_refusal_boundary(self, monkeypatch, count):
-        # per state the 2N x 2N complex padding and the output, once W and its repeat
         N = 40
         states = [fock.thermal_fock(1.0, N) for _ in range(count)]
         state = states[0] if count == 1 else states
-        estimate = count * 80 * N**2 + 24 * N**2
+        estimate = channel_charge(N, count)
         channel = ChannelParam.amplifier(2.0)
         monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate - 1)
         with pytest.raises(CutoffError, match="limit"):
             fock.apply_channel_fock(state, channel, enforce_cutoff=False)
         monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate)
         fock.apply_channel_fock(state, channel, enforce_cutoff=False)
+
+    @pytest.mark.parametrize("N, count", [(40, 1), (40, 200), (120, 1)])
+    def test_working_memory_within_the_charge(self, N, count):
+        rng = np.random.default_rng(3)
+        states = [fock.random_one_mode_state(rng, N) for _ in range(count)]
+        state = states[0] if count == 1 else states
+        for channel, complement in ((ChannelParam.amplifier(1.2), False),
+                                    (ChannelParam.amplifier(1.2), True),
+                                    (ChannelParam.attenuator(0.37), False)):
+            tracemalloc.start()
+            try:
+                fock.apply_channel_fock(state, channel, complement=complement,
+                                        enforce_cutoff=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # within the charge, which is not so far above it that cutoffs that fit are refused
+            assert 0.7 * channel_charge(N, count) < peak <= channel_charge(N, count)
 
     @pytest.mark.parametrize("channel", [ChannelParam.amplifier(2.0),
                                          ChannelParam.attenuator(0.5)], ids=["amp", "att"])
@@ -290,11 +313,19 @@ EXACT_CHANNELS = [
 EXACT_IDS = ["amp-1.2", "amp-2", "comp-1.2", "comp-2", "att-0", "att-0.37", "att-1"]
 
 
-def loop_reference(state, channel, complement):
+def loop_reference(matrix, channel, complement):
     attenuator = channel.kind == "attenuator"
     kind = "beam-splitter" if attenuator else "squeezer"
-    table = fock._vacuum_ancilla_amplitudes(kind, channel.value, state.cutoff)
-    return kraus_sum_loop(state.matrix, table, attenuator, complement)
+    table = fock._vacuum_ancilla_amplitudes(kind, channel.value, len(matrix))
+    return kraus_sum_loop(matrix, table, attenuator, complement)
+
+
+def rounding_bound(state, channel, complement):
+    """Per-entry bound on how far two summation orders of one Kraus sum can
+    differ: 2 N eps times the same sum over |rho|, which bounds the sum of the
+    terms' moduli since every amplitude is >= 0."""
+    loop = loop_reference(np.abs(state.matrix), channel, complement)
+    return 2 * state.cutoff * np.finfo(float).eps * loop
 
 
 def exact_input(kind, N):
@@ -304,19 +335,22 @@ def exact_input(kind, N):
 
 
 class TestKrausSum:
-    """The strided contraction against the per-term loop it replaced: the terms
-    add in the same order, so the outputs agree bit for bit."""
+    """The diagonal kernel against the per-term loop it replaced.  A batched
+    matmul does not keep the loop's summation order, so the outputs agree to
+    the rounding of the sum (``rounding_bound``), not bit for bit; each output
+    is still exactly Hermitian."""
 
     @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
-    @pytest.mark.parametrize("N", [3, 5, 12, 40, 81])
+    @pytest.mark.parametrize("N", [2, 3, 5, 12, 40, 81])
     @pytest.mark.parametrize("kind", ["thermal", "random"])
     def test_equals_the_per_term_loop(self, channel, complement, N, kind):
         state = exact_input(kind, N)
         out = fock.apply_channel_fock(state, channel, complement=complement,
                                       enforce_cutoff=False)
-        expected = loop_reference(state, channel, complement)
+        expected = loop_reference(state.matrix, channel, complement)
         assert out.matrix.dtype == expected.dtype
-        assert (out.matrix == expected).all()
+        assert (np.abs(out.matrix - expected) <= rounding_bound(state, channel, complement)).all()
+        assert (out.matrix == out.matrix.conj().T).all()
 
     @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
     def test_stack_equals_single_calls(self, channel, complement):
@@ -328,7 +362,9 @@ class TestKrausSum:
         for state, out in zip(states, stacked):
             single = fock.apply_channel_fock(state, channel, complement=complement,
                                              enforce_cutoff=False)
-            assert (out.matrix == single.matrix).all()
+            bound = rounding_bound(state, channel, complement)
+            assert (np.abs(out.matrix - single.matrix) <= bound).all()
+            assert (out.matrix == out.matrix.conj().T).all()
             assert out.tail_bound == single.tail_bound
 
     def test_stack_checks_its_largest_tail(self):
@@ -390,7 +426,7 @@ class TestOracleCmi:
                 fock.oracle_cmi(kappa, E, 1.0, N), abs=1e-12
             )
 
-    def test_working_memory_is_cubic(self):
+    def test_working_memory_is_cubic(self, monkeypatch):
         N = 80
         tracemalloc.start()
         try:
@@ -398,8 +434,15 @@ class TestOracleCmi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * (N + 1) ** 3  # the estimate checked against the limit
+        assert peak <= 2.5 * 8 * N**3  # the estimate checked against the limit
         assert peak < 8 * N**4 / 10
+        # the refusal boundary lies between the peak and 1.25 times it: what
+        # does not fit is refused, and what fits with that margin is not
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", peak - 1)
+        with pytest.raises(CutoffError, match="limit"):
+            fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", int(1.25 * peak))
+        fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
 
     #: odd and even cutoffs, down to the smallest, where h = ceil(N/2) = 1
     FOLD_CUTOFFS = (2, 3, 4, 5, 17, 44, 45)
