@@ -1,8 +1,8 @@
 """Truncated Fock-space oracle: dense states and exact channel actions.
 
 This is the independent verification route for the covariance-matrix
-formalism.  States are dense density matrices on a cutoff Fock space with a
-recorded tail bound.  Every channel action and the three-mode conditional
+formalism.  A state is a dense density matrix on a cutoff Fock space, or a
+stack of them, with a recorded tail bound per matrix.  Every channel action and the three-mode conditional
 mutual information are built from one table of closed-form vacuum-ancilla
 amplitudes: the attenuator, the amplifier and the amplifier's complement are
 exact Kraus sums on it, with no eigendecomposition of the input, and
@@ -35,37 +35,54 @@ _EIG_FLOOR = 1e-14
 ORACLE_MEMORY_LIMIT = 2**30
 
 
+def _value(x):
+    """A float for one matrix, the array itself for a stack."""
+    return x if np.ndim(x) else float(x)
+
+
 @dataclass(frozen=True)
 class TruncatedState:
-    """Dense density matrix on a cutoff Fock space, with truncation metadata."""
+    """Dense density matrix on a cutoff Fock space, or a (..., N, N) stack of
+    them, with the norm the truncation lost per matrix as ``tail_bound``.
+
+    Like ``GaussianState``, ``trace``, ``mean_photon_number()`` and
+    ``tail_bound`` are floats for one matrix and arrays for a stack."""
 
     matrix: np.ndarray
-    cutoff: int
-    modes: int
     tail_bound: float
 
     def __post_init__(self):
-        dim = self.cutoff**self.modes
-        if self.matrix.shape != (dim, dim):
+        m = self.matrix
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+            raise InvalidStateError(f"matrix shape {m.shape} is not a stack of square matrices")
+        # a NaN or infinite entry makes its difference NaN or infinite, so one
+        # comparison refuses both; only the message has to tell them apart
+        with np.errstate(invalid="ignore"):
+            hermitian = (np.abs(m - np.swapaxes(m, -1, -2).conj()) <= 1e-12).all()
+        if not hermitian:
+            raise InvalidStateError("density matrix " + (
+                "is not Hermitian" if np.isfinite(m).all() else "has NaN or infinite entries"))
+        # one matrix is checked in floats, which numpy's scalar calls would slow down
+        stack = m.ndim > 2
+        tr = self.trace
+        tail = np.broadcast_to(self.tail_bound, tr.shape).copy() if stack else float(self.tail_bound)
+        object.__setattr__(self, "tail_bound", tail)
+        inside = (1.0 - tail - 1e-10 <= tr) & (tr <= 1.0 + 1e-10)
+        if not (inside.all() if stack else inside):
             raise InvalidStateError(
-                f"matrix shape {self.matrix.shape} does not match cutoff {self.cutoff}"
-                f" on {self.modes} modes"
-            )
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-12:
-            raise InvalidStateError("density matrix is not Hermitian")
-        tr = float(np.real(np.trace(self.matrix)))
-        if not (1.0 - self.tail_bound - 1e-10 <= tr <= 1.0 + 1e-10):
-            raise InvalidStateError(f"trace {tr} outside [1 - tail_bound, 1]")
+                f"trace {np.extract(~np.asarray(inside), tr)[0]} outside [1 - tail_bound, 1]")
+
+    @property
+    def cutoff(self):
+        return self.matrix.shape[-1]
 
     @property
     def trace(self):
-        return float(np.real(np.trace(self.matrix)))
+        return _value(np.real(np.trace(self.matrix, axis1=-2, axis2=-1)))
 
-    def mean_photon_number(self, mode=0):
-        diag = np.real(np.diagonal(self.matrix)).reshape((self.cutoff,) * self.modes)
-        axes = tuple(i for i in range(self.modes) if i != mode)
-        p = diag.sum(axis=axes) if axes else diag
-        return float(p @ np.arange(self.cutoff, dtype=float))
+    def mean_photon_number(self):
+        diag = np.real(np.diagonal(self.matrix, axis1=-2, axis2=-1))
+        return _value(diag @ np.arange(self.cutoff, dtype=float))
 
 
 def geometric_tail(E, N):
@@ -108,46 +125,19 @@ def _check_memory(N, nbytes, E_max):
         )
 
 
+def _thermal_probabilities(E, N):
+    """Photon-number distribution of a thermal state of mean E, to level N - 1."""
+    return (E / (E + 1.0)) ** np.arange(N) / (E + 1.0)  # 0^0 = 1 at E = 0
+
+
 def thermal_fock(E, N):
     """Diagonal geometric thermal state, left sub-normalized by its tail."""
     E = in_domain("mean energy", E, ENERGY)
     N = in_domain("cutoff", N, CUTOFF)
     # the matrix and the Hermiticity check's temporaries
     _check_memory(N, 4 * 8 * N**2, E)
-    p = (E / (E + 1.0)) ** np.arange(N) / (E + 1.0)  # 0^0 = 1 at E = 0
-    return TruncatedState(np.diag(p), cutoff=N, modes=1, tail_bound=geometric_tail(E, N))
-
-
-def tmsv_vector(E, N):
-    """Schmidt vector of the two-mode squeezed vacuum with mean energy E per mode,
-    as the diagonal (N, N) amplitude array."""
-    E = in_domain("mean energy", E, ENERGY)
-    N = in_domain("cutoff", N, CUTOFF)
-    return np.diag(np.sqrt((E / (E + 1.0)) ** np.arange(N) / (E + 1.0)))
-
-
-def partial_trace(state, keep):
-    """Reduced state on the modes in ``keep`` (order preserved)."""
-    keep = list(keep)
-    if not keep or any(m < 0 or m >= state.modes for m in keep):
-        raise DomainError(f"keep set {keep} out of range for {state.modes} modes")
-    if len(set(keep)) != len(keep):
-        raise DomainError(f"keep set {keep} has duplicates")
-    N, m = state.cutoff, state.modes
-    dims = (N,) * (2 * m)
-    rho = state.matrix.reshape(dims)
-    drop = [i for i in range(m) if i not in keep]
-    for i in sorted(drop, reverse=True):
-        rho = np.trace(rho, axis1=i, axis2=i + rho.ndim // 2)
-    # reorder retained modes to the requested order
-    order = sorted(range(len(keep)), key=lambda i: keep[i])
-    perm = [order.index(i) for i in range(len(keep))]
-    k = len(keep)
-    rho = rho.transpose(tuple(perm) + tuple(k + p for p in perm))
-    dim = N**k
-    return TruncatedState(
-        rho.reshape(dim, dim), cutoff=N, modes=k, tail_bound=state.tail_bound
-    )
+    return TruncatedState(np.diag(_thermal_probabilities(E, N)),
+                          tail_bound=geometric_tail(E, N))
 
 
 def entropy_of_spectrum(eigs):
@@ -176,8 +166,8 @@ def _channel_energies(E_in, channel, complement):
 
 
 def _kraus_sum(rho, channel, complement):
-    """Kraus sum of the channel on a vacuum ancilla over a sequence of (N, N)
-    matrices, as one (states, N, N) stack.
+    """Kraus sum of the channel on a vacuum ancilla over a (..., N, N) stack of
+    matrices, as a stack of the same shape.
 
     All three channels conserve a - b, so diagonal k of the output depends only
     on diagonal k of the input, out[a, a + k] = sum_i T[k, a, i] rho[i, i + k], with
@@ -205,8 +195,9 @@ def _kraus_sum(rho, channel, complement):
     exactly.  BLAS fixes no order for the terms of a sum, so the outputs agree
     with a per-term loop to rounding, not bit for bit.
     """
-    N, S = len(rho[0]), len(rho)
-    R = N + 1
+    shape, N = rho.shape, rho.shape[-1]
+    rho = rho.reshape(-1, N, N)
+    S, R = len(rho), N + 1
     attenuator = channel.kind == "attenuator"
     table = _vacuum_ancilla_amplitudes("beam-splitter" if attenuator else "squeezer",
                                        float(channel.value), N)
@@ -227,10 +218,10 @@ def _kraus_sum(rho, channel, complement):
     P[0] *= 0.5  # the main diagonal, which out + out^H counts twice
     T = as_strided(P[:, start:], (N, N, N), (P.strides[0], e, step * e))
 
-    dtype = np.result_type(float, *{m.dtype for m in rho})
+    dtype = np.result_type(float, rho.dtype)
     f = 2 if dtype.kind == "c" else 1  # floats per entry
     padded = np.zeros((N, 2 * N, S), dtype)
-    np.stack(rho, axis=-1, out=padded[:, :N])
+    padded[:, :N] = rho.transpose(1, 2, 0)
     upper = np.zeros((R, N, S), dtype)
     # [k, i or a, (state, float)], the last axis at unit stride in both
     row = f * S * e
@@ -245,11 +236,12 @@ def _kraus_sum(rho, channel, complement):
     np.copyto(out, upper.transpose(0, 2, 1))
     np.conjugate(out, out=out)
     out += upper
-    return out
+    return out.reshape(shape)
 
 
 def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
-    """Stinespring action of the attenuator/amplifier on a one-mode state.
+    """Stinespring action of the attenuator/amplifier on a one-mode state, or on
+    each matrix of a stack of them; the output has the input's shape.
 
     The output is the exact Kraus sum sum_K K rho K^dag over the closed-form
     vacuum-ancilla amplitudes, truncated to the input's cutoff;
@@ -260,29 +252,19 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     pessimistic.  When the cutoff is enforced, an input whose recorded
     ``tail_bound`` is above what the cutoff rule allows is refused as well:
     its mean photon number, taken within the cutoff, understates its energy.
-
-    ``state`` may also be a sequence of one-mode states at one cutoff: they go
-    through the channel as one stack, the checks apply to the stack's largest
-    energy and tail, and the outputs come back as a list.
+    On a stack, the checks apply to its largest energy and tail.
     """
-    states = [state] if isinstance(state, TruncatedState) else list(state)
-    if not states:
-        raise DomainError("no states to apply the channel to")
-    if any(s.modes != 1 for s in states):
-        raise DomainError("channel actions are defined on one-mode states")
     if complement and channel.kind != "amplifier":
         raise DomainError("only the amplifier complement is supported")
-    N = states[0].cutoff
-    if any(s.cutoff != N for s in states):
-        raise DomainError("the states of a stack must share one cutoff")
-    E_in = max(s.mean_photon_number() for s in states)
-    E_out = _channel_energies(E_in, channel, complement)
+    N = state.cutoff
+    E_out = _channel_energies(float(np.max(state.mean_photon_number())), channel, complement)
     # the transfer tensor (8 N^2 (N + 1) B) with the table and its padding, and per
     # state the padded input, its upper triangle and the output: below 80 N^2 B each
-    _check_memory(N, 8 * N**3 + 80 * N**2 * (len(states) + 1), E_out)
+    count = state.matrix.size // N**2
+    _check_memory(N, 8 * N**3 + 80 * N**2 * (count + 1), E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
-        tail = max(s.tail_bound for s in states)
+        tail = float(np.max(state.tail_bound))
         if tail > _TAIL_SLACK * TAIL_TARGET:
             # a geometric tail q^N reaches the target at N ln(target) / ln(q^N);
             # a tail that rounds to 1 counts as the largest double below 1
@@ -293,11 +275,9 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
                 f" {N}; the selection rule asks for N >= {hint}",
                 required=hint,
             )
-    out = _kraus_sum([s.matrix for s in states], channel, complement)
-    lost = 1.0 - np.real(np.trace(out, axis1=1, axis2=2))
-    outputs = [TruncatedState(m, cutoff=N, modes=1, tail_bound=max(float(t), 0.0))
-               for m, t in zip(out, lost)]
-    return outputs[0] if isinstance(state, TruncatedState) else outputs
+    out = _kraus_sum(state.matrix, channel, complement)
+    lost = 1.0 - np.real(np.trace(out, axis1=-2, axis2=-1))
+    return TruncatedState(out, tail_bound=np.maximum(lost, 0.0))
 
 
 def _vacuum_ancilla_amplitudes(kind, value, N):
@@ -375,7 +355,7 @@ def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
         check_cutoff(N, e_max)
 
     lam = np.zeros(2 * N + 1)
-    lam[:N] = np.diagonal(tmsv_vector(E, N))
+    lam[:N] = np.sqrt(_thermal_probabilities(E, N))  # the TMSV Schmidt coefficients
     beta = np.zeros((2 * N + 1, N))
     beta[:N] = _vacuum_ancilla_amplitudes("beam-splitter", eta, N)
     sigma = np.zeros((2 * N + 1, N))
@@ -448,32 +428,22 @@ def random_one_mode_state(rng, N, support=10, rotations=6):
     among the lowest support + 2 (at most N)."""
     N = in_domain("cutoff", N, CUTOFF)
     support = in_domain("support", support, (1, N, f"an integer in [1, N = {N}]"))
-    p = rng.dirichlet(np.ones(support))
-    rho = np.zeros((N, N), dtype=complex)
-    rho[:support, :support] = np.diag(p)
-    for _ in range(rotations):
-        i, j = rng.choice(min(support + 2, N), size=2, replace=False)
-        _rotate_pair(rho, i, j, rng)
-    rho = 0.5 * (rho + rho.conj().T)
-    return TruncatedState(rho, cutoff=N, modes=1, tail_bound=0.0)
+    rho = _random_mixture(rng, N, np.arange(support), np.arange(min(support + 2, N)),
+                          rotations)
+    return TruncatedState(rho, tail_bound=0.0)
 
 
-def random_two_mode_state(rng, N, support=4, rotations=8):
-    """Seeded random two-mode state with bounded per-mode support."""
-    N = in_domain("cutoff", N, CUTOFF)
-    lo = 2 if rotations > 0 else 1  # a rotation needs two levels to draw
-    support = in_domain("support", support,
-                        (lo, N, f"an integer in [{lo}, N = {N}] at rotations = {rotations}"))
-    dim = N * N
-    levels = [a * N + b for a in range(support) for b in range(support)]
-    p = rng.dirichlet(np.ones(len(levels)))
+def _random_mixture(rng, dim, weighted, stirred, rotations):
+    """(dim, dim) density matrix: Dirichlet weights on the basis states
+    ``weighted``, then ``rotations`` Haar-random rotations, each of two distinct
+    basis states drawn from ``stirred``."""
+    p = rng.dirichlet(np.ones(len(weighted)))
     rho = np.zeros((dim, dim), dtype=complex)
-    rho[np.ix_(levels, levels)] = np.diag(p)
+    rho[weighted, weighted] = p
     for _ in range(rotations):
-        i, j = rng.choice(levels, size=2, replace=False)
+        i, j = stirred[rng.choice(len(stirred), size=2, replace=False)]
         _rotate_pair(rho, i, j, rng)
-    rho = 0.5 * (rho + rho.conj().T)
-    return TruncatedState(rho, cutoff=N, modes=2, tail_bound=0.0)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _rotate_pair(rho, i, j, rng):

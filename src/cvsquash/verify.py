@@ -215,16 +215,18 @@ def verify_moe_spot(tolerance=1e-6, seed=7):
     """Theorem 4/5 spot check: no random state beats the thermal output-entropy bound."""
     samples, N, kappas = 200, 40, (1.2, 2.0)
     rng = np.random.default_rng(seed)
-    states = [fock.random_one_mode_state(rng, N) for _ in range(samples)]
-    s_in = fock.spectral_entropy(np.stack([s.matrix for s in states]))
+    states = fock.TruncatedState(
+        np.stack([fock.random_one_mode_state(rng, N).matrix for _ in range(samples)]),
+        tail_bound=0.0)
+    s_in = fock.spectral_entropy(states)
     # output entropies of the amplifier and of its complement, per gain; each
     # channel takes all the states as one stack
     out = np.empty((len(kappas), 2, samples))
     for k, kappa in enumerate(kappas):
         for c, complement in enumerate((False, True)):
-            outputs = fock.apply_channel_fock(states, se.ChannelParam.amplifier(kappa),
-                                              complement=complement, enforce_cutoff=False)
-            out[k, c] = fock.spectral_entropy(np.stack([o.matrix for o in outputs]))
+            out[k, c] = fock.spectral_entropy(fock.apply_channel_fock(
+                states, se.ChannelParam.amplifier(kappa), complement=complement,
+                enforce_cutoff=False))
     bound = np.array(
         [(se.moe_amplifier(kappa, s_in), se.moe_complement(kappa, s_in)) for kappa in kappas]
     )
@@ -243,13 +245,14 @@ def verify_epi_spot(tolerance=1e-6, seed=7):
     # the squeezer on (A, vacuum B) sends n_A = a - b to (a, b); gain is 0 where a < b
     src = (a - b) % N
     gain = np.where(a >= b, sigma[src, b], 0.0)
+    # omega_AR mixes the levels n_A, n_R < 4, index n_A N + n_R
+    levels = (N * np.arange(4)[:, None] + np.arange(4)).ravel()
     worst = -math.inf
     for _ in range(samples):
-        omega = fock.random_two_mode_state(rng, N)  # modes (A, R)
-        s_cond_in = fock.spectral_entropy(omega) - fock.spectral_entropy(
-            fock.partial_trace(omega, [1])
-        )
-        w, V = np.linalg.eigh(omega.matrix)
+        omega = fock._random_mixture(rng, N * N, levels, levels, rotations=8)
+        omega_r = np.trace(omega.reshape(N, N, N, N), axis1=0, axis2=2)
+        s_cond_in = fock.spectral_entropy(omega) - fock.spectral_entropy(omega_r)
+        w, V = np.linalg.eigh(omega)
         keep = w >= 1e-15
         vecs = (V[:, keep] * np.sqrt(w[keep])).reshape(N, N, -1)  # (A, R, k)
         psi = gain[:, :, None, None] * vecs[src]  # (A, B, R, k)

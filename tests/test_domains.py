@@ -77,11 +77,9 @@ FUNCTIONS = [
     (fock.required_cutoff, (1.0,), [MEAN_ENERGY]),
     (fock.check_cutoff, (8, 0.01), [CUTOFF, MEAN_ENERGY]),
     (fock.thermal_fock, (1.0, 8), [MEAN_ENERGY, CUTOFF]),
-    (fock.tmsv_vector, (1.0, 8), [MEAN_ENERGY, CUTOFF]),
     (fock.oracle_cmi, (1.001, 0.001, 0.5, 8), [SQUEEZING_GAIN, MEAN_ENERGY, ETA, CUTOFF]),
     (fock.oracle_lost_norm, (2.0, 1.0, 0.5, 8), [SQUEEZING_GAIN, MEAN_ENERGY, ETA, CUTOFF]),
     (fock.random_one_mode_state, (RNG, 12), [None, CUTOFF]),
-    (fock.random_two_mode_state, (RNG, 8), [None, CUTOFF]),
 ]
 
 PARAMETERS = [

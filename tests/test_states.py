@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvsquash import symplectic
-from cvsquash.entropics import g
+from cvsquash.entropics import g, psi
 from cvsquash.errors import DomainError, InvalidStateError
 from cvsquash.states import (
     GaussianState,
@@ -163,6 +163,18 @@ class TestExtensionFamily:
         cmi = gaussian_cmi(fam, "A", "B", "R")
         closed = 2.0 * (g((kappa - 0.5) * E + kappa - 1.0) - g(0.5 * E))
         assert cmi == pytest.approx(closed, abs=1e-11)
+
+    def test_cmi_closed_form_pointwise(self):
+        # S(AR) - S(R) = psi(eta) and S(BR) - S(ABR) = psi(1 - eta), so each draw
+        # has its own exact value; the kernel's error grows with E (ROADMAP item 5)
+        rng = np.random.default_rng(0)
+        kappa = rng.uniform(1.0, 10.0, 2000)
+        E = rng.uniform(0.0, 50.0, 2000)
+        eta = rng.uniform(0.0, 1.0, 2000)
+        cmi = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
+        error = np.abs(cmi - (psi(kappa, E, eta) + psi(kappa, E, 1.0 - eta)))
+        assert error.max() <= 1e-8
+        assert error[E <= 20.0].max() <= 1e-10
 
 
 class TestCmi:
