@@ -62,15 +62,12 @@ class TruncatedState:
         if not hermitian:
             raise InvalidStateError("density matrix " + (
                 "is not Hermitian" if np.isfinite(m).all() else "has NaN or infinite entries"))
-        # one matrix is checked in floats, which numpy's scalar calls would slow down
-        stack = m.ndim > 2
-        tr = self.trace
-        tail = np.broadcast_to(self.tail_bound, tr.shape).copy() if stack else float(self.tail_bound)
-        object.__setattr__(self, "tail_bound", tail)
+        tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+        tail = np.full(tr.shape, self.tail_bound, dtype=float)
+        object.__setattr__(self, "tail_bound", _value(tail))
         inside = (1.0 - tail - 1e-10 <= tr) & (tr <= 1.0 + 1e-10)
-        if not (inside.all() if stack else inside):
-            raise InvalidStateError(
-                f"trace {np.extract(~np.asarray(inside), tr)[0]} outside [1 - tail_bound, 1]")
+        if not inside.all():
+            raise InvalidStateError(f"trace {tr[~inside][0]} outside [1 - tail_bound, 1]")
 
     @property
     def cutoff(self):

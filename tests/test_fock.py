@@ -645,9 +645,10 @@ class TestRandomStates:
         assert eigs.min() > -1e-12
 
     def test_two_mode_valid(self):
-        # the omega_AR draw of the epi-spot suite: two modes at N = 12
-        levels = (12 * np.arange(4)[:, None] + np.arange(4)).ravel()
-        rho = fock._random_mixture(np.random.default_rng(3), 144, levels, levels, rotations=8)
+        # a draw the size of two modes at N = 12; test_pinned[epi-spot] covers
+        # the suite's own level layout
+        rho = fock._random_mixture(np.random.default_rng(3), 144, np.arange(0, 144, 9),
+                                   np.arange(5, 60), rotations=8)
         state = fock.TruncatedState(rho, tail_bound=0.0)
         assert state.trace == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
