@@ -2,14 +2,18 @@
 
 This is the independent verification route for the covariance-matrix
 formalism.  A state is a dense density matrix on a cutoff Fock space, or a
-stack of them, with a recorded tail bound per matrix.  Every channel action and the three-mode conditional
-mutual information are built from one table of closed-form vacuum-ancilla
-amplitudes: the attenuator, the amplifier and the amplifier's complement are
-exact Kraus sums on it, with no eigendecomposition of the input, and
-``oracle_cmi`` uses it together with the conserved photon-number charge of
-its pure four-mode state to work in O(N^3) memory and O(N^4) time.  What the
-truncation loses is reported, not renormalized away; only a fixed memory
-limit bounds the cutoff.
+stack of them, with a recorded tail bound per matrix.  Every channel action
+and the three-mode conditional mutual information are built from one table of
+closed-form vacuum-ancilla amplitudes.  The attenuator, the amplifier and the
+amplifier's complement are exact Kraus sums on it, with no eigendecomposition
+of the input.  ``oracle_cmi`` uses it with the conserved photon-number charge
+of its pure four-mode state: the amplitude factors as sqrt((r + b + c)! /
+(r! b! c!)) times geometric factors, so every charge block of its two reduced
+states is rank one, and the cutoff, which zeroes whole columns of a block,
+keeps it so.  Each entropy is then that of a photon-number distribution, in
+O(N^2) memory and O(N^3) time, with no eigensolve.  What the truncation loses
+is reported, not renormalized away; only a fixed memory limit bounds the
+cutoff.
 """
 
 import math
@@ -65,9 +69,11 @@ class TruncatedState:
         tr = np.real(np.trace(m, axis1=-2, axis2=-1))
         tail = np.full(tr.shape, self.tail_bound, dtype=float)
         object.__setattr__(self, "tail_bound", _value(tail))
-        inside = (1.0 - tail - 1e-10 <= tr) & (tr <= 1.0 + 1e-10)
+        inside = (0.0 <= tail) & (tail <= 1.0) & (1.0 - tail - 1e-10 <= tr) & (tr <= 1.0 + 1e-10)
         if not inside.all():
-            raise InvalidStateError(f"trace {tr[~inside][0]} outside [1 - tail_bound, 1]")
+            t, b = tr[~inside][0], tail[~inside][0]
+            raise InvalidStateError(f"tail_bound {b} outside [0, 1]" if not 0.0 <= b <= 1.0
+                                    else f"trace {t} outside [1 - tail_bound, 1]")
 
     @property
     def cutoff(self):
@@ -329,67 +335,54 @@ def oracle_energy(kappa, E, eta):
     return e_max
 
 
-def _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff):
-    """Truncated pure state of modes (A, B, R, C) behind ``oracle_cmi``, as
-    X[r, c, b], after the domain, memory and cutoff checks.
+def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
+    """Photon-number distributions of n_R, n_C, n_B + n_R and n_B + n_C in the
+    truncated purification behind ``oracle_cmi``, after the domain, memory and
+    cutoff checks.
 
     The TMSV pair (n, n) of (A, R) loses c photons of R to the environment C and
     gains b photons in A from the squeezer, so n_A = n_R + n_C + n_B is implied.
-    The axes r and c carry one extra all-zero index N, where gathers of blocks
-    land when they fall outside the state.
+    With n = r + c, the squared amplitude is w[r, c] H[r, c, b]: w = lam^2 beta^2,
+    with lam the TMSV Schmidt coefficients, and H[r, c, b] = sigma^2[r + c, b], a
+    Hankel view of the zero-padded squeezer table.  Contracting the two over c
+    or r gives the joint distributions of (n_R, n_B) and (n_C, n_B).
     """
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
-    # X and prob = X**2 at once (N (N + 1)^2 doubles each) are the largest working
-    # set; a gathered block stack, its Gram stack and the eigensolver's copy take
-    # less than prob.  Measured (tracemalloc), a call peaks at 2.03 x 8 N^3 B at
-    # N = 200 and at 2.49 x at N = 20, where the interpreter's own allocations count.
-    _check_memory(N, 2.5 * 8 * N**3, e_max)
+    # the amplitude tables while they are built, then sigma^2 padded, w, its
+    # indices and the two joint distributions.  Measured (tracemalloc), a call
+    # peaks at 7.16 x 8 N^2 B at N = 200, 7.26 x at N = 80 and 8.46 x at N = 20,
+    # where the interpreter's own allocations count.
+    _check_memory(N, 8.5 * 8 * N**2, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 
-    lam = np.zeros(2 * N + 1)
-    lam[:N] = np.sqrt(_thermal_probabilities(E, N))  # the TMSV Schmidt coefficients
-    beta = np.zeros((2 * N + 1, N))
-    beta[:N] = _vacuum_ancilla_amplitudes("beam-splitter", eta, N)
-    sigma = np.zeros((2 * N + 1, N))
-    sigma[:N] = _vacuum_ancilla_amplitudes("squeezer", kappa, N)
-    k = np.arange(N + 1)
-    n = k[:, None] + k[None, :]  # n = r + c
-    c = np.minimum(k, N - 1)[None, :]  # c = N only meets n >= N, where lam is 0
-    X = sigma[n]
-    X *= (lam[n] * beta[n, c])[:, :, None]
-    return X
-
-
-def _blocked_entropy(T, rest):
-    """Entropy of a block-diagonal state whose block d is the N x (N + 1) matrix
-    T[rest[d, b], b, j], rows b and columns j, each block eigensolved on its
-    smaller side.
-
-    Block d is zero outside rows b <= d and columns j < N - d, so with
-    h = ceil(N/2) the blocks d < h fit in h rows and the blocks d >= h in h
-    columns, and only those are gathered.  B B^T and B^T B share their nonzero
-    spectrum: one stacked eigensolve of N Gram matrices of size h x h gives
-    every block.
-    """
-    N = len(rest)
-    h = (N + 1) // 2
+    beta = _vacuum_ancilla_amplitudes("beam-splitter", eta, N)
+    sigma2 = np.zeros((2 * N, N))
+    sigma2[:N] = _vacuum_ancilla_amplitudes("squeezer", kappa, N)
+    sigma2 **= 2
     k = np.arange(N)
-    low = T[rest[:h, :h], k[:h]]
-    high = T[:, :, :h][rest[h:], k]
-    gram = np.concatenate((low @ low.transpose(0, 2, 1), high.transpose(0, 2, 1) @ high))
-    return entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
+    n = k[:, None] + k[None, :]  # n = r + c, and in the joint tables r + b or c + b
+    # lam^2 is 0 from n = N on, where beta's row is clipped to N - 1 (H is 0 there too)
+    lam2 = np.zeros(2 * N)
+    lam2[:N] = _thermal_probabilities(E, N)
+    w = beta[np.minimum(n, N - 1), k] ** 2
+    w *= lam2[n]
+    H = as_strided(sigma2, (N, N, N), (sigma2.strides[0],) * 2 + (sigma2.strides[1],))
+    rb = np.einsum("rc,rcb->rb", w, H)
+    cb = np.einsum("rc,rcb->cb", w, H)
+    return (rb.sum(axis=1), cb.sum(axis=1),
+            np.bincount(n.ravel(), weights=rb.ravel()), np.bincount(n.ravel(), weights=cb.ravel()))
 
 
 def oracle_lost_norm(kappa, E, eta, N):
     """1 - <psi|psi> for the truncated four-mode purification behind ``oracle_cmi``;
     reported at any cutoff, since it measures what the tail rule estimates."""
-    X = _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff=False)
-    return 1.0 - float(np.sum(X**2))
+    p_r = _oracle_distributions(kappa, E, eta, N, enforce_cutoff=False)[0]
+    return 1.0 - float(np.sum(p_r))
 
 
 def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
@@ -397,26 +390,26 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     computed entirely in Fock space.
 
     The three-mode state is handled through its exact four-mode purification
-    (A, B, R and the attenuator environment C).  The purification conserves the
-    charge n_A - n_B - n_R - n_C, so it fits in an N^3 array; rho_AR and rho_BR
-    are block-diagonal in n_B + n_C and n_B + n_R, rho_R and rho_C are diagonal,
-    and S(ABR) = S(C).  Each charge block is eigensolved on its smaller side, of
-    size at most ceil(N/2).  Memory is O(N^3) and time O(N^4).  Cutoffs whose working
-    set exceeds ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.
-    The truncated state is left sub-normalized by ``oracle_lost_norm``.
+    (A, B, R and the attenuator environment C), which conserves the charge
+    n_A - n_B - n_R - n_C.  So rho_AR is block-diagonal in d = n_B + n_C and
+    rho_BR in e = n_B + n_R, rho_R and rho_C are diagonal, and S(ABR) = S(C).
+
+    Every charge block is rank one.  With n = r + c, the amplitude
+    sigma[n, b] lam[n] beta[n, c] carries sqrt(C(n + b, b) C(n, c)) =
+    sqrt((r + b + c)! / (r! b! c!)), and its geometric factors split the same
+    way; so at b + c = d every entry of block d of rho_AR (rows b, columns r) is
+    u_d(b) v_d(r), and likewise for rho_BR at b + r = e (rows b, columns c).
+    The truncation keeps it so: sigma vanishes at n + b >= N, that is r + d >= N,
+    which zeroes whole columns of block d, and lam's own cut at n < N is implied
+    by it.  A rank-one block's one eigenvalue is its trace, so S(AR), S(BR),
+    S(R) and S(C) are the Shannon entropies of n_B + n_C, n_B + n_R, n_R and
+    n_C, with no eigensolve.  Memory is O(N^2) and time O(N^3).  Cutoffs whose
+    working set exceeds ``ORACLE_MEMORY_LIMIT`` are refused before anything is
+    allocated.  The truncated state is left sub-normalized by ``oracle_lost_norm``.
     """
-    X = _oracle_wavefunction(kappa, E, eta, N, enforce_cutoff)
-    k = np.arange(N)
-    # [block, b] -> block - b, or the all-zero index N where that is negative
-    rest = np.where(k[:, None] >= k[None, :], k[:, None] - k[None, :], N)
-    # rho_AR, block d = n_B + n_C: rows b, columns r, entries X[r, d - b, b]
-    s_ar = _blocked_entropy(X.transpose(1, 2, 0), rest)
-    # rho_BR, block e = n_B + n_R: rows b, columns c, entries X[e - b, c, b]
-    s_br = _blocked_entropy(X.transpose(0, 2, 1), rest)
-    prob = X**2
-    s_r = entropy_of_spectrum(prob.sum(axis=(1, 2)))
-    s_c = entropy_of_spectrum(prob.sum(axis=(0, 2)))  # = S(ABR), by purity
-    return s_ar + s_br - s_r - s_c
+    p_r, p_c, p_br, p_bc = _oracle_distributions(kappa, E, eta, N, enforce_cutoff)
+    return (entropy_of_spectrum(p_bc) + entropy_of_spectrum(p_br)
+            - entropy_of_spectrum(p_r) - entropy_of_spectrum(p_c))
 
 
 def random_one_mode_state(rng, N, support=10, rotations=6):

@@ -48,29 +48,52 @@ def stinespring_reference(rho, channel, complement):
     return joint.reshape(N, -1) @ V.reshape(N, -1).T
 
 
-def full_gather(T, rest):
-    """The padded (N, N, N + 1) stack of every block that fock._blocked_entropy
-    reads, whole: block d is the matrix T[rest[d, b], b, j]."""
-    return T[rest, np.arange(len(rest))]
+def oracle_wavefunction(kappa, E, eta, N):
+    """Reference for the truncated pure state of modes (A, B, R, C) behind
+    fock.oracle_cmi, as X[r, c, b] = sigma[n, b] lam[n] beta[n, c] with n = r + c.
+    The axes r and c carry one extra all-zero index N, where gathers of blocks
+    land when they fall outside the state."""
+    lam = np.zeros(2 * N + 1)
+    lam[:N] = np.sqrt(fock._thermal_probabilities(E, N))  # the TMSV Schmidt coefficients
+    beta = np.zeros((2 * N + 1, N))
+    beta[:N] = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N)
+    sigma = np.zeros((2 * N + 1, N))
+    sigma[:N] = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
+    k = np.arange(N + 1)
+    n = k[:, None] + k[None, :]  # n = r + c
+    c = np.minimum(k, N - 1)[None, :]  # c = N only meets n >= N, where lam is 0
+    X = sigma[n]
+    X *= (lam[n] * beta[n, c])[:, :, None]
+    return X
 
 
-def unfolded_blocked_entropy(T, rest):
-    """Reference for fock._blocked_entropy: every block of the padded stack
-    eigensolved through its full N x N Gram matrix, with no fold."""
-    blocks = full_gather(T, rest)
+def charge_blocks(X):
+    """The charge blocks of rho_AR and rho_BR from the reference wavefunction, as
+    two padded (N, N, N + 1) stacks: block d of rho_AR is X[r, d - b, b] (rows b,
+    columns r) and block e of rho_BR is X[e - b, c, b] (rows b, columns c), with
+    the all-zero index N where d - b or e - b is negative."""
+    N = len(X) - 1
+    k = np.arange(N)
+    rest = np.where(k[:, None] >= k[None, :], k[:, None] - k[None, :], N)
+    return X.transpose(1, 2, 0)[rest, k], X.transpose(0, 2, 1)[rest, k]
+
+
+def unfolded_blocked_entropy(blocks):
+    """Entropy of a block-diagonal state, every block eigensolved through its
+    full N x N Gram matrix."""
     gram = blocks @ blocks.transpose(0, 2, 1)
     return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
 
 
-def full_gather_blocked_entropy(T, rest):
-    """Reference for fock._blocked_entropy: the same fold, sliced out of the
-    whole gathered stack instead of gathered half by half."""
-    blocks = full_gather(T, rest)
-    h = (len(blocks) + 1) // 2
-    low = blocks[:h, :h, :]
-    high = blocks[h:, :, :h]
-    gram = np.concatenate((low @ low.transpose(0, 2, 1), high.transpose(0, 2, 1) @ high))
-    return fock.entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
+def eigensolve_oracle_cmi(kappa, E, eta, N):
+    """Reference for fock.oracle_cmi: S(AR) + S(BR) - S(R) - S(C) with the charge
+    blocks of rho_AR and rho_BR eigensolved, as if of any rank."""
+    X = oracle_wavefunction(kappa, E, eta, N)
+    s_ar, s_br = (unfolded_blocked_entropy(blocks) for blocks in charge_blocks(X))
+    prob = X**2
+    s_r = fock.entropy_of_spectrum(prob.sum(axis=(1, 2)))
+    s_c = fock.entropy_of_spectrum(prob.sum(axis=(0, 2)))
+    return s_ar + s_br - s_r - s_c
 
 
 def dense_rotation(rho, i, j, rng):
@@ -177,6 +200,14 @@ class TestTruncatedState:
         fock.TruncatedState(matrices, tail_bound=[0.25, 0.3])
         with pytest.raises(InvalidStateError, match=r"trace 0.75 outside"):
             fock.TruncatedState(matrices, tail_bound=[0.25, 0.2])
+
+    @pytest.mark.parametrize("matrix, tail", [
+        (np.eye(2) / 4, 5.0), (np.eye(2) / 2, np.inf), (np.eye(2) / 2, -0.5),
+        (np.stack([np.eye(2) / 2] * 3), [0.0, 2.0, 0.0]),
+    ], ids=["five", "inf", "negative", "one-in-a-stack"])
+    def test_tail_bound_outside_unit_interval_refused(self, matrix, tail):
+        with pytest.raises(InvalidStateError, match=r"tail_bound \S+ outside \[0, 1\]"):
+            fock.TruncatedState(matrix, tail_bound=tail)
 
 
 class TestThermal:
@@ -463,7 +494,7 @@ class TestOracleCmi:
                 fock.oracle_cmi(kappa, E, 1.0, N), abs=1e-12
             )
 
-    def test_working_memory_is_cubic(self, monkeypatch):
+    def test_working_memory_is_quadratic(self, monkeypatch):
         N = 80
         tracemalloc.start()
         try:
@@ -471,8 +502,8 @@ class TestOracleCmi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * N**3  # the estimate checked against the limit
-        assert peak < 8 * N**4 / 10
+        assert peak <= 8.5 * 8 * N**2  # the estimate checked against the limit
+        assert peak < 8 * N**3 / 4  # a quarter of one N^3 array of doubles
         # the refusal boundary lies between the peak and 1.25 times it: what
         # does not fit is refused, and what fits with that margin is not
         monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", peak - 1)
@@ -481,7 +512,7 @@ class TestOracleCmi:
         monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", int(1.25 * peak))
         fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
 
-    #: odd and even cutoffs, down to the smallest, where h = ceil(N/2) = 1
+    #: odd and even cutoffs, down to the smallest
     FOLD_CUTOFFS = (2, 3, 4, 5, 17, 44, 45)
 
     @staticmethod
@@ -495,49 +526,37 @@ class TestOracleCmi:
         return draws
 
     @pytest.mark.parametrize("N", FOLD_CUTOFFS)
-    def test_fold_matches_unfolded_reference(self, monkeypatch, N):
-        folded = [fock.oracle_cmi(*p, N, enforce_cutoff=False) for p in self.fold_points()]
-        monkeypatch.setattr(fock, "_blocked_entropy", unfolded_blocked_entropy)
-        unfolded = [fock.oracle_cmi(*p, N, enforce_cutoff=False) for p in self.fold_points()]
-        assert np.abs(np.subtract(folded, unfolded)).max() <= 1e-13
+    def test_fold_matches_unfolded_reference(self, N):
+        # the photon-number entropies against every charge block eigensolved
+        points = self.fold_points()
+        fock_route = [fock.oracle_cmi(*p, N, enforce_cutoff=False) for p in points]
+        reference = [eigensolve_oracle_cmi(*p, N) for p in points]
+        assert np.abs(np.subtract(fock_route, reference)).max() <= 1e-13
 
     @pytest.mark.parametrize("N", FOLD_CUTOFFS)
-    def test_blocks_vanish_outside_the_fold(self, monkeypatch, N):
-        # block d lives in rows b <= d and columns r < N - d, which the fold relies on
-        seen = []
-
-        def record(T, rest):
-            seen.append(full_gather(T, rest))
-            return 0.0
-
-        monkeypatch.setattr(fock, "_blocked_entropy", record)
-        for point in self.fold_points():
-            fock.oracle_cmi(*point, N, enforce_cutoff=False)
-        assert len(seen) == 2 * len(self.fold_points())
+    def test_blocks_vanish_outside_the_fold(self, N):
+        # block d lives in rows b <= d and columns r < N - d: the truncation zeroes
+        # whole columns, which keeps every block rank one, as oracle_cmi relies on
         d, b, r = np.ogrid[:N, :N, :N + 1]
         outside = (b > d) | (r >= N - d)
-        for blocks in seen:
-            assert blocks.shape == (N, N, N + 1)
-            assert not blocks[np.broadcast_to(outside, blocks.shape)].any()
-            assert blocks[~np.broadcast_to(outside, blocks.shape)].any()
+        for point in self.fold_points():
+            for blocks in charge_blocks(oracle_wavefunction(*point, N)):
+                assert blocks.shape == (N, N, N + 1)
+                assert not blocks[np.broadcast_to(outside, blocks.shape)].any()
+                assert blocks[~np.broadcast_to(outside, blocks.shape)].any()
+                s = np.linalg.svd(blocks, compute_uv=False)
+                assert (s[:, 1] <= 1e-12 * s[:, 0]).all()
 
-    def test_half_gather_is_bit_identical_to_full_gather(self, monkeypatch):
-        # the grid at its rule-selected cutoffs, and seeded draws at small and
-        # benchmark-sized cutoffs, odd and even
-        points = [(p, fock.required_cutoff(fock.oracle_energy(*p))) for p in oracle_cmi_grid()]
-        points += [(p, N) for N in (2, 3, 28, 44) for p in self.fold_points()]
-        half_gather = fock._blocked_entropy
-        pairs = []
+    def test_grid_matches_unfolded_reference(self):
+        for point in oracle_cmi_grid():
+            N = fock.required_cutoff(fock.oracle_energy(*point))
+            assert abs(fock.oracle_cmi(*point, N) - eigensolve_oracle_cmi(*point, N)) <= 1e-13
 
-        def both(T, rest):
-            pairs.append((half_gather(T, rest), full_gather_blocked_entropy(T, rest)))
-            return pairs[-1][0]
-
-        monkeypatch.setattr(fock, "_blocked_entropy", both)
-        for point, N in points:
-            fock.oracle_cmi(*point, N, enforce_cutoff=False)
-        assert len(pairs) == 2 * len(points)
-        assert all(half == full for half, full in pairs)
+    @pytest.mark.parametrize("N", FOLD_CUTOFFS)
+    def test_lost_norm_matches_reference(self, N):
+        for point in self.fold_points():
+            X = oracle_wavefunction(*point, N)
+            assert abs(fock.oracle_lost_norm(*point, N) - (1.0 - np.sum(X**2))) <= 1e-15
 
     def test_overflow_names_the_combination(self):
         with pytest.raises(DomainError, match="overflows at kappa = 2, E = 1e"):
@@ -615,11 +634,8 @@ class TestVacuumAncillaAmplitudes:
         assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 0.0, N),
                               np.eye(N))
         # E = 0 and kappa = 1 leave the four-mode vacuum, with nothing lost
-        X = fock._oracle_wavefunction(1.0, 0.0, 0.5, N, enforce_cutoff=True)
-        vacuum = np.zeros_like(X)
-        vacuum[0, 0, 0] = 1.0
-        assert np.array_equal(X, vacuum)
         assert fock.oracle_cmi(1.0, 0.0, 0.5, N) == 0.0
+        assert fock.oracle_lost_norm(1.0, 0.0, 0.5, N) == 0.0
 
 
 class TestSpotSuites:
