@@ -2,18 +2,17 @@
 
 This is the independent verification route for the covariance-matrix
 formalism.  A state is a dense density matrix on a cutoff Fock space, or a
-stack of them, with a recorded tail bound per matrix.  Every channel action
-and the three-mode conditional mutual information are built from one table of
-closed-form vacuum-ancilla amplitudes.  The attenuator, the amplifier and the
-amplifier's complement are exact Kraus sums on it, with no eigendecomposition
-of the input.  ``oracle_cmi`` uses it with the conserved photon-number charge
-of its pure four-mode state: the amplitude factors as sqrt((r + b + c)! /
-(r! b! c!)) times geometric factors, so every charge block of its two reduced
-states is rank one, and the cutoff, which zeroes whole columns of a block,
-keeps it so.  Each entropy is then that of a photon-number distribution, in
-O(N^2) memory and O(N^3) time, with no eigensolve.  What the truncation loses
-is reported, not renormalized away; only a fixed memory limit bounds the
-cutoff.
+stack of them, with a recorded tail bound per matrix.  Every channel action is
+built from one table of closed-form vacuum-ancilla amplitudes: the attenuator,
+the amplifier and the amplifier's complement are exact Kraus sums on it, with
+no eigendecomposition of the input.  ``oracle_cmi`` uses the conserved
+photon-number charge of its pure four-mode state, whose squared amplitudes are
+multinomial, (1 - q) / kappa (r + b + c)! / (r! b! c!) alpha^r y^b gamma^c: every
+charge block of its two reduced states is rank one, and the cutoff, which zeroes
+whole columns of a block, keeps it so.  Each entropy is then that of a
+photon-number distribution, a truncated negative-binomial sum, in O(N^2) time
+and memory, with no eigensolve.  What the truncation loses is reported, not
+renormalized away; only a fixed memory limit bounds the cutoff.
 """
 
 import math
@@ -295,26 +294,37 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
     PRA 84, 042311, 2011), with the beam splitter's signs (-1)^j dropped: a local
     unitary on the ancilla, which changes no entropy.  They are the exact
     amplitudes, not those of the truncated unitary, which are renormalized within
-    the cutoff.  Evaluated in log space; 0^0 = 1.
+    the cutoff.  Evaluated in log space from 1-D tables: ln (n + j)! is a Hankel
+    view and ln (n - j)! and (n - j) ln eta are Toeplitz views, each infinite
+    past the cut so that its entry of the exponent is -inf; 0^0 = 1.
     """
-    n = np.arange(N)[:, None]
-    j = np.arange(N)[None, :]
+    k = np.arange(N)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N)))))
-    # sqrt(C(top, j)) x^(power/2) y^(j/2), with x, y = kappa, 1 - 1/kappa or eta, 1 - eta
-    if kind == "squeezer":
-        top, power, x, y = n + j, -(n + 1), value, (value - 1.0) / value
-        valid = top < N
-    else:
-        top, power, x, y = n, n - j, value, 1.0 - value
-        valid = j <= n
-    top = np.where(valid, top, j)  # keeps the factorial indices in range
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_amp = (
-            log_fact[top] - log_fact[j] - log_fact[top - j]
-            + np.where(power == 0, 0.0, power * np.log(x))
-            + np.where(j == 0, 0.0, j * np.log(y))
-        )
-    return np.where(valid, np.exp(0.5 * log_amp), 0.0)
+    e = log_fact.itemsize
+    # sqrt(C(top, j)) x^(power/2) y^(j/2), with x, y = kappa, 1 - 1/kappa or eta, 1 - eta,
+    # summed in the order lf[top] - lf[j] - lf[top - j] + power ln x + j ln y
+    with np.errstate(divide="ignore"):
+        if kind == "squeezer":
+            x, y = value, (value - 1.0) / value
+            log_fact[N:] = -np.inf  # ln (n + j)! from n + j = N on
+            log_amp = as_strided(log_fact, (N, N), (e, e)) - log_fact[:N]
+            log_amp -= log_fact[:N, None]
+            log_amp += (-(k + 1) * np.log(x))[:, None]
+        else:
+            x, y = value, 1.0 - value
+            # [n - j + N - 1]: ln (n - j)! and (n - j) ln eta, +inf and 0 at j > n
+            shifted = np.full((2, 2 * N - 1), [[np.inf], [0.0]])
+            shifted[0, N - 1:] = log_fact[:N]
+            shifted[1, N:] = k[1:] * np.log(x)
+            toeplitz = as_strided(shifted[:, N - 1:], (2, N, N), (shifted.strides[0], e, -e))
+            log_amp = log_fact[:N, None] - log_fact[:N]
+            log_amp -= toeplitz[0]
+            log_amp += toeplitz[1]
+        y_term = np.zeros(N)
+        y_term[1:] = k[1:] * np.log(y)
+    log_amp += y_term
+    log_amp *= 0.5
+    return np.exp(log_amp, out=log_amp)
 
 
 def oracle_energy(kappa, E, eta):
@@ -340,42 +350,42 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     truncated purification behind ``oracle_cmi``, after the domain, memory and
     cutoff checks.
 
-    The TMSV pair (n, n) of (A, R) loses c photons of R to the environment C and
-    gains b photons in A from the squeezer, so n_A = n_R + n_C + n_B is implied.
-    With n = r + c, the squared amplitude is w[r, c] H[r, c, b]: w = lam^2 beta^2,
-    with lam the TMSV Schmidt coefficients, and H[r, c, b] = sigma^2[r + c, b], a
-    Hankel view of the zero-padded squeezer table.  Contracting the two over c
-    or r gives the joint distributions of (n_R, n_B) and (n_C, n_B).
+    Each is the sum p(m) = (1 - q) / kappa a^m sum_{s < N - m} C(m + s, s) x^s
+    of ``oracle_cmi``'s table.  The four (N, N) tables of terms are built in log
+    space, ln C(m + s, s) + m ln a + s ln x + ln((1 - q) / kappa), from a Hankel
+    view of ln (m + s)!, -inf from m + s = N on, where the cut falls.  Every term
+    is at most (a + x)^(m + s) < 1, so none overflows.
     """
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
-    # the amplitude tables while they are built, then sigma^2 padded, w, its
-    # indices and the two joint distributions.  Measured (tracemalloc), a call
-    # peaks at 7.16 x 8 N^2 B at N = 200, 7.26 x at N = 80 and 8.46 x at N = 20,
-    # where the interpreter's own allocations count.
-    _check_memory(N, 8.5 * 8 * N**2, e_max)
+    # the (4, N, N) table of terms, and 128 KiB for the 1-D tables, the ufuncs'
+    # buffers and the interpreter's own allocations.  Measured (tracemalloc), a
+    # call peaks at 4.03 x 8 N^2 B at N = 1000, 4.46 x at N = 200, 6.19 x at N = 80
+    # and 13.5 x at N = 20, 30 to 310 KB above the table for N up to 2000.
+    _check_memory(N, 4.5 * 8 * N**2 + 2**17, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 
-    beta = _vacuum_ancilla_amplitudes("beam-splitter", eta, N)
-    sigma2 = np.zeros((2 * N, N))
-    sigma2[:N] = _vacuum_ancilla_amplitudes("squeezer", kappa, N)
-    sigma2 **= 2
-    k = np.arange(N)
-    n = k[:, None] + k[None, :]  # n = r + c, and in the joint tables r + b or c + b
-    # lam^2 is 0 from n = N on, where beta's row is clipped to N - 1 (H is 0 there too)
-    lam2 = np.zeros(2 * N)
-    lam2[:N] = _thermal_probabilities(E, N)
-    w = beta[np.minimum(n, N - 1), k] ** 2
-    w *= lam2[n]
-    H = as_strided(sigma2, (N, N, N), (sigma2.strides[0],) * 2 + (sigma2.strides[1],))
-    rb = np.einsum("rc,rcb->rb", w, H)
-    cb = np.einsum("rc,rcb->cb", w, H)
-    return (rb.sum(axis=1), cb.sum(axis=1),
-            np.bincount(n.ravel(), weights=rb.ravel()), np.bincount(n.ravel(), weights=cb.ravel()))
+    q, y = E / (E + 1.0), (kappa - 1.0) / kappa
+    alpha, gamma = q * eta / kappa, q * (1.0 - eta) / kappa
+    with np.errstate(divide="ignore"):
+        ln_ax = np.log([[alpha, y + gamma], [gamma, y + alpha],
+                        [y + alpha, gamma], [y + gamma, alpha]])
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N - 1)))))
+    # [distribution, (m, s), index]: m ln a - ln m! + ln((1 - q) / kappa) and
+    # s ln x - ln s!, with 0 ln 0 = 0 and ln(1 - q) as -log1p(E)
+    sides = np.zeros((4, 2, N))
+    sides[..., 1:] = ln_ax[..., None] * np.arange(1, N)
+    sides -= log_fact[:N]
+    sides[:, 0] -= math.log1p(E) + math.log(kappa)
+    log_fact[N:] = -np.inf
+    e = log_fact.itemsize
+    terms = as_strided(log_fact, (N, N), (e, e)) + sides[:, 0, :, None]
+    terms += sides[:, 1, None, :]
+    return tuple(np.exp(terms, out=terms).sum(axis=2))
 
 
 def oracle_lost_norm(kappa, E, eta, N):
@@ -394,18 +404,23 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     n_A - n_B - n_R - n_C.  So rho_AR is block-diagonal in d = n_B + n_C and
     rho_BR in e = n_B + n_R, rho_R and rho_C are diagonal, and S(ABR) = S(C).
 
-    Every charge block is rank one.  With n = r + c, the amplitude
-    sigma[n, b] lam[n] beta[n, c] carries sqrt(C(n + b, b) C(n, c)) =
-    sqrt((r + b + c)! / (r! b! c!)), and its geometric factors split the same
-    way; so at b + c = d every entry of block d of rho_AR (rows b, columns r) is
-    u_d(b) v_d(r), and likewise for rho_BR at b + r = e (rows b, columns c).
-    The truncation keeps it so: sigma vanishes at n + b >= N, that is r + d >= N,
-    which zeroes whole columns of block d, and lam's own cut at n < N is implied
-    by it.  A rank-one block's one eigenvalue is its trace, so S(AR), S(BR),
-    S(R) and S(C) are the Shannon entropies of n_B + n_C, n_B + n_R, n_R and
-    n_C, with no eigensolve.  Memory is O(N^2) and time O(N^3).  Cutoffs whose
-    working set exceeds ``ORACLE_MEMORY_LIMIT`` are refused before anything is
-    allocated.  The truncated state is left sub-normalized by ``oracle_lost_norm``.
+    With q = E / (E + 1), y = 1 - 1/kappa, alpha = q eta / kappa and
+    gamma = q (1 - eta) / kappa, the squared amplitude of (n_R, n_B, n_C) =
+    (r, b, c) is multinomial,
+        (1 - q) / kappa (r + b + c)! / (r! b! c!) alpha^r y^b gamma^c,
+    kept where r + b + c < N.  Every charge block is rank one: at b + c = d the
+    multinomial is C(r + d, r) C(d, b), so every entry of block d of rho_AR
+    (rows b, columns r) is u_d(b) v_d(r), and likewise for rho_BR at b + r = e
+    (rows b, columns c).  The truncation keeps it so, as r + d < N zeroes whole
+    columns of block d.  A rank-one block's one eigenvalue is its trace, so
+    S(AR), S(BR), S(R) and S(C) are the Shannon entropies of n_B + n_C,
+    n_B + n_R, n_R and n_C, with no eigensolve.  By the binomial theorem each is
+    p(m) = (1 - q) / kappa a^m sum_{s < N - m} C(m + s, s) x^s, with
+        n_R: a = alpha, x = y + gamma      n_B + n_R: a = y + alpha, x = gamma
+        n_C: a = gamma, x = y + alpha      n_B + n_C: a = y + gamma, x = alpha
+    Time and memory are O(N^2).  Cutoffs whose working set exceeds
+    ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.  The
+    truncated state is left sub-normalized by ``oracle_lost_norm``.
     """
     p_r, p_c, p_br, p_bc = _oracle_distributions(kappa, E, eta, N, enforce_cutoff)
     return (entropy_of_spectrum(p_bc) + entropy_of_spectrum(p_br)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import expm
 
 from cvsquash import fock
@@ -94,6 +95,51 @@ def eigensolve_oracle_cmi(kappa, E, eta, N):
     s_r = fock.entropy_of_spectrum(prob.sum(axis=(1, 2)))
     s_c = fock.entropy_of_spectrum(prob.sum(axis=(0, 2)))
     return s_ar + s_br - s_r - s_c
+
+
+def einsum_distributions(kappa, E, eta, N):
+    """Reference for fock._oracle_distributions: the distributions of n_R, n_C,
+    n_B + n_R and n_B + n_C contracted from the amplitude tables.  With n = r + c,
+    the squared amplitude is w[r, c] H[r, c, b]: w = lam^2 beta^2 and H[r, c, b] =
+    sigma^2[r + c, b], a Hankel view of the zero-padded squeezer table.  The two
+    sums run to 2N - 1, past the cut, where they are 0."""
+    beta = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N)
+    sigma2 = np.zeros((2 * N, N))
+    sigma2[:N] = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
+    sigma2 **= 2
+    k = np.arange(N)
+    n = k[:, None] + k[None, :]  # n = r + c, and in the joint tables r + b or c + b
+    lam2 = np.zeros(2 * N)
+    lam2[:N] = fock._thermal_probabilities(E, N)
+    w = beta[np.minimum(n, N - 1), k] ** 2
+    w *= lam2[n]
+    H = as_strided(sigma2, (N, N, N), (sigma2.strides[0],) * 2 + (sigma2.strides[1],))
+    rb = np.einsum("rc,rcb->rb", w, H)
+    cb = np.einsum("rc,rcb->cb", w, H)
+    return (rb.sum(axis=1), cb.sum(axis=1),
+            np.bincount(n.ravel(), weights=rb.ravel()), np.bincount(n.ravel(), weights=cb.ravel()))
+
+
+def gather_amplitudes(kind, value, N):
+    """Reference for fock._vacuum_ancilla_amplitudes: the same log-space sum, in
+    the same order, over gathered (N, N) tables of log-factorials and masks."""
+    n = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N)))))
+    if kind == "squeezer":
+        top, power, x, y = n + j, -(n + 1), value, (value - 1.0) / value
+        valid = top < N
+    else:
+        top, power, x, y = n, n - j, value, 1.0 - value
+        valid = j <= n
+    top = np.where(valid, top, j)  # keeps the factorial indices in range
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_amp = (
+            log_fact[top] - log_fact[j] - log_fact[top - j]
+            + np.where(power == 0, 0.0, power * np.log(x))
+            + np.where(j == 0, 0.0, j * np.log(y))
+        )
+    return np.where(valid, np.exp(0.5 * log_amp), 0.0)
 
 
 def dense_rotation(rho, i, j, rng):
@@ -495,22 +541,24 @@ class TestOracleCmi:
             )
 
     def test_working_memory_is_quadratic(self, monkeypatch):
-        N = 80
-        tracemalloc.start()
-        try:
+        limit = fock.ORACLE_MEMORY_LIMIT
+        for N in (80, 1000):
+            monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", limit)
+            tracemalloc.start()
+            try:
+                fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.5 * 8 * N**2 + 2**17  # the estimate checked against the limit
+            assert peak < 8 * N**3 / 4  # a quarter of one N^3 array of doubles
+            # the refusal boundary lies between the peak and 1.25 times it: what
+            # does not fit is refused, and what fits with that margin is not
+            monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", peak - 1)
+            with pytest.raises(CutoffError, match="limit"):
+                fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
+            monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", int(1.25 * peak))
             fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8.5 * 8 * N**2  # the estimate checked against the limit
-        assert peak < 8 * N**3 / 4  # a quarter of one N^3 array of doubles
-        # the refusal boundary lies between the peak and 1.25 times it: what
-        # does not fit is refused, and what fits with that margin is not
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", peak - 1)
-        with pytest.raises(CutoffError, match="limit"):
-            fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", int(1.25 * peak))
-        fock.oracle_cmi(2.0, 2.0, 0.5, N, enforce_cutoff=False)
 
     #: odd and even cutoffs, down to the smallest
     FOLD_CUTOFFS = (2, 3, 4, 5, 17, 44, 45)
@@ -546,6 +594,25 @@ class TestOracleCmi:
                 assert blocks[~np.broadcast_to(outside, blocks.shape)].any()
                 s = np.linalg.svd(blocks, compute_uv=False)
                 assert (s[:, 1] <= 1e-12 * s[:, 0]).all()
+
+    @staticmethod
+    def assert_distributions_match_einsum(point, N):
+        closed = fock._oracle_distributions(*point, N, enforce_cutoff=False)
+        for p, reference in zip(closed, einsum_distributions(*point, N)):
+            assert p.shape == (N,)
+            assert np.abs(p - reference[:N]).max() <= 1e-14
+            assert not reference[N:].any()
+
+    @pytest.mark.parametrize("N", FOLD_CUTOFFS)
+    def test_distributions_match_einsum_reference(self, N):
+        # the closed negative-binomial sums against the contracted amplitude tables
+        for point in self.fold_points():
+            self.assert_distributions_match_einsum(point, N)
+
+    def test_grid_distributions_match_einsum_reference(self):
+        for point in oracle_cmi_grid():
+            self.assert_distributions_match_einsum(
+                point, fock.required_cutoff(fock.oracle_energy(*point)))
 
     def test_grid_matches_unfolded_reference(self):
         for point in oracle_cmi_grid():
@@ -623,6 +690,15 @@ class TestVacuumAncillaAmplitudes:
                 expected[n, j] = (math.sqrt(math.comb(n + j, j)) * kappa ** (-(n + 1) / 2)
                                   * (1.0 - 1.0 / kappa) ** (j / 2))
         np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("N", [2, 3, 17, 40, 128, 300])
+    def test_equals_the_gathered_tables(self, N):
+        # the same terms summed in the same order, from 1-D views instead of gathers
+        for kind, values in (("squeezer", (1.0, 1.2, 2.0, 5.0, 37.5)),
+                             ("beam-splitter", (0.0, 0.3, 0.5, 0.9, 1.0))):
+            for value in values:
+                assert np.array_equal(fock._vacuum_ancilla_amplitudes(kind, value, N),
+                                      gather_amplitudes(kind, value, N))
 
     def test_edges_exact(self):
         N = self.N
