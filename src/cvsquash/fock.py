@@ -94,21 +94,21 @@ def geometric_tail(E, N):
     return (E / (E + 1.0)) ** N
 
 
-def required_cutoff(E_max, tail=TAIL_TARGET):
-    """Smallest cutoff whose geometric tail at energy E_max is below the target."""
+def required_cutoff(E_max):
+    """Smallest cutoff whose geometric tail at energy E_max is below TAIL_TARGET."""
     if in_domain("mean energy", E_max, ENERGY) == 0.0:
         return 2
     # ln(E/(E+1)) as -log1p(1/E), which stays nonzero when E/(E+1) rounds to 1
-    N = math.log(tail) / -math.log1p(1.0 / E_max)
+    N = math.log(TAIL_TARGET) / -math.log1p(1.0 / E_max)
     if N == math.inf:  # N ~ E_max ln(1/tail) exceeds the largest double
-        raise DomainError(f"no cutoff reaches a tail of {tail:g} at mean energy {E_max:g}")
+        raise DomainError(f"no cutoff reaches a tail of {TAIL_TARGET:g} at mean energy {E_max:g}")
     return max(2, math.ceil(N))
 
 
-def check_cutoff(N, E_max, tail=TAIL_TARGET):
-    """Refuse (with a required-N hint) cutoffs whose tail is far above the target."""
-    if geometric_tail(E_max, N) > _TAIL_SLACK * tail:
-        hint = required_cutoff(E_max, tail)
+def check_cutoff(N, E_max):
+    """Refuse (with a required-N hint) cutoffs whose tail is far above TAIL_TARGET."""
+    if geometric_tail(E_max, N) > _TAIL_SLACK * TAIL_TARGET:
+        hint = required_cutoff(E_max)
         raise CutoffError(
             f"cutoff {N} is inadequate for per-mode energy {E_max:.4g};"
             f" the selection rule asks for N >= {hint}",
@@ -174,19 +174,20 @@ def _kraus_sum(rho, channel, complement):
     All three channels conserve a - b, so diagonal k of the output depends only
     on diagonal k of the input, out[a, a + k] = sum_i T[k, a, i] rho[i, i + k], with
         amplifier    T[k, a, i] = sigma[i, a - i] sigma[i + k, a - i]
-        attenuator   T[k, a, i] = beta[i, i - a] beta[i + k, i - a]
+        attenuator   T[k, a, i] = beta[a, i - a] beta[a + k, i - a]
         complement   T[k, a, i] = sigma[i + k, a] sigma[i, a + k],  on conj(rho)
     and the amplitude tables 0 outside them.  T[k, a, i] = 0 once a + k or
     i + k reaches N, and by hermiticity only k >= 0 is needed.
 
-    The table is laid out in rows of N + 1, zero-padded to 2N rows (the
-    attenuator's with its columns reversed, so that a steps forward) and
-    flattened.  Each factor of T[k] is that flat table shifted by 0, 1 or N + 1
-    places per k, so one product of two strided views makes P[k, x] for every
-    k, and T[k] is a strided view of P[k] in which a steps by 1 and i by N
-    (N + 1 for the complement).  Where a column index leaves the table's row,
-    it reads the pad column or a neighbouring row, and the product is still
-    T[k, a, i]: one of its factors then lies where the table is 0.
+    The table is laid out in rows of N + 1, zero-padded to 2N rows and
+    flattened; the attenuator's entry [m, j] goes to row m + j, its input, and
+    column N - 1 - j, reversed so that a steps forward.  Each factor of T[k] is
+    that flat table moved by 0, 1 or N + 1 places per k, so one product of two
+    strided views makes P[k, x] for every k, and T[k] is a strided view of P[k]
+    in which a steps by 1 and i by N (N + 1 for the complement).  Where a
+    column index leaves the table's row, it reads the pad column or a
+    neighbouring row, and the product is still T[k, a, i]: one of its factors
+    then lies where the table is 0.
 
     The states are stacked state-last and zero-padded to (N, 2N, states), so
     the k-th diagonals of every state are one strided view D[k, i] of
@@ -204,9 +205,12 @@ def _kraus_sum(rho, channel, complement):
     table = _vacuum_ancilla_amplitudes("beam-splitter" if attenuator else "squeezer",
                                        float(channel.value), N)
     pad = np.zeros((2 * N, R))
-    pad[:N, :N] = table[:, ::-1] if attenuator else table
-    pad = pad.ravel()
     e = pad.itemsize
+    if attenuator:  # [m, j] to row m + j, column N - 1 - j: one to one
+        as_strided(pad.ravel()[N - 1:], (N, N), (R * e, N * e))[...] = table
+    else:
+        pad[:N, :N] = table
+    pad = pad.ravel()
     # each factor's shift per k; then in P[k], the place of a = i = 0 and i's step
     if complement:  # x = i R + a
         shifts, start, step = (R, 1), 0, R
@@ -282,47 +286,52 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     return TruncatedState(out, tail_bound=np.maximum(lost, 0.0))
 
 
-def _vacuum_ancilla_amplitudes(kind, value, N):
-    """Beam-splitter or two-mode-squeezer amplitudes of an input n with a vacuum
-    ancilla, as an (N, N) table: entry [n, j] is the amplitude of ancilla j, with
-    n - j (beam splitter) or n + j (squeezer) photons left in the input mode.
+def _log_factorials(N):
+    """ln k! for k < N, and its Hankel view [m, j] = ln (m + j)!, which is -inf
+    from m + j = N on, where the cut falls; the two share one buffer."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N - 1)))))
+    log_fact[N:] = -np.inf
+    e = log_fact.itemsize
+    return log_fact[:N], as_strided(log_fact, (N, N), (e, e))
 
-    beam splitter:  sqrt(C(n, j)) eta^((n-j)/2) (1-eta)^(j/2),          j <= n
-    squeezer:       sqrt(C(n+j, j)) kappa^(-(n+1)/2) (1-1/kappa)^(j/2), n + j < N
+
+def _log_powers(x, N):
+    """m ln x for m < N along a new last axis, for every entry of the array x,
+    with 0 ln 0 = 0."""
+    out = np.zeros(x.shape + (N,))
+    with np.errstate(divide="ignore"):
+        out[..., 1:] = np.log(x)[..., None] * np.arange(1, N)
+    return out
+
+
+def _vacuum_ancilla_amplitudes(kind, value, N):
+    """Beam-splitter or two-mode-squeezer amplitudes with a vacuum ancilla, as an
+    (N, N) table: entry [m, j] is the amplitude of ancilla j with m photons in
+    the output (beam splitter, input m + j) or in the input (squeezer, output
+    m + j), 0 from m + j = N on.
+
+    beam splitter:  sqrt(C(m+j, j)) eta^(m/2) (1-eta)^(j/2)
+    squeezer:       sqrt(C(m+j, j)) kappa^(-(m+1)/2) (1-1/kappa)^(j/2)
 
     These are the vacuum-ancilla Kraus amplitudes (Ivan, Sabapathy and Simon,
     PRA 84, 042311, 2011), with the beam splitter's signs (-1)^j dropped: a local
     unitary on the ancilla, which changes no entropy.  They are the exact
     amplitudes, not those of the truncated unitary, which are renormalized within
-    the cutoff.  Evaluated in log space from 1-D tables: ln (n + j)! is a Hankel
-    view and ln (n - j)! and (n - j) ln eta are Toeplitz views, each infinite
-    past the cut so that its entry of the exponent is -inf; 0^0 = 1.
+    the cutoff.  Both are sqrt(C(m+j, j) x^m y^j), up to the squeezer's one more
+    power of 1/kappa, summed in log space in the order
+    ln (m + j)! - ln j! - ln m! + m ln x + j ln y, with 0^0 = 1.
     """
-    k = np.arange(N)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N)))))
-    e = log_fact.itemsize
-    # sqrt(C(top, j)) x^(power/2) y^(j/2), with x, y = kappa, 1 - 1/kappa or eta, 1 - eta,
-    # summed in the order lf[top] - lf[j] - lf[top - j] + power ln x + j ln y
-    with np.errstate(divide="ignore"):
-        if kind == "squeezer":
-            x, y = value, (value - 1.0) / value
-            log_fact[N:] = -np.inf  # ln (n + j)! from n + j = N on
-            log_amp = as_strided(log_fact, (N, N), (e, e)) - log_fact[:N]
-            log_amp -= log_fact[:N, None]
-            log_amp += (-(k + 1) * np.log(x))[:, None]
-        else:
-            x, y = value, 1.0 - value
-            # [n - j + N - 1]: ln (n - j)! and (n - j) ln eta, +inf and 0 at j > n
-            shifted = np.full((2, 2 * N - 1), [[np.inf], [0.0]])
-            shifted[0, N - 1:] = log_fact[:N]
-            shifted[1, N:] = k[1:] * np.log(x)
-            toeplitz = as_strided(shifted[:, N - 1:], (2, N, N), (shifted.strides[0], e, -e))
-            log_amp = log_fact[:N, None] - log_fact[:N]
-            log_amp -= toeplitz[0]
-            log_amp += toeplitz[1]
-        y_term = np.zeros(N)
-        y_term[1:] = k[1:] * np.log(y)
-    log_amp += y_term
+    log_fact, hankel = _log_factorials(N)
+    if kind == "squeezer":
+        # m ln kappa for m <= N gives the row term -(m + 1) ln kappa
+        powers = _log_powers(np.array([value, (value - 1.0) / value]), N + 1)
+        row, col = -powers[0, 1:], powers[1, :N]
+    else:
+        row, col = _log_powers(np.array([value, 1.0 - value]), N)
+    log_amp = hankel - log_fact
+    log_amp -= log_fact[:, None]
+    log_amp += row[:, None]
+    log_amp += col
     log_amp *= 0.5
     return np.exp(log_amp, out=log_amp)
 
@@ -371,19 +380,14 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
 
     q, y = E / (E + 1.0), (kappa - 1.0) / kappa
     alpha, gamma = q * eta / kappa, q * (1.0 - eta) / kappa
-    with np.errstate(divide="ignore"):
-        ln_ax = np.log([[alpha, y + gamma], [gamma, y + alpha],
-                        [y + alpha, gamma], [y + gamma, alpha]])
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N - 1)))))
+    log_fact, hankel = _log_factorials(N)
     # [distribution, (m, s), index]: m ln a - ln m! + ln((1 - q) / kappa) and
-    # s ln x - ln s!, with 0 ln 0 = 0 and ln(1 - q) as -log1p(E)
-    sides = np.zeros((4, 2, N))
-    sides[..., 1:] = ln_ax[..., None] * np.arange(1, N)
-    sides -= log_fact[:N]
+    # s ln x - ln s!, with ln(1 - q) as -log1p(E)
+    sides = _log_powers(np.array([[alpha, y + gamma], [gamma, y + alpha],
+                                  [y + alpha, gamma], [y + gamma, alpha]]), N)
+    sides -= log_fact
     sides[:, 0] -= math.log1p(E) + math.log(kappa)
-    log_fact[N:] = -np.inf
-    e = log_fact.itemsize
-    terms = as_strided(log_fact, (N, N), (e, e)) + sides[:, 0, :, None]
+    terms = hankel + sides[:, 0, :, None]
     terms += sides[:, 1, None, :]
     return tuple(np.exp(terms, out=terms).sum(axis=2))
 
@@ -427,14 +431,13 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
             - entropy_of_spectrum(p_r) - entropy_of_spectrum(p_c))
 
 
-def random_one_mode_state(rng, N, support=10, rotations=6):
+def random_one_mode_state(rng, N, support=10):
     """Seeded random state: Dirichlet-weighted diagonal mixture on the lowest
-    ``support`` levels, stirred by Haar-random rotations of random level pairs
-    among the lowest support + 2 (at most N)."""
+    ``support`` levels, stirred by six Haar-random rotations of random level
+    pairs among the lowest support + 2 (at most N)."""
     N = in_domain("cutoff", N, CUTOFF)
     support = in_domain("support", support, (1, N, f"an integer in [1, N = {N}]"))
-    rho = _random_mixture(rng, N, np.arange(support), np.arange(min(support + 2, N)),
-                          rotations)
+    rho = _random_mixture(rng, N, np.arange(support), np.arange(min(support + 2, N)), 6)
     return TruncatedState(rho, tail_bound=0.0)
 
 

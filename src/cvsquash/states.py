@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
-from .symplectic import _entropies, marginal, n_modes_of
+from .symplectic import gaussian_entropy, marginal, n_modes_of
 
 #: signs of the P-quadrature block of a constructor's covariance relative to
 #: its Q-quadrature block: Z = diag(1, -1) on each correlation of the first mode
@@ -69,16 +69,17 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         n = n_modes_of(cov)
         subsets = _construction_subsets(n)
-        object.__setattr__(self, "_memo", dict(zip(subsets, _entropies(_padded(cov, subsets)))))
+        entropies = gaussian_entropy(_padded(cov, subsets))
+        object.__setattr__(self, "_memo", dict(zip(subsets, entropies)))
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise DomainError(f"need {n} distinct mode labels, got {self.labels}")
 
-    def _subset_entropies(self, subsets):
+    def _memoized(self, subsets):
         """Entropies of frozensets of mode indices; those not in the memo come
         from one padded kernel call and are kept."""
         missing = [s for s in dict.fromkeys(subsets) if s not in self._memo]
         if missing:
-            self._memo.update(zip(missing, _entropies(_padded(self.cov, missing))))
+            self._memo.update(zip(missing, gaussian_entropy(_padded(self.cov, missing))))
         return [self._memo[s] for s in subsets]
 
     @property
@@ -98,7 +99,7 @@ class GaussianState:
         modes = self.mode_indices(self.labels if labels is None else labels)
         if not modes or len(set(modes)) != len(modes):
             raise DomainError(f"mode subset {modes} is empty or has duplicates")
-        out = self._subset_entropies([frozenset(modes)])[0]
+        out = self._memoized([frozenset(modes)])[0]
         return out if out.ndim else float(out)
 
 
@@ -199,6 +200,6 @@ def gaussian_cmi(state, part_a, part_b, part_r=()):
         raise DomainError("parts A, B, R must be disjoint")
     subsets = [frozenset(state.mode_indices(subset))
                for subset in (part_a + part_r, part_b + part_r, part_r, parts)]
-    s_ar, s_br, s_r, s_abr = state._subset_entropies(subsets)
+    s_ar, s_br, s_r, s_abr = state._memoized(subsets)
     out = s_ar + s_br - s_r - s_abr
     return out if out.ndim else float(out)

@@ -25,25 +25,29 @@ def n_modes_of(sigma):
     return sigma.shape[-1] // 2
 
 
-def _spectra(stack):
-    """Kernel: descending symplectic spectra of a stack (..., 2n, 2n) of covariances.
+def symplectic_eigenvalues(sigma):
+    """Kernel: descending symplectic spectrum of a covariance matrix, or of each
+    matrix of a stack (..., 2n, 2n) of them.
 
     With the Cholesky factor sigma = L L^T, sigma Delta is similar to
     L^T Delta L, so i L^T Delta L is Hermitian with spectrum {+/- nu_k}: one
     Cholesky and one symmetric eigensolve per matrix, with no matrix square
-    root.  Raises InvalidStateError unless every matrix in the stack is
-    finite, symmetric, positive definite, has a spectrum that pairs up, and meets
-    the uncertainty relation nu_min >= 1/2 to within max(_NU_TOL, 1e-13 * scale).
+    root, and full symmetric-eigensolver accuracy, unlike the nonsymmetric
+    eigenproblem for inv(Delta) sigma.  Raises InvalidStateError unless every
+    matrix is finite, symmetric, positive definite, has a spectrum that pairs
+    up, and meets the uncertainty relation nu_min >= 1/2 to within
+    max(_NU_TOL, 1e-13 * scale).
     """
-    n = stack.shape[-1] // 2
-    transpose = np.swapaxes(stack, -1, -2)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    sigma = np.asarray(sigma, dtype=float)
+    n = n_modes_of(sigma)
+    transpose = np.swapaxes(sigma, -1, -2)
+    scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1)))
     if not np.isfinite(scale).all():  # NaN passes Cholesky and every check below
         raise InvalidStateError("covariance matrix has a non-finite entry")
-    if (np.abs(stack - transpose).max(axis=(-2, -1)) > 1e-12 * scale).any():
+    if (np.abs(sigma - transpose).max(axis=(-2, -1)) > 1e-12 * scale).any():
         raise InvalidStateError("covariance matrix is not symmetric")
     try:
-        L = np.linalg.cholesky(0.5 * (stack + transpose))
+        L = np.linalg.cholesky(0.5 * (sigma + transpose))
     except np.linalg.LinAlgError as exc:
         raise InvalidStateError("covariance matrix is not positive definite") from exc
     delta_L = np.empty_like(L)  # Delta L: swap the rows of each mode, negating the second
@@ -66,45 +70,25 @@ def _spectra(stack):
     return paired
 
 
-def _entropies(stack):
-    """Von Neumann entropies sum_k g(nu_k - 1/2) of a stack of covariances.
+def validate_covariance(sigma):
+    """Check symmetry, positivity and the uncertainty relation; return the matrix."""
+    symplectic_eigenvalues(sigma)
+    return np.asarray(sigma, dtype=float)
+
+
+def gaussian_entropy(sigma):
+    """Von Neumann entropy sum_k g(nu_k - 1/2) of the Gaussian state with
+    covariance sigma: a float for one matrix, an array for a stack.
 
     Eigenvalues within 1e-11 * max(1, nu_0) of 1/2 are treated as exactly pure:
     g has infinite slope at 0, so roundoff on pure modes would otherwise be
     amplified by a factor |ln eps| into every entropy difference.  Vacuum
     modes padded onto a matrix therefore add exactly 0.
     """
-    nu = _spectra(stack)
+    nu = symplectic_eigenvalues(sigma)
     excess = np.maximum(nu - 0.5, 0.0)
     excess[excess < 1e-11 * np.maximum(1.0, nu[..., :1])] = 0.0
-    return np.sum(g(excess), axis=-1)
-
-
-def validate_covariance(sigma):
-    """Check symmetry, positivity and the uncertainty relation; return the matrix."""
-    sigma = np.asarray(sigma, dtype=float)
-    symplectic_eigenvalues(sigma)
-    return sigma
-
-
-def symplectic_eigenvalues(sigma):
-    """Symplectic spectrum of a covariance matrix, descending.
-
-    The positive half of the spectrum of the Hermitian matrix i L^T Delta L,
-    where L is the Cholesky factor of sigma; this keeps full
-    symmetric-eigensolver accuracy, unlike the nonsymmetric eigenproblem for
-    inv(Delta) sigma.  The matrix is validated as in validate_covariance.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    n_modes_of(sigma)
-    return _spectra(sigma)
-
-
-def gaussian_entropy(sigma):
-    """Von Neumann entropy sum_k g(nu_k - 1/2) of the Gaussian state with covariance sigma."""
-    sigma = np.asarray(sigma, dtype=float)
-    n_modes_of(sigma)
-    out = _entropies(sigma)
+    out = np.sum(g(excess), axis=-1)
     return out if out.ndim else float(out)
 
 

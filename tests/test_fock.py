@@ -29,6 +29,14 @@ def expm_column(kind, value, n, size):
     return expm(np.diag(c, -1) - np.diag(c, 1))[:, 0]
 
 
+def beam_splitter_by_input(eta, N):
+    """The beam-splitter table re-laid from [output m, ancilla j] to [input n, j],
+    with n = m + j, 0 where j > n: the layout of the references below."""
+    table = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N)
+    n, j = np.ogrid[:N, :N]
+    return np.where(j <= n, table[(n - j) % N, j], 0.0)
+
+
 def stinespring_reference(rho, channel, complement):
     """Dense Stinespring action built from the expm block columns: the isometry
     V[output, ancilla, input] applied to rho, with one side traced out."""
@@ -51,12 +59,12 @@ def stinespring_reference(rho, channel, complement):
 
 def oracle_wavefunction(kappa, E, eta, N):
     """Reference for the truncated pure state of modes (A, B, R, C) behind
-    fock.oracle_cmi, as X[r, c, b] = sigma[n, b] lam[n] beta[n, c] with n = r + c.
+    fock.oracle_cmi, as X[r, c, b] = sigma[n, b] lam[n] beta[r, c] with n = r + c.
     The axes r and c carry one extra all-zero index N, where gathers of blocks
     land when they fall outside the state."""
     lam = np.zeros(2 * N + 1)
     lam[:N] = np.sqrt(fock._thermal_probabilities(E, N))  # the TMSV Schmidt coefficients
-    beta = np.zeros((2 * N + 1, N))
+    beta = np.zeros((N + 1, N))
     beta[:N] = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N)
     sigma = np.zeros((2 * N + 1, N))
     sigma[:N] = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
@@ -64,7 +72,7 @@ def oracle_wavefunction(kappa, E, eta, N):
     n = k[:, None] + k[None, :]  # n = r + c
     c = np.minimum(k, N - 1)[None, :]  # c = N only meets n >= N, where lam is 0
     X = sigma[n]
-    X *= (lam[n] * beta[n, c])[:, :, None]
+    X *= (lam[n] * beta[k[:, None], c])[:, :, None]
     return X
 
 
@@ -103,7 +111,7 @@ def einsum_distributions(kappa, E, eta, N):
     the squared amplitude is w[r, c] H[r, c, b]: w = lam^2 beta^2 and H[r, c, b] =
     sigma^2[r + c, b], a Hankel view of the zero-padded squeezer table.  The two
     sums run to 2N - 1, past the cut, where they are 0."""
-    beta = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N)
+    w = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N) ** 2  # beta^2[r, c]
     sigma2 = np.zeros((2 * N, N))
     sigma2[:N] = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
     sigma2 **= 2
@@ -111,7 +119,6 @@ def einsum_distributions(kappa, E, eta, N):
     n = k[:, None] + k[None, :]  # n = r + c, and in the joint tables r + b or c + b
     lam2 = np.zeros(2 * N)
     lam2[:N] = fock._thermal_probabilities(E, N)
-    w = beta[np.minimum(n, N - 1), k] ** 2
     w *= lam2[n]
     H = as_strided(sigma2, (N, N, N), (sigma2.strides[0],) * 2 + (sigma2.strides[1],))
     rb = np.einsum("rc,rcb->rb", w, H)
@@ -122,7 +129,8 @@ def einsum_distributions(kappa, E, eta, N):
 
 def gather_amplitudes(kind, value, N):
     """Reference for fock._vacuum_ancilla_amplitudes: the same log-space sum, in
-    the same order, over gathered (N, N) tables of log-factorials and masks."""
+    the same order, over gathered (N, N) tables of log-factorials and masks;
+    the beam splitter's laid out by input, as beam_splitter_by_input."""
     n = np.arange(N)[:, None]
     j = np.arange(N)[None, :]
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N)))))
@@ -424,8 +432,9 @@ EXACT_IDS = ["amp-1.2", "amp-2", "comp-1.2", "comp-2", "att-0", "att-0.37", "att
 
 def loop_reference(matrix, channel, complement):
     attenuator = channel.kind == "attenuator"
-    kind = "beam-splitter" if attenuator else "squeezer"
-    table = fock._vacuum_ancilla_amplitudes(kind, channel.value, len(matrix))
+    N = len(matrix)
+    table = (beam_splitter_by_input(channel.value, N) if attenuator
+             else fock._vacuum_ancilla_amplitudes("squeezer", channel.value, N))
     return kraus_sum_loop(matrix, table, attenuator, complement)
 
 
@@ -660,13 +669,23 @@ class TestVacuumAncillaAmplitudes:
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.9, 1.0])
     def test_beam_splitter_matches_expm_column(self, eta):
-        table = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, self.N)
+        table = beam_splitter_by_input(eta, self.N)
         for n in range(self.N):
             # block n is indexed by the ancilla occupation j = 0 .. n
             np.testing.assert_allclose(
                 table[n, : n + 1], np.abs(expm_column("beam-splitter", eta, n, n + 1)),
                 rtol=0, atol=1e-13)
             assert not table[n, n + 1 :].any()
+
+    @pytest.mark.parametrize("N", [2, 3, 17, 40, 81])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_beam_splitter_inputs_are_normalized(self, eta, N):
+        # input n goes to the entries [m, j] with m + j = n, whose squares sum to 1
+        table = fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N)
+        m, j = np.indices((N, N))
+        norms = np.bincount((m + j).ravel(), weights=(table**2).ravel())
+        assert np.abs(norms[:N] - 1.0).max() <= 1e-13
+        assert not norms[N:].any()
 
     @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 5.0])
     def test_squeezer_matches_expm_column(self, kappa):
@@ -697,8 +716,9 @@ class TestVacuumAncillaAmplitudes:
         for kind, values in (("squeezer", (1.0, 1.2, 2.0, 5.0, 37.5)),
                              ("beam-splitter", (0.0, 0.3, 0.5, 0.9, 1.0))):
             for value in values:
-                assert np.array_equal(fock._vacuum_ancilla_amplitudes(kind, value, N),
-                                      gather_amplitudes(kind, value, N))
+                table = (beam_splitter_by_input(value, N) if kind == "beam-splitter"
+                         else fock._vacuum_ancilla_amplitudes(kind, value, N))
+                assert np.array_equal(table, gather_amplitudes(kind, value, N))
 
     def test_edges_exact(self):
         N = self.N
@@ -707,8 +727,9 @@ class TestVacuumAncillaAmplitudes:
         assert np.array_equal(fock._vacuum_ancilla_amplitudes("squeezer", 1.0, N), ones_first)
         assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 1.0, N),
                               ones_first)
+        # at eta = 0 every photon leaves in the ancilla
         assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 0.0, N),
-                              np.eye(N))
+                              ones_first.T)
         # E = 0 and kappa = 1 leave the four-mode vacuum, with nothing lost
         assert fock.oracle_cmi(1.0, 0.0, 0.5, N) == 0.0
         assert fock.oracle_lost_norm(1.0, 0.0, 0.5, N) == 0.0

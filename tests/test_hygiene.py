@@ -1,6 +1,7 @@
 """Static hygiene checks over the package, the tests and the scripts."""
 
 import ast
+import importlib
 import inspect
 import os
 import pathlib
@@ -89,3 +90,18 @@ def test_readme_states_each_suite_tolerance():
     for name, text in stated.items():
         default = inspect.signature(SUITES[name]).parameters["tolerance"].default
         assert float(text) == default, name
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer skips absent names silently, so a rename would
+    # empty a per-layer metric without failing the benchmark; bench is read,
+    # not imported
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    assert layers
+    for layer, functions in layers.items():
+        module = importlib.import_module(f"cvsquash.{layer}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

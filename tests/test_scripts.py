@@ -13,7 +13,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMMANDS = {
     "cutoff_convergence": ["cutoff_convergence.py", "--max-cutoff", "32"],
     "validation_scan": ["validation_scan.py", "--draws", "200"],
-    "figure1_data": ["figure1_data.py", "--steps", "5", "--output", "{tmp}/figure1.csv"],
 }
 
 

@@ -34,7 +34,7 @@ def two_call_cmi(state, part_a, part_b, part_r=()):
     kept = np.repeat(kept, 2, axis=1)
     vacuum = 0.5 * np.eye(2 * state.n_modes)
     stack = np.where(kept[:, :, None] & kept[:, None, :], state.cov, vacuum)
-    s_ar, s_br, s_r, s_abr = symplectic._entropies(stack)
+    s_ar, s_br, s_r, s_abr = gaussian_entropy(stack)
     return float(s_ar + s_br - s_r - s_abr)
 
 
@@ -50,13 +50,13 @@ def random_state(rng, n_modes):
 def kernel_calls(monkeypatch):
     """Shapes of the stacks passed to the symplectic kernel."""
     calls = []
-    spectra = symplectic._spectra
+    spectra = symplectic.symplectic_eigenvalues
 
     def counted(stack):
         calls.append(stack.shape)
         return spectra(stack)
 
-    monkeypatch.setattr(symplectic, "_spectra", counted)
+    monkeypatch.setattr(symplectic, "symplectic_eigenvalues", counted)
     return calls
 
 

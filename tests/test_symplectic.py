@@ -12,7 +12,6 @@ from cvsquash.entropics import g
 from cvsquash.errors import DomainError, InvalidStateError
 from cvsquash.states import GaussianState, extension_family
 from cvsquash.symplectic import (
-    _spectra,
     gaussian_entropy,
     marginal,
     symplectic_eigenvalues,
@@ -122,7 +121,7 @@ class TestStackedKernel:
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_stack_equals_per_matrix_calls(self, n_modes):
         stack = random_physical_stack(np.random.default_rng(n_modes), n_modes, 16)
-        stacked = _spectra(stack)
+        stacked = symplectic_eigenvalues(stack)
         assert stacked.shape == (16, n_modes)
         for sigma, nu in zip(stack, stacked):
             np.testing.assert_allclose(nu, symplectic_eigenvalues(sigma), rtol=1e-12, atol=0)
@@ -130,7 +129,7 @@ class TestStackedKernel:
     def test_non_positive_definite_stack_is_invalid_state(self):
         stack = np.array([0.5 * np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0])])
         with pytest.raises(InvalidStateError, match="not positive definite"):
-            _spectra(stack)
+            symplectic_eigenvalues(stack)
         with pytest.raises(InvalidStateError, match="not positive definite"):
             validate_covariance(stack[1])
 
@@ -139,7 +138,7 @@ class TestStackedKernel:
         # Cholesky does not raise on NaN, and every comparison with NaN is False
         stack = np.array([0.5 * np.eye(2), np.full((2, 2), math.nan), np.diag([inf, 0.5])])
         with pytest.raises(InvalidStateError, match="non-finite"):
-            _spectra(stack)
+            symplectic_eigenvalues(stack)
         for sigma in stack[1:]:
             with pytest.raises(InvalidStateError, match="non-finite"):
                 symplectic_eigenvalues(sigma)
