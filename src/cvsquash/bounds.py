@@ -45,7 +45,7 @@ def esq_bounds_tms(kappa, E):
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     with np.errstate(over="ignore"):
-        energy = (kappa - 0.5) * E + kappa - 1.0
+        energy = (kappa - 0.5) * E + (kappa - 1.0)  # exactly E / 2 at kappa = 1
     if not np.isfinite(energy).all():
         E_bad = np.ravel(E)[~np.isfinite(np.ravel(energy))][0]
         raise DomainError(

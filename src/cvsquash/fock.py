@@ -10,8 +10,8 @@ photon-number charge of its pure four-mode state, whose squared amplitudes are
 multinomial, (1 - q) / kappa (r + b + c)! / (r! b! c!) alpha^r y^b gamma^c: every
 charge block of its two reduced states is rank one, and the cutoff, which zeroes
 whole columns of a block, keeps it so.  Each entropy is then that of a
-photon-number distribution, a truncated negative-binomial sum, in O(N^2) time
-and memory, with no eigensolve.  What the truncation loses is reported, not
+photon-number distribution, a thermal law cut by one binomial survival, in O(N)
+time and memory, with no eigensolve.  What the truncation loses is reported, not
 renormalized away; only a fixed memory limit bounds the cutoff.
 """
 
@@ -357,39 +357,36 @@ def oracle_energy(kappa, E, eta):
 def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     """Photon-number distributions of n_R, n_C, n_B + n_R and n_B + n_C in the
     truncated purification behind ``oracle_cmi``, after the domain, memory and
-    cutoff checks.
-
-    Each is the sum p(m) = (1 - q) / kappa a^m sum_{s < N - m} C(m + s, s) x^s
-    of ``oracle_cmi``'s table.  The four (N, N) tables of terms are built in log
-    space, ln C(m + s, s) + m ln a + s ln x + ln((1 - q) / kappa), from a Hankel
-    view of ln (m + s)!, -inf from m + s = N on, where the cut falls.  Every term
-    is at most (a + x)^(m + s) < 1, so none overflows.
-    """
+    cutoff checks: thermal laws, each cut by one binomial survival.  The binomial's
+    probabilities, 1 + mu_X and mu_Xbar over 1 + mode A's mean, are ratios with
+    no difference, as X's partner Xbar (n_R and n_B + n_C, n_C and n_B + n_R)
+    makes up the rest of n_A.  Each survival is summed from its smaller side."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
-    # the (4, N, N) table of terms, and 128 KiB for the 1-D tables, the ufuncs'
-    # buffers and the interpreter's own allocations.  Measured (tracemalloc), a
-    # call peaks at 4.03 x 8 N^2 B at N = 1000, 4.46 x at N = 200, 6.19 x at N = 80
-    # and 13.5 x at N = 20, 30 to 310 KB above the table for N up to 2000.
-    _check_memory(N, 4.5 * 8 * N**2 + 2**17, e_max)
+    # about six (4, N + 1) arrays and the log-factorials, and 128 KiB for the ufuncs'
+    # buffers and the interpreter.  Measured (tracemalloc), a call peaks at 26.003 x
+    # 8 N B at N = 10^5 and 10^6, and 3 to 99 KB above 26 x 8 N B for N = 500 to 8000.
+    _check_memory(N, 26 * 8 * N + 2**17, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 
-    q, y = E / (E + 1.0), (kappa - 1.0) / kappa
-    alpha, gamma = q * eta / kappa, q * (1.0 - eta) / kappa
-    log_fact, hankel = _log_factorials(N)
-    # [distribution, (m, s), index]: m ln a - ln m! + ln((1 - q) / kappa) and
-    # s ln x - ln s!, with ln(1 - q) as -log1p(E)
-    sides = _log_powers(np.array([[alpha, y + gamma], [gamma, y + alpha],
-                                  [y + alpha, gamma], [y + gamma, alpha]]), N)
-    sides -= log_fact
-    sides[:, 0] -= math.log1p(E) + math.log(kappa)
-    terms = hankel + sides[:, 0, :, None]
-    terms += sides[:, 1, None, :]
-    return tuple(np.exp(terms, out=terms).sum(axis=2))
+    # the means of n_R, n_C, n_B + n_R and n_B + n_C; partners are in reverse order
+    grown = (kappa - 1.0) * (E + 1.0)
+    mu = np.array([eta * E, (1.0 - eta) * E, grown + eta * E, grown + (1.0 - eta) * E])
+    log_fact = _log_factorials(N + 1)[0]
+    # ln of the binomial's probabilities at k = 0..N: ln C(N, k) + k ln p + (N - k) ln (1 - p)
+    powers = _log_powers(np.array([1.0 + mu, mu[::-1]]) / (kappa * (E + 1.0)), N + 1)
+    pmf = np.add(powers[0], powers[1, :, ::-1], out=powers[0])
+    pmf += log_fact[N] - log_fact - log_fact[::-1]
+    np.exp(pmf, out=pmf)
+    upper = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]  # [m]: the sum over k > m
+    survival = 1.0 - np.cumsum(pmf[:, :N], axis=1)  # [m]: 1 - the sum over k <= m
+    np.copyto(survival, upper, where=upper < 0.5)
+    survival *= _thermal_probabilities(mu[:, None], N)
+    return tuple(survival)
 
 
 def oracle_lost_norm(kappa, E, eta, N):
@@ -418,11 +415,12 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     (rows b, columns c).  The truncation keeps it so, as r + d < N zeroes whole
     columns of block d.  A rank-one block's one eigenvalue is its trace, so
     S(AR), S(BR), S(R) and S(C) are the Shannon entropies of n_B + n_C,
-    n_B + n_R, n_R and n_C, with no eigensolve.  By the binomial theorem each is
-    p(m) = (1 - q) / kappa a^m sum_{s < N - m} C(m + s, s) x^s, with
-        n_R: a = alpha, x = y + gamma      n_B + n_R: a = y + alpha, x = gamma
-        n_C: a = gamma, x = y + alpha      n_B + n_C: a = y + gamma, x = alpha
-    Time and memory are O(N^2).  Cutoffs whose working set exceeds
+    n_B + n_R, n_R and n_C, with no eigensolve.  Each, X, is thermal of mean mu,
+    and given X the rest of n_A = r + b + c is negative binomial, so the cut keeps
+    p_X(m) = t_mu(m) P[Bin(N, (1 + mu) / (kappa (E + 1))) > m], t_mu thermal, with mu
+        n_R: eta E                 n_B + n_R: (kappa - 1)(E + 1) + eta E
+        n_C: (1 - eta) E           n_B + n_C: (kappa - 1)(E + 1) + (1 - eta) E
+    Time and memory are O(N).  Cutoffs whose working set exceeds
     ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.  The
     truncated state is left sub-normalized by ``oracle_lost_norm``.
     """

@@ -263,3 +263,10 @@ class TestSeparation:
     def test_zero_at_degenerate_edges(self):
         assert separation_check(1.0, 3.0) == pytest.approx(0.0, abs=1e-12)
         assert separation_check(2.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_exactly_zero_at_kappa_one(self):
+        # (kappa - 1/2) E + (kappa - 1) is exactly E / 2 at kappa = 1, so the upper
+        # bound g(E / 2) - g(E / 2) and the separation are 0, not a rounding off it
+        E = np.concatenate(([0.1], np.linspace(0.0, 50.0, 10_001)))
+        assert (esq_bounds_tms(1.0, E).upper == 0.0).all()
+        assert (separation_check(1.0, E) == 0.0).all()

@@ -493,7 +493,7 @@ class TestOracle:
         try:
             code, _, err = run(
                 capsys, "oracle", "cmi", "--kappa", "1.5", "--energy", "0.5", "--eta", "0.5",
-                "--cutoff", "100000",
+                "--cutoff", "10000000",
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:

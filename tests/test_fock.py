@@ -549,9 +549,9 @@ class TestOracleCmi:
                 fock.oracle_cmi(kappa, E, 1.0, N), abs=1e-12
             )
 
-    def test_working_memory_is_quadratic(self, monkeypatch):
+    def test_working_memory_is_linear(self, monkeypatch):
         limit = fock.ORACLE_MEMORY_LIMIT
-        for N in (80, 1000):
+        for N in (1000, 10**5):
             monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", limit)
             tracemalloc.start()
             try:
@@ -559,8 +559,8 @@ class TestOracleCmi:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 4.5 * 8 * N**2 + 2**17  # the estimate checked against the limit
-            assert peak < 8 * N**3 / 4  # a quarter of one N^3 array of doubles
+            assert peak <= 26 * 8 * N + 2**17  # the estimate checked against the limit
+            assert peak < 8 * N**2 / 4  # a quarter of one N^2 array of doubles
             # the refusal boundary lies between the peak and 1.25 times it: what
             # does not fit is refused, and what fits with that margin is not
             monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", peak - 1)
@@ -634,6 +634,30 @@ class TestOracleCmi:
             X = oracle_wavefunction(*point, N)
             assert abs(fock.oracle_lost_norm(*point, N) - (1.0 - np.sum(X**2))) <= 1e-15
 
+    @pytest.mark.parametrize("N", FOLD_CUTOFFS)
+    def test_lost_norm_is_mode_a_thermal_tail(self, N):
+        # the cut falls on n_A, thermal with mean kappa (E + 1) - 1, and all four
+        # distributions are marginals of the one truncated state
+        for kappa, E, eta in self.fold_points():
+            tail = fock.geometric_tail(kappa * (E + 1.0) - 1.0, N)
+            assert abs(fock.oracle_lost_norm(kappa, E, eta, N) - tail) <= 1e-15
+            sums = [np.sum(p) for p in fock._oracle_distributions(kappa, E, eta, N, False)]
+            assert np.ptp(sums) <= 1e-15
+
+    @pytest.mark.parametrize("N", FOLD_CUTOFFS)
+    def test_top_level_in_closed_form(self, N):
+        # at m = N - 1 the cut leaves only n_A = m, so p_X(m) = (1 - q) / kappa a^m
+        # with a = alpha, gamma, y + alpha and y + gamma.  Its survival there,
+        # P[Bin(N, p) = N], is far below the rounding of 1 minus a lower sum, so
+        # this holds only if the tail is summed from above
+        for kappa, E, eta in self.fold_points():
+            q, y = E / (E + 1.0), 1.0 - 1.0 / kappa
+            alpha, gamma = q * eta / kappa, q * (1.0 - eta) / kappa
+            for p, a in zip(fock._oracle_distributions(kappa, E, eta, N, False),
+                            (alpha, gamma, y + alpha, y + gamma)):
+                expected = (1.0 - q) / kappa * a ** (N - 1)
+                assert p[-1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_overflow_names_the_combination(self):
         with pytest.raises(DomainError, match="overflows at kappa = 2, E = 1e"):
             fock.oracle_cmi(2.0, 1e308, 0.5, 10)
@@ -650,7 +674,7 @@ class TestOracleCmi:
 
     def test_memory_refusal(self):
         with pytest.raises(CutoffError, match="limit of 1024 MiB") as err:
-            fock.oracle_cmi(1.5, 0.5, 0.5, 100_000)
+            fock.oracle_cmi(1.5, 0.5, 0.5, 10**7)
         assert err.value.required == fock.required_cutoff(1.5 * 1.5 - 0.25 - 1.0)
 
     def test_lost_norm(self):
