@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Wall time of every verification suite, with one BLAS thread.
+"""Wall time of every verification suite, and of two commands, with one BLAS thread.
 
 Runs each suite of ``cvsquash.verify.SUITES`` at its default tolerance and
 seed, REPEATS times in this one process, and prints one line per suite: its
 check count, its worst violation and the median of its wall times.  The first
-run of a suite is timed like the others, so the median is of warm runs.
+run of a suite is timed like the others, so the median is of warm runs.  Then
+it prints the median of REPEATS wall times of each command in COMMANDS, run
+through ``cvsquash.cli.main`` with its output sent to the null device.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -20,9 +22,13 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-from cvsquash.verify import SUITES, run_suite  # noqa: E402  (imports numpy)
+from cvsquash.cli import main as cli_main  # noqa: E402  (imports numpy)
+from cvsquash.verify import SUITES, run_suite  # noqa: E402
 
 REPEATS = 5
+#: the end-to-end commands timed after the suites: figure1 at its defaults and
+#: one bound query
+COMMANDS = (["figure1"], ["bounds", "tms", "--kappa", "2", "--energy", "1"])
 
 
 def time_suite(name):
@@ -38,12 +44,27 @@ def time_suite(name):
     return reports[-1], times
 
 
+def time_command(argv):
+    """REPEATS wall times of one command line; each run must exit 0."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        code = cli_main([*argv, "--output", os.devnull])
+        times.append(time.perf_counter() - start)
+        if code != 0:
+            raise RuntimeError(f"cvsquash {' '.join(argv)} exited with code {code}")
+    return times
+
+
 def main():
     print(f"{'suite':<14} {'checks_run':>10} {'max_violation':>22} {'median_s':>9}")
     for name in sorted(SUITES):
         report, times = time_suite(name)
         print(f"{name:<14} {report.checks_run:>10} {report.max_violation!r:>22}"
               f" {statistics.median(times):>9.3f}")
+    print(f"\n{'command':<48} {'median_ms':>9}")
+    for argv in COMMANDS:
+        print(f"{' '.join(argv):<48} {statistics.median(time_command(argv)) * 1e3:>9.3f}")
     return 0
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropics import g, h
+from .entropics import _sub, g, h
 from .errors import ENERGY, GAIN, DomainError, in_domain
 
 
@@ -40,7 +40,8 @@ def esq_bounds_tms(kappa, E):
 
     lower = ln(2 kappa - 1); upper = g((kappa - 1/2) E + kappa - 1) - g(E/2),
     the halved conditional mutual information of the optimal (eta = 1/2)
-    Gaussian extension.  E may be an array; upper is then elementwise.
+    Gaussian extension.  E may be an array; upper is then elementwise.  At a
+    scalar E = 0 the state is pure and upper is also the exact value g(kappa - 1).
     """
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
@@ -53,9 +54,12 @@ def esq_bounds_tms(kappa, E):
         )
     if 2.0 * kappa - 1.0 == math.inf:
         raise DomainError(f"2 kappa - 1 overflows at kappa = {kappa:g}")
+    # one g call on both stacked arguments
+    upper = _sub(*g(np.stack(np.broadcast_arrays(energy, 0.5 * E))))
     return BoundReport(
         lower=math.log(2.0 * kappa - 1.0),
-        upper=g(energy) - g(0.5 * E),
+        upper=upper,
+        exact=upper if isinstance(E, float) and E == 0.0 else None,
         provenance=("theorem-1",),
         parameters={"kappa": kappa, "E": E},
     )

@@ -34,7 +34,7 @@ DEFAULT_PRECISION = 12
 #: fixed, versioned sweep header
 FIGURE1_HEADER = "kappa,E,esq_lower,esq_upper,esq_classical"
 #: memory a figure1 row takes, by format: the tracemalloc peak of a 1e5-row sweep
-FIGURE1_ROW_BYTES = {"csv": 220, "json": 1430}
+FIGURE1_ROW_BYTES = {"csv": 220, "json": 500}
 
 
 def _fmt(x, precision):
@@ -151,30 +151,46 @@ def _sweep(kappas, e_min, e_max, steps):
     return blocks
 
 
+def _figure1_text(blocks, fmt, precision):
+    """The figure1 output of _sweep's blocks, as CSV or JSON.
+
+    _sweep rejects non-finite values, so no value needs "inf".  Each block's rows
+    are formatted in one % call; kappa, esq_lower and the trailing run of equal
+    esq_classical values (every E >= E_kappa) are formatted once per block.
+    """
+    spec = f"%.{precision}g"
+    if fmt == "json":
+        # json.dumps prints _json_value's rounding of x as the repr of float(spec % x)
+        def values(xs):
+            return tuple(map(float, map(spec.__mod__, xs)))
+
+        slot, parts = "%r", ["[\n"]
+        row = "  {\n" + ",\n".join(f'    "{name}": %s' for name in FIGURE1_HEADER.split(","))
+        row += "\n  },\n"
+    else:
+        slot, values, row, parts = spec, tuple, "%s,%s,%s,%s,%s\n", [FIGURE1_HEADER + "\n"]
+    for kappa, lower, table in blocks:
+        classical = table[:, 2]
+        differ = np.flatnonzero(classical != classical[-1])
+        run = int(differ[-1]) + 1 if differ.size else 0  # where the trailing run starts
+        kappa, lower, tail = (slot % x for x in values([kappa, lower, classical[-1]]))
+        parts.append(row % (kappa, slot, lower, slot, slot) * run
+                     % values(table[:run].ravel().tolist()))
+        parts.append(row % (kappa, slot, lower, slot, tail) * (len(table) - run)
+                     % values(table[run:, :2].ravel().tolist()))
+    if fmt == "json":
+        parts[-1] = parts[-1][:-2] + "\n]\n"  # no comma after the last row
+    return "".join(parts)
+
+
 def cmd_figure1(args):
     rows = in_domain("--steps", args.steps, CUTOFF) * len(args.kappas)  # at least 2, as a cutoff
     nbytes = rows * FIGURE1_ROW_BYTES[args.format]
     if nbytes > fock.ORACLE_MEMORY_LIMIT:  # refused before anything is allocated
         raise DomainError(f"figure1 sweep of {rows} rows needs {nbytes / 2**20:.4g} MiB,"
                           f" above the limit of {fock.ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB")
-    blocks = _sweep(args.kappas, args.e_min, args.e_max, args.steps)
-    if args.format == "json":
-        names = FIGURE1_HEADER.split(",")
-        payload = [
-            {name: _json_value(value, args.precision)
-             for name, value in zip(names, (kappa, E, lower, upper, classical))}
-            for kappa, lower, table in blocks for E, upper, classical in table.tolist()
-        ]
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
-        # _sweep rejects non-finite values, so no value needs _fmt's "inf"; kappa and
-        # esq_lower are formatted once per block, the table's rows in one % call
-        spec = f"%.{args.precision}g"
-        parts = [FIGURE1_HEADER + "\n"]
-        for kappa, lower, table in blocks:
-            row = f"{spec % kappa},{spec},{spec % lower},{spec},{spec}\n"
-            parts.append(row * len(table) % tuple(table.ravel().tolist()))
-        text = "".join(parts)
+    text = _figure1_text(_sweep(args.kappas, args.e_min, args.e_max, args.steps),
+                         args.format, args.precision)
     _emit(text, args.output)
     return 0
 

@@ -50,14 +50,20 @@ class ChannelParam:
 
 
 def g(E):
-    """Entropy g(E) = (E+1) ln(E+1) - E ln E of a thermal state with mean energy E."""
+    """Entropy g(E) = (E+1) ln(E+1) - E ln E of a thermal state with mean energy E.
+
+    Every entry takes the cancellation-free direct form E ln(1 + 1/E) + ln(1 + E);
+    only the entries below _G_SERIES_CUTOFF are then overwritten, by the series
+    E(1 - ln E) + E^2/2, or by the exact g(0) = 0.
+    """
     arr = np.asarray(in_domain("mean energy", E, ENERGY))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # E*log1p(1/E) + log1p(E) is cancellation-free for all E > 0
-        direct = arr * np.log1p(1.0 / arr) + np.log1p(arr)
-        series = arr * (1.0 - np.log(arr)) + 0.5 * arr * arr
-    out = np.where(arr >= _G_SERIES_CUTOFF, direct, series)
-    out = np.where(arr == 0.0, 0.0, out)
+        # 1/E overflows for subnormal E and is inf at 0; both are overwritten
+        out = np.asarray(arr * np.log1p(1.0 / arr) + np.log1p(arr))  # 0-d stays assignable
+        small = arr < _G_SERIES_CUTOFF
+        if small.any():
+            tiny = arr[small]
+            out[small] = np.where(tiny == 0.0, 0.0, tiny * (1.0 - np.log(tiny)) + 0.5 * tiny * tiny)
     return out if out.ndim else float(out)
 
 
@@ -159,7 +165,10 @@ def h(kappa, x):
     """h_kappa(x) = g(kappa x + kappa - 1) + g((kappa-1)(x+1)) - g(x)."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
     x = in_domain("mean energy", x, ENERGY)
-    return _sub(g(kappa * x + kappa - 1.0) + g((kappa - 1.0) * (x + 1.0)), g(x))
+    # one g call on the three stacked arguments
+    first, second, third = g(np.stack(np.broadcast_arrays(kappa * x + kappa - 1.0,
+                                                           (kappa - 1.0) * (x + 1.0), x)))
+    return _sub(first + second, third)
 
 
 def moe_amplifier(kappa, s):

@@ -53,6 +53,10 @@ class TestTmsBounds:
         # at E = 0 the upper bound is the exact entanglement entropy g(kappa - 1)
         report = esq_bounds_tms(3.0, 0.0)
         assert report.upper == pytest.approx(g(2.0), rel=1e-12)
+        assert report.exact == report.upper
+        # a mixed state, or an energy sweep, has no exact value
+        assert esq_bounds_tms(3.0, 5e-324).exact is None
+        assert esq_bounds_tms(3.0, np.array([0.0, 1.0])).exact is None
 
     @given(
         kappa=st.floats(min_value=1.0, max_value=20.0),

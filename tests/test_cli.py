@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import errno
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cvsquash import entropics, fock, verify
+from cvsquash import bounds, entropics, fock, verify
 from cvsquash.bounds import classical_esq, esq_bounds_tms
 from cvsquash.cli import _sweep, build_parser, main
 from cvsquash.states import extension_family, gaussian_cmi
@@ -57,6 +58,18 @@ class TestBounds:
         assert code == 0
         payload = json.loads(out)
         assert payload["lower"] == pytest.approx(math.log(5.0 / 3.0))
+
+    def test_tms_pure_state_prints_exact(self, capsys, schema):
+        argv = ("bounds", "tms", "--kappa", "2", "--energy", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        assert rows["esq_exact"] == rows["esq_upper"] == "1.38629436112"  # g(1) = 2 ln 2
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert payload["exact"] == payload["upper"] == float(rows["esq_exact"])
 
     def test_domain_error_exit_3(self, capsys):
         code, _, err = run(capsys, "bounds", "tms", "--kappa", "0.5", "--energy", "1")
@@ -190,7 +203,7 @@ class TestFigure1:
         assert err.startswith("error: figure1 sweep of 100000000000 rows needs")
 
     def test_memory_charge_per_row_by_format(self, capsys, monkeypatch):
-        # six rows fit at 220 B each (CSV) and not at 1430 B each (JSON)
+        # six rows fit at 220 B each (CSV) and not at 500 B each (JSON)
         monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 6 * 220)
         argv = ("figure1", "--kappas", "1.5,2", "--steps", "3", "--format")
         assert run(capsys, *argv, "csv")[0] == 0
@@ -221,19 +234,35 @@ class TestFigure1:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("precision", [0, 1, 3, 12, 17])
     def test_matches_row_by_row_rendering(self, capsys, fmt, precision):
-        # [0, 1e-9] keeps g on its series branch
-        kappas = [1.0, 1.2, 9.9, 83.9]
-        for steps in (2, 3, 400):
-            for e_min, e_max in ((0.0, 1.0), (0.0, 5.0), (2.0, 2.0), (0.0, 1e-9)):
-                code, out, _ = run(capsys, "figure1", "--kappas", ",".join(map(repr, kappas)),
-                                   "--e-min", repr(e_min), "--e-max", repr(e_max),
-                                   "--steps", str(steps), "--precision", str(precision),
-                                   "--format", fmt)
-                assert code == 0
-                rows = [(kappa, E, lower, upper, classical)
-                        for kappa, lower, table in _sweep(kappas, e_min, e_max, steps)
-                        for E, upper, classical in table.tolist()]
-                assert out == figure1_text(rows, precision, fmt)
+        # [0, 1e-9] keeps g on its series branch; at kappa = 2, where E_kappa = 1/4,
+        # the trailing run of equal classical values is empty, partial, whole, and
+        # the whole of a one-energy sweep at E_kappa
+        ranges = ((0.0, 1.0), (0.0, 5.0), (2.0, 2.0), (0.0, 1e-9),
+                  (0.0, 0.2), (0.2, 0.3), (1.0, 5.0), (0.25, 0.25))
+        for kappas, steps, (e_min, e_max) in itertools.product(
+                ([1.0, 1.2, 9.9, 83.9], [2.0]), (2, 3, 400), ranges):
+            code, out, _ = run(capsys, "figure1", "--kappas", ",".join(map(repr, kappas)),
+                               "--e-min", repr(e_min), "--e-max", repr(e_max),
+                               "--steps", str(steps), "--precision", str(precision),
+                               "--format", fmt)
+            assert code == 0
+            rows = [(kappa, E, lower, upper, classical)
+                    for kappa, lower, table in _sweep(kappas, e_min, e_max, steps)
+                    for E, upper, classical in table.tolist()]
+            assert out == figure1_text(rows, precision, fmt)
+
+    def test_one_g_call_per_bound(self, monkeypatch):
+        # esq_upper and the classical value's h each evaluate g once, on stacked arguments
+        shapes, real_g = [], entropics.g
+
+        def spy(E):
+            shapes.append(np.shape(E))
+            return real_g(E)
+
+        monkeypatch.setattr(entropics, "g", spy)
+        monkeypatch.setattr(bounds, "g", spy)
+        _sweep([2.0], 0.0, 5.0, 400)
+        assert sorted(shapes) == [(2, 400), (3, 400)]
 
     @pytest.mark.parametrize("existing", [None, "kept\n"])
     def test_overflow_writes_nothing(self, capsys, tmp_path, existing):

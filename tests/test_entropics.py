@@ -1,6 +1,7 @@
 """Unit tests for the closed-form entropic functions."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvsquash.bounds import esq_bounds_tms
 from cvsquash.entropics import (
+    _G_SERIES_CUTOFF,
     G_MAX,
     ChannelParam,
     cmi_cosh_lower,
@@ -59,6 +62,23 @@ class TestG:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             g(-0.1)
+
+    def test_array_equals_scalar_calls_bitwise(self):
+        # the series and the exact 0 apply only to the entries below the cutoff
+        below, above = np.nextafter(_G_SERIES_CUTOFF, 0.0), np.nextafter(_G_SERIES_CUTOFF, 1.0)
+        E = np.concatenate([[0.0, 5e-324, below, _G_SERIES_CUTOFF, above, 1.0, 1e300,
+                             sys.float_info.max], np.geomspace(5e-324, 1e300, 1192)])
+        assert isinstance(g(1.0), float) and isinstance(g(0.0), float)
+        for shape in ((1,), (7, 3), (3, 400)):
+            x = E[: math.prod(shape)].reshape(shape)
+            assert g(x).shape == shape
+            assert np.array_equal(g(x).ravel(), [g(float(v)) for v in x.ravel()])
+        # the one-call bounds: kappa x + kappa - 1 stays finite below 1e300
+        x = E[E <= 1e300]
+        for kappa in (1.0, 1.2, 2.0, 9.9):
+            assert np.array_equal(h(kappa, x), [h(kappa, float(v)) for v in x])
+            assert np.array_equal(esq_bounds_tms(kappa, x).upper,
+                                  [esq_bounds_tms(kappa, float(v)).upper for v in x])
 
     @given(E=positive_energies)
     def test_monotone(self, E):
