@@ -6,7 +6,9 @@ seed, REPEATS times in this one process, and prints one line per suite: its
 check count, its worst violation and the median of its wall times.  The first
 run of a suite is timed like the others, so the median is of warm runs.  Then
 it prints the median of REPEATS wall times of each command in COMMANDS, run
-through ``cvsquash.cli.main`` with its output sent to the null device.
+through ``cvsquash.cli.main`` with its output sent to the null device, and
+last the line count of the imported package's modules: run on two trees, it
+gives their line counts at their test results.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -18,11 +20,13 @@ import os
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
 
+import pathlib  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-from cvsquash.cli import main as cli_main  # noqa: E402  (imports numpy)
+import cvsquash  # noqa: E402  (imports numpy)
+from cvsquash.cli import main as cli_main  # noqa: E402
 from cvsquash.verify import SUITES, run_suite  # noqa: E402
 
 REPEATS = 5
@@ -65,6 +69,9 @@ def main():
     print(f"\n{'command':<48} {'median_ms':>9}")
     for argv in COMMANDS:
         print(f"{' '.join(argv):<48} {statistics.median(time_command(argv)) * 1e3:>9.3f}")
+    package = pathlib.Path(cvsquash.__file__).parent
+    lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+    print(f"\n{package}/*.py: {lines} lines")
     return 0
 
 

@@ -33,8 +33,9 @@ DEFAULT_PRECISION = 12
 
 #: fixed, versioned sweep header
 FIGURE1_HEADER = "kappa,E,esq_lower,esq_upper,esq_classical"
-#: memory a figure1 row takes, by format: the tracemalloc peak of a 1e5-row sweep
-FIGURE1_ROW_BYTES = {"csv": 220, "json": 500}
+#: memory a figure1 row takes, by format: the worst tracemalloc peak of 1e5-row
+#: sweeps at --precision 17
+FIGURE1_ROW_BYTES = {"csv": 320, "json": 640}
 
 
 def _fmt(x, precision):
@@ -253,8 +254,9 @@ def cmd_oracle(args):
 
 
 def _precision(text):
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    # 17 significant digits round-trip every double; more print no information
+    if not 0 <= int(text) <= 17:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 17], got {text}")
     return int(text)
 
 

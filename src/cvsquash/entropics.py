@@ -17,13 +17,6 @@ _G_SERIES_CUTOFF = 1e-8
 _MAX = np.finfo(float).max
 _SMALLEST = np.nextafter(0.0, 1.0)  # the smallest subnormal double
 
-#: g_inverse stops an element once its Newton step in ln E is below this.  The
-#: residual is concave in ln E, so the error left after that step is of order
-#: its square, under the rounding of g itself.
-_INVERSE_RTOL = 1e-9
-#: a cap on the iterations of g_inverse; about 5 are used from its initial guess
-_INVERSE_MAX_ITER = 100
-
 
 @dataclass(frozen=True)
 class ChannelParam:
@@ -75,62 +68,40 @@ ENTROPY = (0.0, G_MAX, f"in [0, g(largest double) = {G_MAX:.17g}]")
 def g_inverse(s):
     """The unique E >= 0 with g(E) = s, elementwise.
 
-    Safeguarded Newton iteration in t = ln E on the residual ln g(e^t) - ln s,
-    whose t-derivative is E g'(E) / g(E) with g'(E) = ln(1 + 1/E).  The
-    residual is concave in t, so after the first step the iterates rise to the
-    root quadratically.  Each element keeps its own bracket, and a step that
-    leaves it becomes a bisection in t.  Since E is updated as E e^(-step), not
-    through t, g(g_inverse(s)) = s holds to about 1e-15 relative for every s in
-    [1e-290, G_MAX]; below that the root nears the subnormal doubles and the
-    accuracy degrades.  Entropies above G_MAX = g(largest double) ~ 710.78 have
-    no finite root.
+    Newton's method in t = ln E on the residual ln g(e^t) - ln s, whose
+    t-derivative is E g'(E) / g(E) with g'(E) = ln(1 + 1/E), from the start
+    E_0 = max(s / (2 (1 + ln(1 + 1/s))), e^(s - 1) - 1) in the positive doubles.
+    E_0 lies at or below the root, since g(E) <= E (1 + ln(1 + 1/E)) and
+    g(E) <= 1 + ln(1 + E).  The residual is increasing and concave in t, so each
+    step lands at or below the root too and the iterates rise to it
+    quadratically; an element stops once its step no longer raises E.  With E
+    updated as E e^(-step), not through t, g(g_inverse(s)) = s holds to about
+    1e-15 relative for every s in [1e-290, G_MAX]; below that the root nears the
+    subnormal doubles and the accuracy degrades.  Entropies above
+    G_MAX = g(largest double) ~ 710.78 have no finite root.
     """
-    s = in_domain("entropy", s, ENTROPY)
-    flat = np.atleast_1d(s).ravel()
-    out = np.zeros_like(flat)  # g_inverse(0) = 0
-    idx = np.flatnonzero(flat)
-    target = flat[idx]
-    with np.errstate(divide="ignore", over="ignore"):
-        # g(E) <= E (1 + ln(1 + 1/E)) gives g(lo) <= s, and g(E) >= ln(1 + E)
-        # gives g(hi) >= s; past the overflow of e^s the largest double does.
-        lo = np.maximum(target / (2.0 * (1.0 + np.log1p(1.0 / target))), _SMALLEST)
-        hi = np.minimum(np.exp(target), _MAX)
-        # the initial guess inverts g(E) = 1 + ln(E + 1/2) + O(1/E^2) for large
-        # s, and g(E) ~ E (1 + ln(1/E)) for small s by one fixed-point step
-        L = np.maximum(-np.log(target), 0.0)
-        guess = np.where(
-            target > 1.0, np.exp(target - 1.0) - 0.5, target / (1.0 + L + np.log1p(L))
-        )
-    E = np.clip(guess, lo, hi)
-    for _ in range(_INVERSE_MAX_ITER):
-        if not idx.size:
-            break
-        gE = g(E)
-        r = np.log(gE / target)
-        # g'(E) as log1p(E) - ln E below 1, where 1/E may overflow
-        g_prime = np.where(E >= 1.0, np.log1p(1.0 / np.maximum(E, 1.0)), np.log1p(E) - np.log(E))
-        step = r * gE / (E * g_prime)
-        lo = np.where(r < 0.0, E, lo)
-        hi = np.where(r > 0.0, E, hi)
-        with np.errstate(over="ignore"):
-            new = E * np.exp(-step)
-        done = np.abs(step) <= _INVERSE_RTOL
-        new = np.where(done | ((new > lo) & (new < hi)), new, np.sqrt(lo) * np.sqrt(hi))
-        done |= new == E  # the bracket has closed on E
-        out[idx[done]] = new[done]
-        keep = ~done
-        idx, target, E, lo, hi = idx[keep], target[keep], new[keep], lo[keep], hi[keep]
-    out[idx] = E
-    out = out.reshape(np.shape(s))
+    s = np.asarray(in_domain("entropy", s, ENTROPY))
+    with np.errstate(divide="ignore", over="ignore"):  # s = 0 steps to E = 0 and stops
+        E, new = 0.0, np.clip(np.maximum(s / (2.0 * (1.0 + np.log1p(1.0 / s))),
+                                         np.expm1(s - 1.0)), _SMALLEST, _MAX)
+        while (new > E).any():
+            E = np.maximum(E, new)
+            gE = g(E)
+            # g'(E) as log1p(E) - ln E below 1, where 1/E may overflow
+            g_prime = np.where(E >= 1.0, np.log1p(1.0 / np.maximum(E, 1.0)),
+                               np.log1p(E) - np.log(E))
+            new = E * np.exp(-np.log(gE / s) * gE / (E * g_prime))
+    out = np.where(s > 0.0, E, 0.0)
     return out if out.ndim else float(out)
 
 
 def psi(kappa, E, eta):
-    """psi_{E,kappa}(eta) = g(kappa E + kappa - eta E - 1) - g((1-eta) E)."""
+    """psi_{E,kappa}(eta) = g((kappa - eta) E + kappa - 1) - g((1-eta) E); at eta = 1/2
+    the upper bound of bounds.esq_bounds_tms, bit for bit, and exactly 0 at kappa = 1."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
-    return _sub(g(kappa * E + kappa - eta * E - 1.0), g((1.0 - eta) * E))
+    return _sub(g((kappa - eta) * E + (kappa - 1.0)), g((1.0 - eta) * E))
 
 
 def psi_second_derivative(kappa, E, eta):
@@ -157,8 +128,7 @@ def psi_second_derivative(kappa, E, eta):
 def gap_f(kappa, E):
     """Difference between the closed-form upper and lower squashed-entanglement bounds."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
-    E = in_domain("mean energy", E, ENERGY)
-    return _sub(g((kappa - 0.5) * E + kappa - 1.0) - g(0.5 * E), np.log(2.0 * kappa - 1.0))
+    return _sub(psi(kappa, E, 0.5), np.log(2.0 * kappa - 1.0))
 
 
 def h(kappa, x):

@@ -157,14 +157,16 @@ def spectral_entropy(state):
     return entropy_of_spectrum(np.linalg.eigvalsh(matrix))
 
 
-def _channel_energies(E_in, channel, complement):
+def _channel_energies(E_in, channel):
+    """The largest mean energy of the channel's input and output (or complement):
+    the amplifier's kappa (E + 1) - 1 exceeds its complement's by E."""
     if channel.kind == "attenuator":
-        return max(E_in, 1.0e-12)
+        return E_in
     kappa = channel.value
     grown = kappa * (E_in + 1.0) - 1.0
     if grown == math.inf:
         raise DomainError(f"kappa (E + 1) - 1 overflows at kappa = {kappa:g}, E = {E_in:g}")
-    return max(E_in, grown if not complement else max(grown, (kappa - 1.0) * (E_in + 1.0)))
+    return max(E_in, grown)  # at kappa = 1 and subnormal E_in, grown rounds to 0
 
 
 def _kraus_sum(rho, channel, complement):
@@ -263,7 +265,7 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     if complement and channel.kind != "amplifier":
         raise DomainError("only the amplifier complement is supported")
     N = state.cutoff
-    E_out = _channel_energies(float(np.max(state.mean_photon_number())), channel, complement)
+    E_out = _channel_energies(float(np.max(state.mean_photon_number())), channel)
     # the transfer tensor (8 N^2 (N + 1) B) with the table and its padding, and per
     # state the padded input, its upper triangle and the output: below 80 N^2 B each
     count = state.matrix.size // N**2

@@ -14,14 +14,12 @@ from . import bounds as bd
 from . import entropics as se
 from . import fock
 from .states import (
-    attenuated_tmsv_cov,
     extension_family,
     gamma_amplified,
     gamma_attenuated,
     gaussian_cmi,
     tms_thermal_state,
 )
-from .symplectic import gaussian_entropy, marginal
 
 LN_E_OVER_2 = 1.0 - math.log(2.0)
 
@@ -40,7 +38,7 @@ class VerifyReport:
         return cls(
             suite=suite,
             checks_run=checks_run,
-            max_violation=float(max_violation),
+            max_violation=float(max_violation) + 0.0,  # -0.0 reads as 0
             tolerance=float(tolerance),
             passed=bool(max_violation <= tolerance),
             seed=seed,
@@ -105,7 +103,7 @@ def verify_jensen(tolerance=1e-10, seed=0):
     kappa, E = np.meshgrid(np.linspace(1.0, 10.0, 50), np.linspace(0.0, 50.0, 50),
                            indexing="ij")
     half = gaussian_cmi(extension_family(kappa, E, 0.5), "A", "B", "R")
-    closed = se.g((kappa - 0.5) * E + kappa - 1.0) - se.g(0.5 * E)
+    closed = se.psi(kappa, E, 0.5)
     kappa, E, eta = np.meshgrid((1.0, 1.5, 2.0, 3.0, 5.0), (0.0, 0.1, 0.5, 1.0, 5.0, 20.0),
                                 (0.0, 0.1, 0.25, 0.4, 0.5, 0.75), indexing="ij")
     mid, lo, hi = gaussian_cmi(
@@ -156,8 +154,8 @@ def verify_epi_chain(tolerance=1e-9, seed=0):
     plane = np.meshgrid(np.linspace(1.0, 10.0, 50), np.linspace(0.0, 50.0, 50), 0.5,
                         indexing="ij")
     kappa, E, eta = (np.concatenate((a.ravel(), b.ravel())) for a, b in zip(grid, plane))
-    ar = attenuated_tmsv_cov(eta, E)
-    s = gaussian_entropy(ar) - gaussian_entropy(marginal(ar, [1]))
+    # s = S(AR) - S(R) of the attenuated TMSV, with S(AR) = S(C) for the pure ARC state
+    s = se.g((1.0 - eta) * E) - se.g(eta * E)
     cmi = gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
     cosh_bound = se.cmi_cosh_lower(kappa, s)
     epi_a, epi_b = se.cond_epi_rhs(kappa, s)

@@ -160,6 +160,32 @@ class TestChannelStateBounds:
         report = esq_bounds_channel_state(ChannelParam.amplifier(1e308), 0.0)
         assert report.lower == report.upper == 0.0
 
+    @pytest.mark.parametrize("kind", ["attenuator", "amplifier"])
+    def test_matches_mapped_state_bounds(self, kind):
+        # Corollary 1: the channel-state bounds are those of the equivalent
+        # squeezed thermal-vacuum state; no draw here overflows
+        rng = np.random.default_rng(27)
+        params = rng.uniform(0.0, 1.0, 10_000) if kind == "attenuator" else \
+            rng.uniform(1.0, 1e6, 10_000)
+        energies = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 10_000))
+        for value, E in zip(params.tolist(), energies.tolist()):
+            channel = ChannelParam(kind, value)
+            report = esq_bounds_channel_state(channel, E)
+            kp, ep = tms_equivalent_params(channel, E)
+            # kappa' - 1 ~ E / kappa can round to below 0 for the amplifier
+            mapped = esq_bounds_tms(max(kp, 1.0), ep)
+            assert abs(report.lower - mapped.lower) <= 1e-12
+            assert abs(report.upper - mapped.upper) <= 1e-12
+
+    def test_mapped_gain_below_one_is_not_refused(self):
+        # here kappa (E + 1) / ((kappa - 1) E + kappa) rounds to 1 - 2^-53
+        channel, E = ChannelParam.amplifier(606834.2696127417), 1.0474033988414842e-16
+        assert tms_equivalent_params(channel, E)[0] < 1.0
+        report = esq_bounds_channel_state(channel, E)
+        # both bounds are about E / 2, under the rounding of g near 13.6
+        assert report.lower == pytest.approx(0.0, abs=1e-14)
+        assert report.upper == pytest.approx(0.0, abs=1e-14)
+
     def test_large_energy_approaches_channel_value(self):
         eta = 0.5
         report = esq_bounds_channel_state(ChannelParam.attenuator(eta), 1e6)

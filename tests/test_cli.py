@@ -15,7 +15,7 @@ import pytest
 
 from cvsquash import bounds, entropics, fock, verify
 from cvsquash.bounds import classical_esq, esq_bounds_tms
-from cvsquash.cli import _sweep, build_parser, main
+from cvsquash.cli import FIGURE1_ROW_BYTES, _sweep, build_parser, main
 from cvsquash.states import extension_family, gaussian_cmi
 
 from .reference import figure1_text
@@ -203,15 +203,35 @@ class TestFigure1:
         assert err.startswith("error: figure1 sweep of 100000000000 rows needs")
 
     def test_memory_charge_per_row_by_format(self, capsys, monkeypatch):
-        # six rows fit at 220 B each (CSV) and not at 500 B each (JSON)
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 6 * 220)
+        # six rows fit at the CSV charge each and not at the larger JSON charge
+        csv_limit = 6 * FIGURE1_ROW_BYTES["csv"]
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", csv_limit)
         argv = ("figure1", "--kappas", "1.5,2", "--steps", "3", "--format")
         assert run(capsys, *argv, "csv")[0] == 0
         code, _, err = run(capsys, *argv, "json")
         assert code == 3
         assert "of 6 rows" in err
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 6 * 220 - 1)
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", csv_limit - 1)
         assert run(capsys, *argv, "csv")[0] == 3
+
+    @pytest.mark.parametrize("fmt, kappa, e_min, e_max", [
+        ("csv", "1.2345678901234567e300", "0", "1e-3"),
+        ("json", "1.0000000000000002", "1.2345678901234567e-300", "3.1234567890123457e-300"),
+    ])
+    def test_memory_charge_holds_for_worst_sweep(self, fmt, kappa, e_min, e_max):
+        # the sweeps with the largest measured peak per row, at the longest precision;
+        # their peak per row is the same at 2e4 rows as at 1e5
+        rows = 20_000
+        tracemalloc.start()
+        try:
+            code = main(["figure1", "--kappas", kappa, "--e-min", e_min, "--e-max", e_max,
+                         "--steps", str(rows), "--precision", "17", "--format", fmt,
+                         "--output", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= rows * FIGURE1_ROW_BYTES[fmt]
 
     @pytest.mark.parametrize("flag, value", [
         ("--kappas", "nan"), ("--kappas", "inf"), ("--kappas", "0.3"), ("--e-max", "inf"),
@@ -282,7 +302,7 @@ class TestFigure1:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("precision", ["-1", "nan", "1.5"])
+    @pytest.mark.parametrize("precision", ["-1", "nan", "1.5", "18"])
     def test_bad_precision_is_usage_error(self, capsys, precision):
         with pytest.raises(SystemExit) as exc:
             main(["figure1", "--steps", "3", "--precision", precision])
@@ -422,6 +442,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "gap")
         assert code == 0
         assert "passed: true" in out
+
+    def test_gap_worst_violation_is_zero(self, capsys):
+        # psi vanishes exactly at kappa = 1, and the report prints +0, not -0
+        _, out, _ = run(capsys, "verify", "gap")
+        assert "max_violation: 0\n" in out
 
     def test_failure_exit_1(self, capsys):
         # an absurd tolerance turns the suite into a failure, not an error

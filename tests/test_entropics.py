@@ -142,8 +142,8 @@ class TestGInverse:
         np.testing.assert_allclose(g(g_inverse(s)), s, rtol=2e-15, atol=0.0)
 
     def test_subnormal_roots_stay_finite_and_monotone(self):
-        # below s ~ 3e-305 the root is subnormal and Newton steps stall or
-        # leave the bracket; the bisection fallback must keep them in it
+        # below s ~ 3e-305 the root is subnormal, where g rounds coarsely and the
+        # Newton steps stall; the iterates must still stay finite and in order
         s = np.geomspace(5e-324, 1e-290, 2000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -160,6 +160,20 @@ class TestPsi:
 
     def test_kappa_one_vanishes(self):
         assert psi(1.0, 4.0, 0.3) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 3.7, 9.9, 83.9])
+    def test_half_is_tms_upper_bound_bitwise(self, kappa):
+        # psi(1/2) is Theorem 1's upper bound, on both sides of g's series cutoff
+        E = np.concatenate([[0.0, np.nextafter(0.0, 1.0)],
+                            np.geomspace(1e-300, 1e300, 601),
+                            np.nextafter(2.0 * _G_SERIES_CUTOFF, [0.0, 1.0])])
+        assert np.array_equal(psi(kappa, E, 0.5), esq_bounds_tms(kappa, E).upper)
+
+    def test_exactly_zero_at_kappa_one(self):
+        E = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 601)])
+        for eta in (0.0, 0.3, 0.5, 1.0):
+            assert (psi(1.0, E, eta) == 0.0).all()
+        assert (gap_f(1.0, E) == 0.0).all()
 
     def test_second_derivative_nonnegative(self):
         for kappa in (1.0, 1.5, 3.0, 10.0):

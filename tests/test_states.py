@@ -176,6 +176,16 @@ class TestExtensionFamily:
         assert error.max() <= 1e-8
         assert error[E <= 20.0].max() <= 1e-10
 
+    def test_conditional_entropy_closed_form(self):
+        # S(AR) - S(R) = g((1 - eta) E) - g(eta E), since S(AR) = S(C) for the pure
+        # ARC state; verify epi-chain takes s in this closed form at these (E, eta)
+        E, eta = (np.concatenate((a.ravel(), b)) for a, b in zip(
+            np.meshgrid((0.0, 0.1, 0.5, 1.0, 5.0, 20.0), (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)),
+            (np.linspace(0.0, 50.0, 50), np.full(50, 0.5))))
+        ar = attenuated_tmsv_cov(eta, E)
+        s = gaussian_entropy(ar) - gaussian_entropy(symplectic.marginal(ar, [1]))
+        np.testing.assert_allclose(s, g((1.0 - eta) * E) - g(eta * E), rtol=0, atol=1e-12)
+
 
 class TestCmi:
     def test_product_state_zero(self):
