@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Wall time of every verification suite, and of two commands, with one BLAS thread.
+"""Wall time of every verification suite, of two commands and of the Fock
+oracle at three cutoffs, with one BLAS thread.
 
 Runs each suite of ``cvsquash.verify.SUITES`` at its default tolerance and
 seed, REPEATS times in this one process, and prints one line per suite: its
 check count, its worst violation and the median of its wall times.  The first
 run of a suite is timed like the others, so the median is of warm runs.  Then
 it prints the median of REPEATS wall times of each command in COMMANDS, run
-through ``cvsquash.cli.main`` with its output sent to the null device, and
-last the line count of the imported package's modules: run on two trees, it
-gives their line counts at their test results.
+through ``cvsquash.cli.main`` with its output sent to the null device, and the
+median of REPEATS calls of ``fock.oracle_cmi`` at ORACLE_POINT for each cutoff
+in ORACLE_CUTOFFS.  Last comes the line count of the imported package's
+modules: run on two trees, it gives their line counts at their test results.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -26,6 +28,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 
 import cvsquash  # noqa: E402  (imports numpy)
+from cvsquash import fock  # noqa: E402
 from cvsquash.cli import main as cli_main  # noqa: E402
 from cvsquash.verify import SUITES, run_suite  # noqa: E402
 
@@ -33,6 +36,10 @@ REPEATS = 5
 #: the end-to-end commands timed after the suites: figure1 at its defaults and
 #: one bound query
 COMMANDS = (["figure1"], ["bounds", "tms", "--kappa", "2", "--energy", "1"])
+#: (kappa, E, eta) of the timed oracle calls, whose rule-selected cutoff is 34,
+#: and the cutoffs: one of the benchmark's range and two far above it
+ORACLE_POINT = (1.5, 0.5, 0.5)
+ORACLE_CUTOFFS = (40, 1000, 10**5)
 
 
 def time_suite(name):
@@ -60,6 +67,16 @@ def time_command(argv):
     return times
 
 
+def time_oracle(N):
+    """REPEATS wall times of one ``fock.oracle_cmi`` call at ORACLE_POINT and cutoff N."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fock.oracle_cmi(*ORACLE_POINT, N)
+        times.append(time.perf_counter() - start)
+    return times
+
+
 def main():
     print(f"{'suite':<14} {'checks_run':>10} {'max_violation':>22} {'median_s':>9}")
     for name in sorted(SUITES):
@@ -69,6 +86,9 @@ def main():
     print(f"\n{'command':<48} {'median_ms':>9}")
     for argv in COMMANDS:
         print(f"{' '.join(argv):<48} {statistics.median(time_command(argv)) * 1e3:>9.3f}")
+    print(f"\n{f'oracle_cmi{ORACLE_POINT} at cutoff':<48} {'median_ms':>9}")
+    for N in ORACLE_CUTOFFS:
+        print(f"{N:<48} {statistics.median(time_oracle(N)) * 1e3:>9.3f}")
     package = pathlib.Path(cvsquash.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     print(f"\n{package}/*.py: {lines} lines")

@@ -73,7 +73,8 @@ def tms_equivalent_params(channel, E):
         eta = channel.value
         return (E + 1.0) / ((1.0 - eta) * E + 1.0), (1.0 - eta) * E
     kappa = channel.value
-    return kappa * (E + 1.0) / ((kappa - 1.0) * E + kappa), (kappa - 1.0) * (E + 1.0)
+    # kappa (E + 1) / ((kappa - 1) E + kappa) as 1 plus a ratio, never below 1
+    return 1.0 + E / ((kappa - 1.0) * E + kappa), (kappa - 1.0) * (E + 1.0)
 
 
 def esq_bounds_channel_state(channel, E):

@@ -289,12 +289,8 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
 
 
 def _log_factorials(N):
-    """ln k! for k < N, and its Hankel view [m, j] = ln (m + j)!, which is -inf
-    from m + j = N on, where the cut falls; the two share one buffer."""
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * N - 1)))))
-    log_fact[N:] = -np.inf
-    e = log_fact.itemsize
-    return log_fact[:N], as_strided(log_fact, (N, N), (e, e))
+    """ln k! for k < N, summed in order, so a shorter table is a prefix of a longer."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, N)))))
 
 
 def _log_powers(x, N):
@@ -323,15 +319,18 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
     power of 1/kappa, summed in log space in the order
     ln (m + j)! - ln j! - ln m! + m ln x + j ln y, with 0^0 = 1.
     """
-    log_fact, hankel = _log_factorials(N)
+    # ln k! and its Hankel view [m, j] = ln (m + j)!, -inf from m + j = N on, the cut
+    log_fact = _log_factorials(2 * N - 1)
+    log_fact[N:] = -np.inf
+    hankel = as_strided(log_fact, (N, N), (log_fact.itemsize,) * 2)
     if kind == "squeezer":
         # m ln kappa for m <= N gives the row term -(m + 1) ln kappa
         powers = _log_powers(np.array([value, (value - 1.0) / value]), N + 1)
         row, col = -powers[0, 1:], powers[1, :N]
     else:
         row, col = _log_powers(np.array([value, 1.0 - value]), N)
-    log_amp = hankel - log_fact
-    log_amp -= log_fact[:, None]
+    log_amp = hankel - log_fact[:N]
+    log_amp -= log_fact[:N, None]
     log_amp += row[:, None]
     log_amp += col
     log_amp *= 0.5
@@ -358,27 +357,28 @@ def oracle_energy(kappa, E, eta):
 
 def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     """Photon-number distributions of n_R, n_C, n_B + n_R and n_B + n_C in the
-    truncated purification behind ``oracle_cmi``, after the domain, memory and
-    cutoff checks: thermal laws, each cut by one binomial survival.  The binomial's
-    probabilities, 1 + mu_X and mu_Xbar over 1 + mode A's mean, are ratios with
-    no difference, as X's partner Xbar (n_R and n_B + n_C, n_C and n_B + n_R)
-    makes up the rest of n_A.  Each survival is summed from its smaller side."""
+    truncated purification behind ``oracle_cmi``, as the rows of one (4, N) array,
+    after the domain, memory and cutoff checks: thermal laws, each cut by one
+    binomial survival.  The binomial's probabilities, 1 + mu_X and mu_Xbar over
+    1 + mode A's mean, are ratios with no difference, as X's partner Xbar (n_R and
+    n_B + n_C, n_C and n_B + n_R) makes up the rest of n_A.  Each survival is
+    summed from its smaller side."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
     # about six (4, N + 1) arrays and the log-factorials, and 128 KiB for the ufuncs'
-    # buffers and the interpreter.  Measured (tracemalloc), a call peaks at 26.003 x
-    # 8 N B at N = 10^5 and 10^6, and 3 to 99 KB above 26 x 8 N B for N = 500 to 8000.
-    _check_memory(N, 26 * 8 * N + 2**17, e_max)
+    # buffers and the interpreter.  Measured (tracemalloc), a call peaks at 25.003 x
+    # 8 N B at N = 10^5 and 10^6, and 3 to 101 KB above 25 x 8 N B for N = 500 to 8000.
+    _check_memory(N, 25 * 8 * N + 2**17, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 
     # the means of n_R, n_C, n_B + n_R and n_B + n_C; partners are in reverse order
     grown = (kappa - 1.0) * (E + 1.0)
     mu = np.array([eta * E, (1.0 - eta) * E, grown + eta * E, grown + (1.0 - eta) * E])
-    log_fact = _log_factorials(N + 1)[0]
+    log_fact = _log_factorials(N + 1)
     # ln of the binomial's probabilities at k = 0..N: ln C(N, k) + k ln p + (N - k) ln (1 - p)
     powers = _log_powers(np.array([1.0 + mu, mu[::-1]]) / (kappa * (E + 1.0)), N + 1)
     pmf = np.add(powers[0], powers[1, :, ::-1], out=powers[0])
@@ -388,7 +388,7 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     survival = 1.0 - np.cumsum(pmf[:, :N], axis=1)  # [m]: 1 - the sum over k <= m
     np.copyto(survival, upper, where=upper < 0.5)
     survival *= _thermal_probabilities(mu[:, None], N)
-    return tuple(survival)
+    return survival
 
 
 def oracle_lost_norm(kappa, E, eta, N):
@@ -422,13 +422,15 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     p_X(m) = t_mu(m) P[Bin(N, (1 + mu) / (kappa (E + 1))) > m], t_mu thermal, with mu
         n_R: eta E                 n_B + n_R: (kappa - 1)(E + 1) + eta E
         n_C: (1 - eta) E           n_B + n_C: (kappa - 1)(E + 1) + (1 - eta) E
-    Time and memory are O(N).  Cutoffs whose working set exceeds
+    The four entropies come from one pass of ``entropy_of_spectrum`` over the
+    four distributions stacked as rows, each row summed as a call on that row
+    alone sums it.  Time and memory are O(N).  Cutoffs whose working set exceeds
     ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.  The
     truncated state is left sub-normalized by ``oracle_lost_norm``.
     """
-    p_r, p_c, p_br, p_bc = _oracle_distributions(kappa, E, eta, N, enforce_cutoff)
-    return (entropy_of_spectrum(p_bc) + entropy_of_spectrum(p_br)
-            - entropy_of_spectrum(p_r) - entropy_of_spectrum(p_c))
+    s_r, s_c, s_br, s_bc = entropy_of_spectrum(
+        _oracle_distributions(kappa, E, eta, N, enforce_cutoff))
+    return float(s_bc + s_br - s_r - s_c)
 
 
 def random_one_mode_state(rng, N, support=10):

@@ -172,15 +172,15 @@ class TestChannelStateBounds:
             channel = ChannelParam(kind, value)
             report = esq_bounds_channel_state(channel, E)
             kp, ep = tms_equivalent_params(channel, E)
-            # kappa' - 1 ~ E / kappa can round to below 0 for the amplifier
-            mapped = esq_bounds_tms(max(kp, 1.0), ep)
+            mapped = esq_bounds_tms(kp, ep)
             assert abs(report.lower - mapped.lower) <= 1e-12
             assert abs(report.upper - mapped.upper) <= 1e-12
 
     def test_mapped_gain_below_one_is_not_refused(self):
-        # here kappa (E + 1) / ((kappa - 1) E + kappa) rounds to 1 - 2^-53
+        # here kappa (E + 1) / ((kappa - 1) E + kappa) rounds to 1 - 2^-53, while
+        # 1 + E / ((kappa - 1) E + kappa) cannot fall below 1
         channel, E = ChannelParam.amplifier(606834.2696127417), 1.0474033988414842e-16
-        assert tms_equivalent_params(channel, E)[0] < 1.0
+        assert tms_equivalent_params(channel, E)[0] >= 1.0
         report = esq_bounds_channel_state(channel, E)
         # both bounds are about E / 2, under the rounding of g near 13.6
         assert report.lower == pytest.approx(0.0, abs=1e-14)

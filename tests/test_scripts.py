@@ -1,5 +1,6 @@
 """Smoke test of the scripts: each runs to exit 0 on a small input."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -27,3 +28,18 @@ def test_script_runs(name, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_oracle_timing(monkeypatch):
+    # the one part of suite_timings.py fast enough to run here; importing the
+    # script sets the BLAS thread variables, which monkeypatch restores after
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    spec = importlib.util.spec_from_file_location(
+        "suite_timings", ROOT / "scripts" / "suite_timings.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    times = script.time_oracle(min(script.ORACLE_CUTOFFS))
+    assert len(times) == script.REPEATS
+    assert all(t > 0.0 for t in times)
