@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time of every verification suite, of two commands and of the Fock
-oracle at three cutoffs, with one BLAS thread.
+"""Wall time of every verification suite, of two commands, of the Fock oracle
+at three cutoffs and of one Fock channel operation, with one BLAS thread.
 
 Runs each suite of ``cvsquash.verify.SUITES`` at its default tolerance and
 seed, REPEATS times in this one process, and prints one line per suite: its
@@ -9,8 +9,14 @@ run of a suite is timed like the others, so the median is of warm runs.  Then
 it prints the median of REPEATS wall times of each command in COMMANDS, run
 through ``cvsquash.cli.main`` with its output sent to the null device, and the
 median of REPEATS calls of ``fock.oracle_cmi`` at ORACLE_POINT for each cutoff
-in ORACLE_CUTOFFS.  Last comes the line count of the imported package's
-modules: run on two trees, it gives their line counts at their test results.
+in ORACLE_CUTOFFS.  Then the median of CHANNEL_REPEATS runs of the benchmark's
+``channel-entropy`` operation, ``fock.apply_channel_fock`` on one seeded state
+at cutoff CHANNEL_CUTOFF through the amplifier of gain CHANNEL_GAIN or its
+complement, and ``fock.spectral_entropy`` of the output: once with the
+amplitude table taken from its cache, and once with the cache cleared before
+each run, as in a one-off call such as ``cvsquash oracle channel``.  Last comes
+the line count of the imported package's modules: run on two trees, it gives
+their line counts at their test results.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -27,9 +33,12 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-import cvsquash  # noqa: E402  (imports numpy)
+import numpy as np  # noqa: E402
+
+import cvsquash  # noqa: E402
 from cvsquash import fock  # noqa: E402
 from cvsquash.cli import main as cli_main  # noqa: E402
+from cvsquash.entropics import ChannelParam  # noqa: E402
 from cvsquash.verify import SUITES, run_suite  # noqa: E402
 
 REPEATS = 5
@@ -40,6 +49,11 @@ COMMANDS = (["figure1"], ["bounds", "tms", "--kappa", "2", "--energy", "1"])
 #: and the cutoffs: one of the benchmark's range and two far above it
 ORACLE_POINT = (1.5, 0.5, 0.5)
 ORACLE_CUTOFFS = (40, 1000, 10**5)
+#: the channel operation: its cutoff and gain, as in the benchmark, and how many
+#: times each of its two channels is timed; a run takes well under a millisecond
+CHANNEL_CUTOFF = 40
+CHANNEL_GAIN = 2.0
+CHANNEL_REPEATS = 100
 
 
 def time_suite(name):
@@ -77,6 +91,25 @@ def time_oracle(N):
     return times
 
 
+def time_channel(N, cold):
+    """2 CHANNEL_REPEATS wall times of one channel-entropy operation at cutoff N,
+    alternating the amplifier and its complement; ``cold`` clears the amplitude
+    table cache before each."""
+    state = fock.random_one_mode_state(np.random.default_rng(N), N)
+    channel = ChannelParam.amplifier(CHANNEL_GAIN)
+    times = []
+    for _ in range(CHANNEL_REPEATS):
+        for complement in (False, True):
+            if cold:
+                fock._vacuum_ancilla_amplitudes.cache_clear()
+            start = time.perf_counter()
+            out = fock.apply_channel_fock(state, channel, complement=complement,
+                                          enforce_cutoff=False)
+            fock.spectral_entropy(out)
+            times.append(time.perf_counter() - start)
+    return times
+
+
 def main():
     print(f"{'suite':<14} {'checks_run':>10} {'max_violation':>22} {'median_s':>9}")
     for name in sorted(SUITES):
@@ -89,6 +122,11 @@ def main():
     print(f"\n{f'oracle_cmi{ORACLE_POINT} at cutoff':<48} {'median_ms':>9}")
     for N in ORACLE_CUTOFFS:
         print(f"{N:<48} {statistics.median(time_oracle(N)) * 1e3:>9.3f}")
+    print(f"\n{f'channel-entropy at cutoff {CHANNEL_CUTOFF}, amplitude table':<48}"
+          f" {'median_ms':>9}")
+    for label, cold in (("cached", False), ("cache cleared", True)):
+        median = statistics.median(time_channel(CHANNEL_CUTOFF, cold))
+        print(f"{label:<48} {median * 1e3:>9.3f}")
     package = pathlib.Path(cvsquash.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     print(f"\n{package}/*.py: {lines} lines")

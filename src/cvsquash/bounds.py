@@ -67,14 +67,20 @@ def esq_bounds_tms(kappa, E):
 
 def tms_equivalent_params(channel, E):
     """Map (channel, TMSV energy E) to the (kappa', E') of the equivalent squeezed
-    thermal-vacuum state."""
+    thermal-vacuum state; DomainError if the amplifier's E' overflows."""
     E = in_domain("mean energy", E, ENERGY)
     if channel.kind == "attenuator":
         eta = channel.value
         return (E + 1.0) / ((1.0 - eta) * E + 1.0), (1.0 - eta) * E
     kappa = channel.value
+    with np.errstate(over="ignore"):
+        E_mapped = (kappa - 1.0) * (E + 1.0)  # E', the largest intermediate
+    if not np.isfinite(E_mapped).all():
+        k_bad, E_bad = (np.broadcast_to(x, np.shape(E_mapped))[~np.isfinite(E_mapped)][0]
+                        for x in (kappa, E))
+        raise DomainError(f"(kappa - 1)(E + 1) overflows at kappa = {k_bad:g}, E = {E_bad:g}")
     # kappa (E + 1) / ((kappa - 1) E + kappa) as 1 plus a ratio, never below 1
-    return 1.0 + E / ((kappa - 1.0) * E + kappa), (kappa - 1.0) * (E + 1.0)
+    return 1.0 + E / ((kappa - 1.0) * E + kappa), E_mapped
 
 
 def esq_bounds_channel_state(channel, E):

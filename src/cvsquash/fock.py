@@ -3,9 +3,9 @@
 This is the independent verification route for the covariance-matrix
 formalism.  A state is a dense density matrix on a cutoff Fock space, or a
 stack of them, with a recorded tail bound per matrix.  Every channel action is
-built from one table of closed-form vacuum-ancilla amplitudes: the attenuator,
-the amplifier and the amplifier's complement are exact Kraus sums on it, with
-no eigendecomposition of the input.  ``oracle_cmi`` uses the conserved
+built from one table of closed-form vacuum-ancilla amplitudes, kept read-only
+in a cache of the last four: the attenuator, the amplifier and the amplifier's
+complement are exact Kraus sums on it, with no eigendecomposition of the input.  ``oracle_cmi`` uses the conserved
 photon-number charge of its pure four-mode state, whose squared amplitudes are
 multinomial, (1 - q) / kappa (r + b + c)! / (r! b! c!) alpha^r y^b gamma^c: every
 charge block of its two reduced states is rank one, and the cutoff, which zeroes
@@ -15,11 +15,11 @@ time and memory, with no eigensolve.  What the truncation loses is reported, not
 renormalized away; only a fixed memory limit bounds the cutoff.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (CUTOFF, ENERGY, GAIN, TRANSMISSIVITY, CutoffError, DomainError,
                      InvalidStateError, in_domain)
@@ -189,7 +189,8 @@ def _kraus_sum(rho, channel, complement):
     in which a steps by 1 and i by N (N + 1 for the complement).  Where a
     column index leaves the table's row, it reads the pad column or a
     neighbouring row, and the product is still T[k, a, i]: one of its factors
-    then lies where the table is 0.
+    then lies where the table is 0.  Every strided view here is an ndarray on
+    its base's buffer, which numpy refuses if the view would leave it.
 
     The states are stacked state-last and zero-padded to (N, 2N, states), so
     the k-th diagonals of every state are one strided view D[k, i] of
@@ -209,10 +210,10 @@ def _kraus_sum(rho, channel, complement):
     pad = np.zeros((2 * N, R))
     e = pad.itemsize
     if attenuator:  # [m, j] to row m + j, column N - 1 - j: one to one
-        as_strided(pad.ravel()[N - 1:], (N, N), (R * e, N * e))[...] = table
+        np.ndarray((N, N), float, buffer=pad, offset=(N - 1) * e,
+                   strides=(R * e, N * e))[...] = table
     else:
         pad[:N, :N] = table
-    pad = pad.ravel()
     # each factor's shift per k; then in P[k], the place of a = i = 0 and i's step
     if complement:  # x = i R + a
         shifts, start, step = (R, 1), 0, R
@@ -221,10 +222,12 @@ def _kraus_sum(rho, channel, complement):
     else:  # x = i N + a
         shifts, start, step = (0, R), 0, N
     # einsum, unlike the multiply ufunc, copies no strided operand into a buffer
-    factors = [as_strided(pad, (N, N * R), (shift * e, e)) for shift in shifts]
+    factors = [np.ndarray((N, N * R), float, buffer=pad, strides=(shift * e, e))
+               for shift in shifts]
     P = np.einsum("kx,kx->kx", *factors)
     P[0] *= 0.5  # the main diagonal, which out + out^H counts twice
-    T = as_strided(P[:, start:], (N, N, N), (P.strides[0], e, step * e))
+    T = np.ndarray((N, N, N), float, buffer=P, offset=start * e,
+                   strides=(P.strides[0], e, step * e))
 
     dtype = np.result_type(float, rho.dtype)
     f = 2 if dtype.kind == "c" else 1  # floats per entry
@@ -233,8 +236,8 @@ def _kraus_sum(rho, channel, complement):
     upper = np.zeros((R, N, S), dtype)
     # [k, i or a, (state, float)], the last axis at unit stride in both
     row = f * S * e
-    D = as_strided(padded.view(np.float64), (N, N, f * S), (row, (2 * N + 1) * row, e))
-    U = as_strided(upper.view(np.float64), (N, N, f * S), (row, R * row, e))
+    D = np.ndarray((N, N, f * S), float, buffer=padded, strides=(row, (2 * N + 1) * row, e))
+    U = np.ndarray((N, N, f * S), float, buffer=upper, strides=(row, R * row, e))
     np.matmul(T, D, out=U)
     if complement:  # T @ conj(D) = conj(T @ D), as T is real
         np.conjugate(upper, out=upper)
@@ -302,6 +305,7 @@ def _log_powers(x, N):
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def _vacuum_ancilla_amplitudes(kind, value, N):
     """Beam-splitter or two-mode-squeezer amplitudes with a vacuum ancilla, as an
     (N, N) table: entry [m, j] is the amplitude of ancilla j with m photons in
@@ -318,11 +322,16 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
     the cutoff.  Both are sqrt(C(m+j, j) x^m y^j), up to the squeezer's one more
     power of 1/kappa, summed in log space in the order
     ln (m + j)! - ln j! - ln m! + m ln x + j ln y, with 0^0 = 1.
+
+    The table is a pure function of its arguments, so the last four are kept,
+    read-only, and handed to every caller: 8 N^2 B each, at most about 8 MB at
+    the N of about 505 that the charge of ``apply_channel_fock`` allows one
+    state.  The transfer tensor built from it, 8 N^2 (N + 1) B, is not kept.
     """
     # ln k! and its Hankel view [m, j] = ln (m + j)!, -inf from m + j = N on, the cut
     log_fact = _log_factorials(2 * N - 1)
     log_fact[N:] = -np.inf
-    hankel = as_strided(log_fact, (N, N), (log_fact.itemsize,) * 2)
+    hankel = np.ndarray((N, N), float, buffer=log_fact, strides=(log_fact.itemsize,) * 2)
     if kind == "squeezer":
         # m ln kappa for m <= N gives the row term -(m + 1) ln kappa
         powers = _log_powers(np.array([value, (value - 1.0) / value]), N + 1)
@@ -334,7 +343,9 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
     log_amp += row[:, None]
     log_amp += col
     log_amp *= 0.5
-    return np.exp(log_amp, out=log_amp)
+    np.exp(log_amp, out=log_amp)
+    log_amp.flags.writeable = False  # one array is handed to every caller
+    return log_amp
 
 
 def oracle_energy(kappa, E, eta):

@@ -153,12 +153,28 @@ class TestChannelStateBounds:
             esq_bounds_channel_state(channel, E)
         assert named in str(err.value)
 
+    @pytest.mark.parametrize("kappa, E", [(10.0, 1e308), (1e308, 10.0), (1e308, 1.0)])
+    def test_map_overflow_names_the_combination(self, kappa, E):
+        # the amplifier's E' = (kappa - 1)(E + 1) overflows, alone or in an array
+        named = f"(kappa - 1)(E + 1) overflows at kappa = {kappa:g}, E = {E:g}"
+        with pytest.raises(DomainError) as err:
+            tms_equivalent_params(ChannelParam.amplifier(kappa), E)
+        assert named in str(err.value)
+        channel = ChannelParam("amplifier", np.array([2.0, kappa, 3.0]))
+        with pytest.raises(DomainError) as err:
+            tms_equivalent_params(channel, np.array([1.0, E, E]))
+        assert named in str(err.value)
+
     def test_largest_finite_intermediates(self):
         # the same energies stay in range where (1 + eta) E + 1 and (kappa + 1) E + kappa do
         report = esq_bounds_channel_state(ChannelParam.attenuator(0.5), 1e308)
         assert report.lower == pytest.approx(math.log(3.0))
         report = esq_bounds_channel_state(ChannelParam.amplifier(1e308), 0.0)
         assert report.lower == report.upper == 0.0
+        # and where (kappa - 1)(E + 1) does; the attenuator's map cannot overflow
+        assert tms_equivalent_params(ChannelParam.attenuator(0.0), 1e308) == (1.0, 1e308)
+        assert tms_equivalent_params(ChannelParam.amplifier(2.0), 1e308) == (2.0, 1e308)
+        assert tms_equivalent_params(ChannelParam.amplifier(1e308), 0.0) == (1.0, 1e308)
 
     @pytest.mark.parametrize("kind", ["attenuator", "amplifier"])
     def test_matches_mapped_state_bounds(self, kind):

@@ -391,15 +391,19 @@ class TestChannels:
         for channel, complement in ((ChannelParam.amplifier(1.2), False),
                                     (ChannelParam.amplifier(1.2), True),
                                     (ChannelParam.attenuator(0.37), False)):
-            tracemalloc.start()
-            try:
-                fock.apply_channel_fock(state, channel, complement=complement,
-                                        enforce_cutoff=False)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # within the charge, which is not so far above it that cutoffs that fit are refused
-            assert 0.7 * channel_charge(N, count) < peak <= channel_charge(N, count)
+            # with the amplitude table built in the call, then taken from the cache
+            fock._vacuum_ancilla_amplitudes.cache_clear()
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    fock.apply_channel_fock(state, channel, complement=complement,
+                                            enforce_cutoff=False)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # within the charge, which is not so far above it that cutoffs that
+                # fit are refused
+                assert 0.7 * channel_charge(N, count) < peak <= channel_charge(N, count)
 
     @pytest.mark.parametrize("channel", [ChannelParam.amplifier(2.0),
                                          ChannelParam.attenuator(0.5)], ids=["amp", "att"])
@@ -510,6 +514,22 @@ class TestKrausSum:
             assert (np.abs(out - single.matrix) <= bound).all()
             assert (out == out.conj().T).all()
             assert tail == single.tail_bound
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("N", [2, 3, 40, 128])
+    def test_cached_table_is_invisible(self, channel, complement, N):
+        # the same call with the amplitude table taken from the cache and built anew
+        state = exact_input("random", N)
+        fock.apply_channel_fock(state, channel, complement=complement, enforce_cutoff=False)
+        hits = fock._vacuum_ancilla_amplitudes.cache_info().hits
+        warm = fock.apply_channel_fock(state, channel, complement=complement,
+                                       enforce_cutoff=False)
+        assert fock._vacuum_ancilla_amplitudes.cache_info().hits == hits + 1
+        fock._vacuum_ancilla_amplitudes.cache_clear()
+        cold = fock.apply_channel_fock(state, channel, complement=complement,
+                                       enforce_cutoff=False)
+        assert (warm.matrix == cold.matrix).all()
+        assert warm.tail_bound == cold.tail_bound
 
     def test_stack_keeps_its_shape(self):
         rng = np.random.default_rng(4)
@@ -820,12 +840,20 @@ class TestVacuumAncillaAmplitudes:
 
     @pytest.mark.parametrize("N", [2, 3, 17, 40, 128, 300])
     def test_equals_the_gathered_tables(self, N):
-        # the same terms summed in the same order, from 1-D views instead of gathers
+        # the same terms summed in the same order, from 1-D views instead of gathers;
+        # each table is built on a cleared cache, and a second lookup returns the
+        # same read-only array
+        amplitudes = fock._vacuum_ancilla_amplitudes
         for kind, values in (("squeezer", (1.0, 1.2, 2.0, 5.0, 37.5)),
                              ("beam-splitter", (0.0, 0.3, 0.5, 0.9, 1.0))):
             for value in values:
-                table = (beam_splitter_by_input(value, N) if kind == "beam-splitter"
-                         else fock._vacuum_ancilla_amplitudes(kind, value, N))
+                amplitudes.cache_clear()
+                table = amplitudes(kind, value, N)
+                assert amplitudes(kind, value, N) is table
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.5
+                if kind == "beam-splitter":
+                    table = beam_splitter_by_input(value, N)
                 assert np.array_equal(table, gather_amplitudes(kind, value, N))
 
     def test_edges_exact(self):
@@ -835,9 +863,12 @@ class TestVacuumAncillaAmplitudes:
         assert np.array_equal(fock._vacuum_ancilla_amplitudes("squeezer", 1.0, N), ones_first)
         assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 1.0, N),
                               ones_first)
-        # at eta = 0 every photon leaves in the ancilla
-        assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", 0.0, N),
-                              ones_first.T)
+        # at eta = 0 every photon leaves in the ancilla; -0.0 is the same key of the
+        # cache, so it must build the same table
+        for eta in (0.0, -0.0):
+            fock._vacuum_ancilla_amplitudes.cache_clear()
+            assert np.array_equal(fock._vacuum_ancilla_amplitudes("beam-splitter", eta, N),
+                                  ones_first.T)
         # E = 0 and kappa = 1 leave the four-mode vacuum, with nothing lost
         assert fock.oracle_cmi(1.0, 0.0, 0.5, N) == 0.0
         assert fock.oracle_lost_norm(1.0, 0.0, 0.5, N) == 0.0

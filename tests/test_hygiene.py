@@ -52,6 +52,18 @@ def test_no_unused_imports(path):
     assert unused_imports(tree) == []
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cvsquash").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_uses_no_unchecked_strides(path):
+    # as_strided checks no bounds; np.ndarray(..., buffer=, offset=, strides=) raises
+    # ValueError for a view that leaves its buffer, so the package builds views that way
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "as_strided" not in names
+
+
 def test_reference_imports_no_package():
     # the tests' references stay independent of the code they cross-check
     tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))

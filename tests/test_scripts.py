@@ -30,9 +30,10 @@ def test_script_runs(name, tmp_path):
     assert result.stdout
 
 
-def test_oracle_timing(monkeypatch):
-    # the one part of suite_timings.py fast enough to run here; importing the
-    # script sets the BLAS thread variables, which monkeypatch restores after
+@pytest.fixture
+def suite_timings(monkeypatch):
+    # the parts of suite_timings.py fast enough to run here; importing the script
+    # sets the BLAS thread variables, which monkeypatch restores after
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     spec = importlib.util.spec_from_file_location(
@@ -40,6 +41,19 @@ def test_oracle_timing(monkeypatch):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    times = script.time_oracle(min(script.ORACLE_CUTOFFS))
-    assert len(times) == script.REPEATS
+    return script
+
+
+def test_oracle_timing(suite_timings):
+    times = suite_timings.time_oracle(min(suite_timings.ORACLE_CUTOFFS))
+    assert len(times) == suite_timings.REPEATS
+    assert all(t > 0.0 for t in times)
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["cached", "cleared"])
+def test_channel_timing(suite_timings, monkeypatch, cold):
+    # the channel-entropy operation at a small cutoff, a few times per channel
+    monkeypatch.setattr(suite_timings, "CHANNEL_REPEATS", 3)
+    times = suite_timings.time_channel(12, cold)
+    assert len(times) == 6
     assert all(t > 0.0 for t in times)
