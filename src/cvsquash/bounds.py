@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropics import _sub, g, h
-from .errors import ENERGY, GAIN, DomainError, in_domain
+from .errors import ENERGY, GAIN, DomainError, finite, in_domain
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,12 @@ def esq_bounds_tms(kappa, E):
     E = in_domain("mean energy", E, ENERGY)
     with np.errstate(over="ignore"):
         energy = (kappa - 0.5) * E + (kappa - 1.0)  # exactly E / 2 at kappa = 1
-    if not np.isfinite(energy).all():
-        E_bad = np.ravel(E)[~np.isfinite(np.ravel(energy))][0]
-        raise DomainError(
-            f"(kappa - 1/2) E + kappa - 1 overflows at kappa = {kappa:g}, E = {E_bad:g}"
-        )
-    if 2.0 * kappa - 1.0 == math.inf:
-        raise DomainError(f"2 kappa - 1 overflows at kappa = {kappa:g}")
+    energy = finite("(kappa - 1/2) E + kappa - 1", energy, kappa=kappa, E=E)
+    lower = math.log(finite("2 kappa - 1", 2.0 * kappa - 1.0, kappa=kappa))
     # one g call on both stacked arguments
     upper = _sub(*g(np.stack(np.broadcast_arrays(energy, 0.5 * E))))
     return BoundReport(
-        lower=math.log(2.0 * kappa - 1.0),
+        lower=lower,
         upper=upper,
         exact=upper if isinstance(E, float) and E == 0.0 else None,
         provenance=("theorem-1",),
@@ -75,10 +70,7 @@ def tms_equivalent_params(channel, E):
     kappa = channel.value
     with np.errstate(over="ignore"):
         E_mapped = (kappa - 1.0) * (E + 1.0)  # E', the largest intermediate
-    if not np.isfinite(E_mapped).all():
-        k_bad, E_bad = (np.broadcast_to(x, np.shape(E_mapped))[~np.isfinite(E_mapped)][0]
-                        for x in (kappa, E))
-        raise DomainError(f"(kappa - 1)(E + 1) overflows at kappa = {k_bad:g}, E = {E_bad:g}")
+    E_mapped = finite("(kappa - 1)(E + 1)", E_mapped, kappa=kappa, E=E)
     # kappa (E + 1) / ((kappa - 1) E + kappa) as 1 plus a ratio, never below 1
     return 1.0 + E / ((kappa - 1.0) * E + kappa), E_mapped
 
@@ -90,17 +82,13 @@ def esq_bounds_channel_state(channel, E):
     # the largest intermediate: when it is finite, so is every other one
     if channel.kind == "attenuator":
         eta = channel.value
-        top = (1.0 + eta) * E + 1.0
-        if top == math.inf:
-            raise DomainError(f"(1 + eta) E + 1 overflows at eta = {eta:g}, E = {E:g}")
+        top = finite("(1 + eta) E + 1", (1.0 + eta) * E + 1.0, eta=eta, E=E)
         lower = math.log(top / ((1.0 - eta) * E + 1.0))
         upper = g(0.5 * (1.0 + eta) * E) - g(0.5 * (1.0 - eta) * E)
         provenance = ("corollary-1", "attenuator")
     else:
         kappa = channel.value
-        top = (kappa + 1.0) * E + kappa
-        if top == math.inf:
-            raise DomainError(f"(kappa + 1) E + kappa overflows at kappa = {kappa:g}, E = {E:g}")
+        top = finite("(kappa + 1) E + kappa", (kappa + 1.0) * E + kappa, kappa=kappa, E=E)
         lower = math.log(top / ((kappa - 1.0) * E + kappa))
         upper = g(0.5 * (top - 1.0)) - g(0.5 * (kappa - 1.0) * (E + 1.0))
         provenance = ("corollary-1", "amplifier")

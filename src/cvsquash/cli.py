@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .entropics import ChannelParam, g
 from .errors import (CUTOFF, ENERGY, GAIN, CutoffError, DomainError, InvalidStateError,
-                     SingularPointError, in_domain)
+                     SingularPointError, finite, in_domain)
 from .states import extension_family, gaussian_cmi
 from .verify import SUITES, run_suite
 
@@ -143,6 +143,8 @@ def _sweep(kappas, e_min, e_max, steps):
     in_domain("--kappas", kappas, GAIN)
     e_min = in_domain("--e-min", e_min, ENERGY)
     e_max = in_domain("--e-max", e_max, (e_min, ENERGY[1], f"finite and >= --e-min = {e_min}"))
+    # the largest product of the grid below: when it is finite, so is every other one
+    finite("(e_max - e_min)(steps - 1)", (e_max - e_min) * (steps - 1), e_max=e_max, steps=steps)
     energies = e_min + (e_max - e_min) * np.arange(steps) / (steps - 1)
     blocks = []
     for kappa in kappas:
@@ -235,9 +237,7 @@ def cmd_oracle(args):
             "amp": ("kappa E + kappa - 1", k * E + k - 1.0),
             "comp": ("(kappa - 1) (E + 1)", (k - 1.0) * (E + 1.0)),
         }[args.kind]
-        if energy == math.inf:
-            raise DomainError(f"{formula} overflows at kappa = {k:g}, E = {E:g}")
-        reference = g(energy)
+        reference = g(finite(formula, energy, kappa=k, E=E))
         state = fock.thermal_fock(E, args.cutoff)
         out = fock.apply_channel_fock(state, channel, complement=complement)
         fock_value = fock.spectral_entropy(out)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ENERGY, FINITE, GAIN, TRANSMISSIVITY, DomainError, SingularPointError, in_domain
+from .errors import (ENERGY, FINITE, GAIN, TRANSMISSIVITY, DomainError, SingularPointError,
+                     finite, in_domain)
 
 # Below this energy the direct formula for g loses digits to cancellation;
 # the series g(E) = E(1 - ln E) + E^2/2 + O(E^3 ln E) is exact to 1e-16 there.
@@ -111,14 +112,14 @@ def psi_second_derivative(kappa, E, eta):
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
     if np.any(np.asarray(eta) >= 1.0):
         raise SingularPointError("psi'' is singular at eta = 1; use psi directly there")
-    num = E * (E + 1.0) * (kappa - 1.0) * ((kappa + 1.0 - 2.0 * eta) * E + kappa)
-    den = (
-        (1.0 - eta)
-        * ((kappa - eta) * E + kappa - 1.0)
-        * ((kappa - eta) * E + kappa)
-        * ((1.0 - eta) * E + 1.0)
-    )
-    with np.errstate(invalid="ignore"):
+    params = {"kappa": kappa, "E": E, "eta": eta}
+    with np.errstate(over="ignore", invalid="ignore"):  # finite refuses an overflow
+        num = E * (E + 1.0) * (kappa - 1.0) * ((kappa + 1.0 - 2.0 * eta) * E + kappa)
+        den = ((1.0 - eta) * ((kappa - eta) * E + kappa - 1.0) * ((kappa - eta) * E + kappa)
+               * ((1.0 - eta) * E + 1.0))
+        num = finite("E (E + 1)(kappa - 1)((kappa + 1 - 2 eta) E + kappa)", num, **params)
+        den = finite("(1 - eta)((kappa - eta) E + kappa - 1)((kappa - eta) E + kappa)"
+                     "((1 - eta) E + 1)", den, **params)
         out = np.divide(num, den)
     # kappa = 1 with E = 0 hits 0/0; the value is 0 by the vanishing numerator factors
     out = np.where(np.asarray(num) == 0.0, 0.0, out)
@@ -174,7 +175,11 @@ def cmi_cosh_lower(kappa, s):
     mutual information of any extension; minimized at s = 0 with value 2 ln(2k-1)."""
     kappa = in_domain("amplifier gain", kappa, GAIN)
     s = in_domain("conditional entropy", s, FINITE)
-    out = np.log(2.0 * kappa * (kappa - 1.0) * np.cosh(s) + kappa**2 + (kappa - 1.0) ** 2)
+    with np.errstate(over="ignore"):
+        arg = (2.0 * kappa * (kappa - 1.0) * np.cosh(s)
+               + kappa * kappa + (kappa - 1.0) * (kappa - 1.0))
+    out = np.log(finite("2 kappa (kappa - 1) cosh s + kappa^2 + (kappa - 1)^2", arg,
+                        kappa=kappa, s=s))
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one parameter validator."""
+"""Exception types shared across the package, the parameter validator and the overflow refusal."""
 
 import sys
 
@@ -56,3 +56,15 @@ def in_domain(name, value, domain):
             return arr if arr.ndim else float(arr)
     # formatted only on failure: printing an array costs more than the check
     raise DomainError(f"{name} must be {text}, got {value}")
+
+
+def finite(text, value, **params):
+    """``value`` if every entry is finite, else DomainError "``text`` overflows at k = v, ...",
+    with each of ``params``, broadcast against ``value``, at the first entry that is not."""
+    # a float takes one chained comparison, which fails on NaN, not a numpy call
+    if (isinstance(value, float) and -_MAX <= value <= _MAX) or np.isfinite(value).all():
+        return value
+    shape = np.broadcast_shapes(np.shape(value), *map(np.shape, params.values()))
+    first = np.flatnonzero(~np.isfinite(np.broadcast_to(value, shape)))[0]
+    at = ", ".join(f"{k} = {np.broadcast_to(v, shape).flat[first]:g}" for k, v in params.items())
+    raise DomainError(f"{text} overflows at {at}")

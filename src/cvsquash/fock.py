@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CUTOFF, ENERGY, GAIN, TRANSMISSIVITY, CutoffError, DomainError,
-                     InvalidStateError, in_domain)
+                     InvalidStateError, finite, in_domain)
 
 #: geometric tail mass a computation is sized for
 TAIL_TARGET = 1e-10
@@ -163,9 +163,7 @@ def _channel_energies(E_in, channel):
     if channel.kind == "attenuator":
         return E_in
     kappa = channel.value
-    grown = kappa * (E_in + 1.0) - 1.0
-    if grown == math.inf:
-        raise DomainError(f"kappa (E + 1) - 1 overflows at kappa = {kappa:g}, E = {E_in:g}")
+    grown = finite("kappa (E + 1) - 1", kappa * (E_in + 1.0) - 1.0, kappa=kappa, E=E_in)
     return max(E_in, grown)  # at kappa = 1 and subnormal E_in, grown rounds to 0
 
 
@@ -269,10 +267,10 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
         raise DomainError("only the amplifier complement is supported")
     N = state.cutoff
     E_out = _channel_energies(float(np.max(state.mean_photon_number())), channel)
-    # the transfer tensor (8 N^2 (N + 1) B) with the table and its padding, and per
-    # state the padded input, its upper triangle and the output: below 80 N^2 B each
+    # the transfer tensor (8 N^2 (N + 1) B) with the table and padding, per state the padded
+    # input, upper triangle and output (each below 80 N^2 B), and 8 KiB of fixed temporaries
     count = state.matrix.size // N**2
-    _check_memory(N, 8 * N**3 + 80 * N**2 * (count + 1), E_out)
+    _check_memory(N, 8 * N**3 + 80 * N**2 * (count + 1) + 2**13, E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
         tail = float(np.max(state.tail_bound))
@@ -357,13 +355,9 @@ def oracle_energy(kappa, E, eta):
     sizes the cutoff for a smaller energy than the truncation of n_A loses norm
     to (ROADMAP item 12).
     """
-    e_max = max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E)
-    if e_max == math.inf:
-        raise DomainError(
-            f"kappa (E + 1) - min(eta, 1 - eta) E - 1 overflows at kappa = {kappa:g},"
-            f" E = {E:g}, eta = {eta:g}"
-        )
-    return e_max
+    return finite("kappa (E + 1) - min(eta, 1 - eta) E - 1",
+                  max(kappa * (E + 1.0) - min(eta, 1.0 - eta) * E - 1.0, E),
+                  kappa=kappa, E=E, eta=eta)
 
 
 def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):

@@ -242,6 +242,13 @@ class TestFigure1:
         assert out == ""
         assert err.startswith(f"error: {flag}")
 
+    def test_energy_grid_overflow_named(self, capsys):
+        # (e_max - e_min) k overflows from k = 2 on, though every grid point is finite
+        code, out, err = run(capsys, "figure1", "--kappas", "2", "--e-max", "1e308",
+                             "--steps", "13")
+        assert (code, out) == (3, "")
+        assert err == "error: (e_max - e_min)(steps - 1) overflows at e_max = 1e+308, steps = 13\n"
+
     @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 3.7, 9.9])
     def test_rows_match_scalar_api(self, kappa):
         [(k, lower, table)] = _sweep([kappa], 0.0, 5.0, 400)

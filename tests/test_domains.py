@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cvsquash import bounds, entropics, fock, states
 from cvsquash.cli import main
 from cvsquash.entropics import G_MAX, ChannelParam
-from cvsquash.errors import DomainError
+from cvsquash.errors import DomainError, finite
 
 nan, inf = math.nan, math.inf
 
@@ -139,6 +139,25 @@ FLAGS = [
     if token.startswith("--") and token != "--kind"
     for value in ("nan", "inf")
 ]
+
+
+def test_finite_passes_its_value_through():
+    value = np.array([1.0, -1e308])
+    assert finite("x", value, x=value) is value
+    assert finite("x", 1e308, x=1.0) == 1e308
+    assert finite("x", np.float64(-2.0)) == -2.0
+
+
+@pytest.mark.parametrize("value", [inf, -inf, nan, np.array(nan)])
+def test_finite_refuses_a_bad_scalar(value):
+    with pytest.raises(DomainError, match=r"^a b overflows at a = 3, b = 4$"):
+        finite("a b", value, a=3.0, b=4.0)
+
+
+def test_finite_names_the_first_bad_entry():
+    # the params broadcast against the value
+    with pytest.raises(DomainError, match=r"^x overflows at a = 3, b = 5$"):
+        finite("x", np.array([[1.0, nan, inf]]), a=3.0, b=np.array([4.0, 5.0, 6.0]))
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:2]))

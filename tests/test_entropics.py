@@ -190,6 +190,26 @@ class TestPsi:
         fd = (psi(kappa, E, eta + d) - 2.0 * psi(kappa, E, eta) + psi(kappa, E, eta - d)) / d**2
         assert psi_second_derivative(kappa, E, eta) == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa, E, eta, named", [
+        (2.0, 1e160, 0.3, "kappa = 2, E = 1e+160, eta = 0.3"),
+        (10.0, 1e308, 0.5, "kappa = 10, E = 1e+308, eta = 0.5"),
+        (2.0, np.array([1.0, 1e160]), 0.3, "kappa = 2, E = 1e+160, eta = 0.3"),
+    ])
+    def test_second_derivative_overflow_named(self, kappa, E, eta, named):
+        # numerator and denominator both overflow, where their quotient was NaN
+        text = "E (E + 1)(kappa - 1)((kappa + 1 - 2 eta) E + kappa) overflows at "
+        with pytest.raises(DomainError) as err:
+            psi_second_derivative(kappa, E, eta)
+        assert str(err.value) == text + named
+
+    def test_second_derivative_denominator_overflow_named(self):
+        # the factor kappa - 1 keeps the numerator finite, about 2e299
+        with pytest.raises(DomainError) as err:
+            psi_second_derivative(1.0 + 1e-10, 1e103, 0.0)
+        assert str(err.value) == ("(1 - eta)((kappa - eta) E + kappa - 1)((kappa - eta) E + kappa)"
+                                  "((1 - eta) E + 1) overflows at kappa = 1, E = 1e+103, eta = 0")
+
 
 class TestGap:
     def test_zero_at_kappa_one(self):
@@ -236,6 +256,19 @@ class TestEpiForms:
             for s in (-3.0, 0.0, 0.5, 10.0):
                 a, b = cond_epi_rhs(kappa, s)
                 assert cmi_cosh_lower(kappa, s) == pytest.approx(a + b - s, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa, s, named", [
+        (1.4e154, 1.0, "kappa = 1.4e+154, s = 1"),  # kappa^2 overflows
+        (2.0, 711.0, "kappa = 2, s = 711"),  # cosh s overflows
+        (2.0, -711.0, "kappa = 2, s = -711"),
+        (np.array([2.0, 1.4e154]), 1.0, "kappa = 1.4e+154, s = 1"),
+    ])
+    def test_cosh_overflow_named(self, kappa, s, named):
+        text = "2 kappa (kappa - 1) cosh s + kappa^2 + (kappa - 1)^2 overflows at "
+        with pytest.raises(DomainError) as err:
+            cmi_cosh_lower(kappa, s)
+        assert str(err.value) == text + named
 
     def test_cosh_minimum_at_zero(self):
         kappa = 3.0

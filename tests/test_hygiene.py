@@ -64,6 +64,28 @@ def test_package_uses_no_unchecked_strides(path):
     assert "as_strided" not in names
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cvsquash").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_overflow_refused_only_by_finite(path):
+    # every overflowing combination is refused by errors.finite, with one message form
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    texts = [node.value for raise_ in ast.walk(tree) if isinstance(raise_, ast.Raise)
+             for node in ast.walk(raise_) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and "overflows" in node.value]
+    assert path.name == "errors.py" or texts == []
+
+
+def test_nothing_imports_scipy():
+    # scipy is no dependency: the package, the tests and the scripts do without it
+    for path in (path for folder in ("src/cvsquash", "tests", "scripts")
+                 for path in (ROOT / folder).glob("*.py")):  # __init__.py too
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not {m for m in modules if m and m.split(".")[0] == "scipy"}, path
+
+
 def test_reference_imports_no_package():
     # the tests' references stay independent of the code they cross-check
     tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
@@ -75,7 +97,7 @@ def test_reference_imports_no_package():
 
 
 def test_package_imports_no_scipy():
-    # scipy is a test dependency only; the package and its CLI are numpy-only
+    # at run time too: importing the package and its CLI loads no scipy module
     code = (
         "import sys, cvsquash, cvsquash.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from cvsquash.entropics import g
 from cvsquash.errors import DomainError, InvalidStateError
@@ -33,9 +32,12 @@ def thermal_cov(E):
 
 
 def random_symplectic(h):
-    """expm(Delta H) with H = h + h^T symmetric: a symplectic matrix."""
+    """The Cayley transform (I - K/2)^-1 (I + K/2) of the Hamiltonian matrix
+    K = Delta H, with H = h + h^T symmetric: a symplectic matrix."""
     h = np.asarray(h, dtype=float)
-    S = expm(symplectic_form(h.shape[0] // 2) @ (h + h.T))
+    K = symplectic_form(h.shape[0] // 2) @ (h + h.T)
+    I = np.eye(len(K))
+    S = np.linalg.solve(I - 0.5 * K, I + 0.5 * K)
     assert is_symplectic(S, tol=1e-9)
     return S
 
