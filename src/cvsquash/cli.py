@@ -267,6 +267,13 @@ def _tolerance(text):
     return float(text)
 
 
+def _seed(text):
+    # numpy's generators take any integer >= 0, however large
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return int(text)
+
+
 def _add_output_flags(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
@@ -324,7 +331,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--tolerance", type=_tolerance, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=_seed, default=None)
     p_verify.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -231,33 +231,30 @@ def verify_moe_spot(tolerance=1e-6, seed=7):
 @_suite
 def verify_epi_spot(tolerance=1e-6, seed=7):
     """Theorem 6 spot check: conditional output entropies after the squeezer
-    dominate the conditional-EPI right-hand sides for random two-mode inputs."""
-    samples, N, kappa = 50, 12, 1.5
+    dominate the conditional-EPI right-hand sides for random two-mode inputs.
+
+    Each input omega_AR mixes the levels n_A, n_R < L.  The squeezer with a
+    vacuum B sends |n>_A to sum_b sigma[n, b] |n + b>_A |b>_B, cut at N output
+    levels, so every output marginal is a Kraus sum on omega with R a spectator:
+    omega needs no purification, and no eigenvectors.
+    """
+    samples, N, L, kappa = 50, 12, 4, 1.5
     rng = np.random.default_rng(seed)
+    levels = np.arange(L * L)  # index n_A L + n_R
+    omega = np.stack([fock._random_mixture(rng, L * L, levels, levels, rotations=8)
+                      for _ in range(samples)]).reshape(samples, L, L, L, L)
     sigma = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
-    a, b = np.ogrid[:N, :N]
-    # the squeezer on (A, vacuum B) sends n_A = a - b to (a, b); gain is 0 where a < b
-    src = (a - b) % N
-    gain = np.where(a >= b, sigma[src, b], 0.0)
-    # omega_AR mixes the levels n_A, n_R < 4, index n_A N + n_R
-    levels = (N * np.arange(4)[:, None] + np.arange(4)).ravel()
-    worst = -math.inf
-    for _ in range(samples):
-        omega = fock._random_mixture(rng, N * N, levels, levels, rotations=8)
-        omega_r = np.trace(omega.reshape(N, N, N, N), axis1=0, axis2=2)
-        s_cond_in = fock.spectral_entropy(omega) - fock.spectral_entropy(omega_r)
-        w, V = np.linalg.eigh(omega)
-        keep = w >= 1e-15
-        vecs = (V[:, keep] * np.sqrt(w[keep])).reshape(N, N, -1)  # (A, R, k)
-        psi = gain[:, :, None, None] * vecs[src]  # (A, B, R, k)
-        m_ar = psi.transpose(0, 2, 1, 3).reshape(N * N, -1)
-        m_br = psi.transpose(1, 2, 0, 3).reshape(N * N, -1)
-        m_r = psi.transpose(2, 0, 1, 3).reshape(N, -1)
-        s_r = fock.spectral_entropy(m_r @ m_r.conj().T)
-        s_a_cond = fock.spectral_entropy(m_ar @ m_ar.conj().T) - s_r
-        s_b_cond = fock.spectral_entropy(m_br @ m_br.conj().T) - s_r
-        epi_a, epi_b = se.cond_epi_rhs(kappa, s_cond_in)
-        worst = max(worst, epi_a - s_a_cond, epi_b - s_b_cond)
+    a, b, n = np.ogrid[:N, :N, :L]
+    kraus = np.where(a == n + b, sigma[n, b], 0.0)  # [a, b, n]: <a|_A <b|_B U |n>_A |0>_B
+    rho_ar = np.einsum("abn,xbm,snrmq->sarxq", kraus, kraus, omega, optimize=True)
+    rho_br = np.einsum("abn,aym,snrmq->sbryq", kraus, kraus, omega, optimize=True)
+    s_r = fock.spectral_entropy(np.einsum("saraq->srq", rho_ar))
+    s_in = (fock.spectral_entropy(omega.reshape(samples, L * L, L * L))
+            - fock.spectral_entropy(np.einsum("snrnq->srq", omega)))
+    s_a = fock.spectral_entropy(rho_ar.reshape(samples, N * L, N * L)) - s_r
+    s_b = fock.spectral_entropy(rho_br.reshape(samples, N * L, N * L)) - s_r
+    epi_a, epi_b = se.cond_epi_rhs(kappa, s_in)
+    worst = max((epi_a - s_a).max(), (epi_b - s_b).max())
     return VerifyReport.build("epi-spot", samples * 2, worst, tolerance, seed)
 
 

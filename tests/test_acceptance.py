@@ -145,7 +145,7 @@ def test_criterion_09_fock_oracle():
 
 def test_criterion_10_spot_checks():
     _check_suites(10, "MOE and conditional-EPI spot checks",
-                  {"moe-spot": (1e-6, 800), "epi-spot": (1e-6, 100)})
+                  {"moe-spot": (1e-6, 800), "epi-spot": (1e-6, 100)}, seconds=5.0)
 
 
 def test_criterion_11_figure1(capsys, tmp_path):

@@ -470,6 +470,22 @@ class TestVerify:
         assert out == ""
         assert "argument --tolerance: must be finite" in err
 
+    @pytest.mark.parametrize("suite", ["epi-spot", "gap"])  # seeded and unseeded
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+    def test_bad_seed_is_usage_error(self, capsys, suite, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--seed", seed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seed" in err
+        assert "Traceback" not in err
+
+    def test_large_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "corollary-map", "--seed", "99999999999999999999999")
+        assert code == 0
+        assert "seed: 99999999999999999999999\n" in out
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

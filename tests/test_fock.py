@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from cvsquash import fock
-from cvsquash.entropics import ChannelParam, g
+from cvsquash.entropics import ChannelParam, cond_epi_rhs, g
 from cvsquash.errors import CutoffError, DomainError, InvalidStateError
 from cvsquash.states import extension_family, gaussian_cmi
 from cvsquash.verify import oracle_cmi_grid, run_suite
@@ -879,6 +879,39 @@ class TestVacuumAncillaAmplitudes:
         assert fock.oracle_lost_norm(1.0, 0.0, 0.5, N) == 0.0
 
 
+def purified_epi_spot(seed):
+    """Reference for the epi-spot suite's worst violation, by the suite's first
+    path: each omega_AR drawn on all 144 levels of two modes at N = 12, purified
+    through its eigendecomposition, sent through the squeezer with a vacuum B as
+    a gather of input level a - b, and its output marginals taken as Gram
+    matrices of the purification."""
+    samples, N, kappa = 50, 12, 1.5
+    rng = np.random.default_rng(seed)
+    sigma = fock._vacuum_ancilla_amplitudes("squeezer", kappa, N)
+    a, b = np.ogrid[:N, :N]
+    src = (a - b) % N
+    gain = np.where(a >= b, sigma[src, b], 0.0)
+    levels = (N * np.arange(4)[:, None] + np.arange(4)).ravel()  # index n_A N + n_R
+    worst = -math.inf
+    for _ in range(samples):
+        omega = fock._random_mixture(rng, N * N, levels, levels, rotations=8)
+        omega_r = np.trace(omega.reshape(N, N, N, N), axis1=0, axis2=2)
+        s_cond_in = fock.spectral_entropy(omega) - fock.spectral_entropy(omega_r)
+        w, V = np.linalg.eigh(omega)
+        keep = w >= 1e-15
+        vecs = (V[:, keep] * np.sqrt(w[keep])).reshape(N, N, -1)  # (A, R, k)
+        psi = gain[:, :, None, None] * vecs[src]  # (A, B, R, k)
+        m_ar = psi.transpose(0, 2, 1, 3).reshape(N * N, -1)
+        m_br = psi.transpose(1, 2, 0, 3).reshape(N * N, -1)
+        m_r = psi.transpose(2, 0, 1, 3).reshape(N, -1)
+        s_r = fock.spectral_entropy(m_r @ m_r.conj().T)
+        s_a_cond = fock.spectral_entropy(m_ar @ m_ar.conj().T) - s_r
+        s_b_cond = fock.spectral_entropy(m_br @ m_br.conj().T) - s_r
+        epi_a, epi_b = cond_epi_rhs(kappa, s_cond_in)
+        worst = max(worst, epi_a - s_a_cond, epi_b - s_b_cond)
+    return worst
+
+
 class TestSpotSuites:
     """The Fock-route spot suites, pinned to their worst violations: a change of
     how the states are drawn, stacked or sent through a channel shows here."""
@@ -891,6 +924,26 @@ class TestSpotSuites:
         report = run_suite(suite)
         assert report.checks_run == checks
         assert report.max_violation == pytest.approx(worst, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_epi_spot_matches_purified_reference(self, seed):
+        worst = run_suite("epi-spot", seed=seed).max_violation
+        assert worst == pytest.approx(purified_epi_spot(seed), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_epi_spot_draws_are_the_support_block(self, seed):
+        # epi-spot draws omega_AR on the 16 levels n_A, n_R < 4 alone; the same
+        # generator calls on all 144 levels of two modes at N = 12 give that block,
+        # bit for bit, and 0 everywhere else
+        full_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        levels = (12 * np.arange(4)[:, None] + np.arange(4)).ravel()
+        block = np.ix_(levels, levels)
+        for _ in range(50):
+            full = fock._random_mixture(full_rng, 144, levels, levels, rotations=8)
+            assert np.array_equal(full[block], fock._random_mixture(
+                block_rng, 16, np.arange(16), np.arange(16), rotations=8))
+            full[block] = 0.0
+            assert not full.any()
 
 
 class TestRandomStates:
