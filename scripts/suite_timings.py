@@ -14,9 +14,13 @@ in ORACLE_CUTOFFS.  Then the median of CHANNEL_REPEATS runs of the benchmark's
 at cutoff CHANNEL_CUTOFF through the amplifier of gain CHANNEL_GAIN or its
 complement, and ``fock.spectral_entropy`` of the output: once with the
 amplitude table taken from its cache, and once with the cache cleared before
-each run, as in a one-off call such as ``cvsquash oracle channel``.  Last comes
-the line count of the imported package's modules: run on two trees, it gives
-their line counts at their test results.
+each run, as in a one-off call such as ``cvsquash oracle channel``.  Then the
+median of REPEATS runs of ``fock.thermal_fock`` at mean energy THERMAL_ENERGY and
+cutoff THERMAL_CUTOFF, ``fock.apply_channel_fock`` through the same amplifier and
+``fock.spectral_entropy`` of the output: the work of ``cvsquash oracle channel``
+on an input that occupies one diagonal.  Last comes the line count of the
+imported package's modules: run on two trees, it gives their line counts at
+their test results.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -54,6 +58,9 @@ ORACLE_CUTOFFS = (40, 1000, 10**5)
 CHANNEL_CUTOFF = 40
 CHANNEL_GAIN = 2.0
 CHANNEL_REPEATS = 100
+#: the thermal input of the last timed line, at a cutoff far above the rule's 80
+THERMAL_ENERGY = 1.0
+THERMAL_CUTOFF = 400
 
 
 def time_suite(name):
@@ -110,6 +117,20 @@ def time_channel(N, cold):
     return times
 
 
+def time_thermal_channel(N):
+    """REPEATS wall times of a thermal state at THERMAL_ENERGY and cutoff N sent
+    through the amplifier of gain CHANNEL_GAIN, with the entropy of the output."""
+    channel = ChannelParam.amplifier(CHANNEL_GAIN)
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        out = fock.apply_channel_fock(fock.thermal_fock(THERMAL_ENERGY, N), channel,
+                                      enforce_cutoff=False)
+        fock.spectral_entropy(out)
+        times.append(time.perf_counter() - start)
+    return times
+
+
 def main():
     print(f"{'suite':<14} {'checks_run':>10} {'max_violation':>22} {'median_s':>9}")
     for name in sorted(SUITES):
@@ -127,6 +148,10 @@ def main():
     for label, cold in (("cached", False), ("cache cleared", True)):
         median = statistics.median(time_channel(CHANNEL_CUTOFF, cold))
         print(f"{label:<48} {median * 1e3:>9.3f}")
+    print(f"\n{f'thermal E = {THERMAL_ENERGY:g} through the amplifier at cutoff':<48}"
+          f" {'median_ms':>9}")
+    median = statistics.median(time_thermal_channel(THERMAL_CUTOFF))
+    print(f"{THERMAL_CUTOFF:<48} {median * 1e3:>9.3f}")
     package = pathlib.Path(cvsquash.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     print(f"\n{package}/*.py: {lines} lines")

@@ -253,25 +253,31 @@ def cmd_oracle(args):
     return 0
 
 
+def _parsed(convert, text, rule, allowed):
+    """convert(text) if it converts and ``allowed`` accepts it, else a usage error
+    that states the rule."""
+    try:
+        value = convert(text)
+        if allowed(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+
+
 def _precision(text):
     # 17 significant digits round-trip every double; more print no information
-    if not 0 <= int(text) <= 17:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 17], got {text}")
-    return int(text)
+    return _parsed(int, text, "must be an integer in [0, 17]", lambda p: 0 <= p <= 17)
 
 
 def _tolerance(text):
     # a negative tolerance is allowed: it makes any suite fail (exit 1)
-    if not math.isfinite(float(text)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return float(text)
+    return _parsed(float, text, "must be finite", math.isfinite)
 
 
 def _seed(text):
     # numpy's generators take any integer >= 0, however large
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
-    return int(text)
+    return _parsed(int, text, "must be an integer >= 0", lambda s: s >= 0)
 
 
 def _add_output_flags(parser):

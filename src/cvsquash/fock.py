@@ -167,9 +167,10 @@ def _channel_energies(E_in, channel):
     return max(E_in, grown)  # at kappa = 1 and subnormal E_in, grown rounds to 0
 
 
-def _kraus_sum(rho, channel, complement):
+def _kraus_sum(rho, channel, complement, K):
     """Kraus sum of the channel on a vacuum ancilla over a (..., N, N) stack of
-    matrices, as a stack of the same shape.
+    matrices, as a stack of the same shape, given the stack's band K: no matrix
+    has a nonzero entry on a diagonal j - i >= K.
 
     All three channels conserve a - b, so diagonal k of the output depends only
     on diagonal k of the input, out[a, a + k] = sum_i T[k, a, i] rho[i, i + k], with
@@ -177,14 +178,17 @@ def _kraus_sum(rho, channel, complement):
         attenuator   T[k, a, i] = beta[a, i - a] beta[a + k, i - a]
         complement   T[k, a, i] = sigma[i + k, a] sigma[i, a + k],  on conj(rho)
     and the amplitude tables 0 outside them.  T[k, a, i] = 0 once a + k or
-    i + k reaches N, and by hermiticity only k >= 0 is needed.
+    i + k reaches N, and by hermiticity only k >= 0 is needed; only k < K, as
+    every term of a diagonal from K on is 0.  Time and the transfer's memory are
+    O(K N^2): a thermal or Fock-state input has K = 1, and only an input on
+    every diagonal pays the O(N^3) of K = N.
 
     The table is laid out in rows of N + 1, zero-padded to 2N rows and
     flattened; the attenuator's entry [m, j] goes to row m + j, its input, and
     column N - 1 - j, reversed so that a steps forward.  Each factor of T[k] is
     that flat table moved by 0, 1 or N + 1 places per k, so one product of two
-    strided views makes P[k, x] for every k, and T[k] is a strided view of P[k]
-    in which a steps by 1 and i by N (N + 1 for the complement).  Where a
+    strided views makes P[k, x] for every k < K, and T[k] is a strided view of
+    P[k] in which a steps by 1 and i by N (N + 1 for the complement).  Where a
     column index leaves the table's row, it reads the pad column or a
     neighbouring row, and the product is still T[k, a, i]: one of its factors
     then lies where the table is 0.  Every strided view here is an ndarray on
@@ -192,12 +196,15 @@ def _kraus_sum(rho, channel, complement):
 
     The states are stacked state-last and zero-padded to (N, 2N, states), so
     the k-th diagonals of every state are one strided view D[k, i] of
-    interleaved floats.  One real batched matmul T @ D writes diagonal k into
-    the upper triangle of a zeroed (N + 1, N, states) stack; a + k >= N lands
-    below the diagonal or in the spare row, as 0.  With T[0] halved, out + out^H
-    fills the lower triangle, so every output equals its conjugate transpose
-    exactly.  BLAS fixes no order for the terms of a sum, so the outputs agree
-    with a per-term loop to rounding, not bit for bit.
+    interleaved floats.  One real batched matmul T @ D writes diagonal k < K
+    into the upper triangle of a zeroed (N + 1, N, states) stack, which keeps 0
+    on the diagonals from K on; a + k >= N lands below the diagonal or in the
+    spare row, as 0.  With T[0] halved, out + out^H fills the lower triangle, so
+    every output equals its conjugate transpose exactly.  BLAS fixes no order
+    for the terms of a sum, so the outputs agree with a per-term loop to
+    rounding, not bit for bit.  Each diagonal is its own matmul of the batch,
+    so a larger K than the band, as a stack's K is for its lower-band members,
+    changes no output bit.
     """
     shape, N = rho.shape, rho.shape[-1]
     rho = rho.reshape(-1, N, N)
@@ -220,11 +227,11 @@ def _kraus_sum(rho, channel, complement):
     else:  # x = i N + a
         shifts, start, step = (0, R), 0, N
     # einsum, unlike the multiply ufunc, copies no strided operand into a buffer
-    factors = [np.ndarray((N, N * R), float, buffer=pad, strides=(shift * e, e))
+    factors = [np.ndarray((K, N * R), float, buffer=pad, strides=(shift * e, e))
                for shift in shifts]
     P = np.einsum("kx,kx->kx", *factors)
     P[0] *= 0.5  # the main diagonal, which out + out^H counts twice
-    T = np.ndarray((N, N, N), float, buffer=P, offset=start * e,
+    T = np.ndarray((K, N, N), float, buffer=P, offset=start * e,
                    strides=(P.strides[0], e, step * e))
 
     dtype = np.result_type(float, rho.dtype)
@@ -234,8 +241,8 @@ def _kraus_sum(rho, channel, complement):
     upper = np.zeros((R, N, S), dtype)
     # [k, i or a, (state, float)], the last axis at unit stride in both
     row = f * S * e
-    D = np.ndarray((N, N, f * S), float, buffer=padded, strides=(row, (2 * N + 1) * row, e))
-    U = np.ndarray((N, N, f * S), float, buffer=upper, strides=(row, R * row, e))
+    D = np.ndarray((K, N, f * S), float, buffer=padded, strides=(row, (2 * N + 1) * row, e))
+    U = np.ndarray((K, N, f * S), float, buffer=upper, strides=(row, R * row, e))
     np.matmul(T, D, out=U)
     if complement:  # T @ conj(D) = conj(T @ D), as T is real
         np.conjugate(upper, out=upper)
@@ -262,15 +269,33 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     ``tail_bound`` is above what the cutoff rule allows is refused as well:
     its mean photon number, taken within the cutoff, understates its energy.
     On a stack, the checks apply to its largest energy and tail.
+
+    The transfer covers only the input's band: the diagonals below K = 1 + the
+    highest diagonal j - i on which any matrix of the stack has a nonzero entry
+    (1 for an all-zero stack), so time and memory are O(K N^2).  One pass finds
+    K before the working set is checked against ``ORACLE_MEMORY_LIMIT``; its
+    temporaries, N^2 bytes of flags, 2 N - 1 integers and numpy's buffer, lie
+    within that charge.
     """
     if complement and channel.kind != "amplifier":
         raise DomainError("only the amplifier complement is supported")
-    N = state.cutoff
+    N, matrix = state.cutoff, state.matrix
     E_out = _channel_energies(float(np.max(state.mean_photon_number())), channel)
-    # the transfer tensor (8 N^2 (N + 1) B) with the table and padding, per state the padded
-    # input, upper triangle and output (each below 80 N^2 B), and 8 KiB of fixed temporaries
-    count = state.matrix.size // N**2
-    _check_memory(N, 8 * N**3 + 80 * N**2 * (count + 1) + 2**13, E_out)
+    # K = 1 + the highest diagonal j - i that a matrix of the stack occupies, in one
+    # pass: N^2 flags, and j - i as a Toeplitz view of 2 N - 1 integers
+    occupied = matrix.reshape(-1, N, N).any(axis=0)
+    offsets = np.arange(1 - N, N)
+    j_minus_i = np.ndarray((N, N), offsets.dtype, buffer=offsets,
+                           offset=(N - 1) * offsets.itemsize,
+                           strides=(-offsets.itemsize, offsets.itemsize))
+    K = int(j_minus_i.max(where=occupied, initial=0)) + 1
+    # the transfer tensor (8 K N (N + 1) B); per state the padded input, the upper
+    # triangle, the output and the buffer of out += upper (16 N (5 N + 1) B when
+    # complex); per call the padded table, the table when it is built and the scan's
+    # flags (below 32 N^2 B); and 8 KiB of fixed temporaries
+    count = matrix.size // N**2
+    _check_memory(N, 8 * K * N * (N + 1) + 16 * N * (5 * N + 1) * count + 32 * N**2 + 2**13,
+                  E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
         tail = float(np.max(state.tail_bound))
@@ -284,7 +309,7 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
                 f" {N}; the selection rule asks for N >= {hint}",
                 required=hint,
             )
-    out = _kraus_sum(state.matrix, channel, complement)
+    out = _kraus_sum(matrix, channel, complement, K)
     lost = 1.0 - np.real(np.trace(out, axis1=-2, axis2=-1))
     return TruncatedState(out, tail_bound=np.maximum(lost, 0.0))
 
@@ -322,9 +347,10 @@ def _vacuum_ancilla_amplitudes(kind, value, N):
     ln (m + j)! - ln j! - ln m! + m ln x + j ln y, with 0^0 = 1.
 
     The table is a pure function of its arguments, so the last four are kept,
-    read-only, and handed to every caller: 8 N^2 B each, at most about 8 MB at
-    the N of about 505 that the charge of ``apply_channel_fock`` allows one
-    state.  The transfer tensor built from it, 8 N^2 (N + 1) B, is not kept.
+    read-only, and handed to every caller: 8 N^2 B each, up to 4 x 8 N^2 B in
+    all, about 286 MB at N = 2991, the largest cutoff that the charge of
+    ``apply_channel_fock`` allows one thermal state.  The transfer tensor built
+    from it, 8 K N (N + 1) B on the input's band K, is not kept.
     """
     # ln k! and its Hankel view [m, j] = ln (m + j)!, -inf from m + j = N on, the cut
     log_fact = _log_factorials(2 * N - 1)

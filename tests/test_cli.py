@@ -481,6 +481,22 @@ class TestVerify:
         assert "argument --seed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, rule", [
+        (["verify", "gap", "--seed", "1.5"], "argument --seed: must be an integer >= 0, got 1.5"),
+        (["figure1", "--precision", "nan"],
+         "argument --precision: must be an integer in [0, 17], got nan"),
+        (["verify", "gap", "--tolerance", "abc"], "argument --tolerance: must be finite, got abc"),
+    ], ids=["seed", "precision", "tolerance"])
+    def test_unparsable_value_states_the_rule(self, capsys, argv, rule):
+        # the rule, as for a parsable value outside it, not argparse's "invalid
+        # _seed value", which names a private function
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert rule in err
+        assert "invalid" not in err and "_" + argv[-2].lstrip("-") not in err
+
     def test_large_seed_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "corollary-map", "--seed", "99999999999999999999999")
         assert code == 0

@@ -318,10 +318,26 @@ class TestThermal:
         assert fock.oracle_lost_norm(1.0, 1.0, 1.0, 64) == pytest.approx(0.0, abs=1e-10)
 
 
-def channel_charge(N, count):
-    """The working set ``apply_channel_fock`` charges for ``count`` states at
-    cutoff N: the transfer tensor, 80 N^2 B per state and once more, and 8 KiB."""
-    return 8 * N**3 + 80 * N**2 * (count + 1) + 2**13
+def band(matrix):
+    """1 + the highest diagonal j - i on which any matrix of the stack has a
+    nonzero entry, and 1 when none has."""
+    N = matrix.shape[-1]
+    i, j = np.ogrid[:N, :N]
+    return int(np.where(matrix != 0, j - i, 0).max()) + 1
+
+
+def channel_charge(N, count, K):
+    """The working set ``apply_channel_fock`` charges for ``count`` states of
+    band K at cutoff N: the transfer tensor on K diagonals, 16 N (5 N + 1) B per
+    state, 32 N^2 B per call and 8 KiB."""
+    return 8 * K * N * (N + 1) + 16 * N * (5 * N + 1) * count + 32 * N**2 + 2**13
+
+
+def pure_state(rng, N):
+    """A random pure state on all N levels: every entry nonzero, so K = N."""
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi /= np.linalg.norm(psi)
+    return fock.TruncatedState(np.outer(psi, psi.conj()), tail_bound=0.0)
 
 
 class TestChannels:
@@ -376,15 +392,19 @@ class TestChannels:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_memory_estimate_is_the_refusal_boundary(self, monkeypatch, count):
-        N = 40
-        state = stack_of([fock.thermal_fock(1.0, N) for _ in range(count)])
-        estimate = channel_charge(N, count)
+        # thermal states occupy diagonal 0 alone (K = 1); random states a band K > 1
+        N, rng = 40, np.random.default_rng(count)
+        thermal = stack_of([fock.thermal_fock(1.0, N) for _ in range(count)])
+        random = stack_of([fock.random_one_mode_state(rng, N) for _ in range(count)])
+        assert band(thermal.matrix) == 1 and band(random.matrix) > 1
         channel = ChannelParam.amplifier(2.0)
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate - 1)
-        with pytest.raises(CutoffError, match="limit"):
+        for state in (thermal, random):
+            estimate = channel_charge(N, count, band(state.matrix))
+            monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate - 1)
+            with pytest.raises(CutoffError, match="limit"):
+                fock.apply_channel_fock(state, channel, enforce_cutoff=False)
+            monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate)
             fock.apply_channel_fock(state, channel, enforce_cutoff=False)
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", estimate)
-        fock.apply_channel_fock(state, channel, enforce_cutoff=False)
 
     @pytest.mark.parametrize("N, count", [(2, 1), (3, 1), (5, 1), (8, 1),
                                           (40, 1), (40, 200), (120, 1)])
@@ -407,8 +427,9 @@ class TestChannels:
                     tracemalloc.stop()
                 # within the charge, which from N = 40 on is not so far above it that
                 # cutoffs that fit are refused; below, its fixed 8 KiB dominates
-                assert peak <= channel_charge(N, count)
-                assert N < 40 or 0.7 * channel_charge(N, count) < peak
+                charge = channel_charge(N, count, band(state.matrix))
+                assert peak <= charge
+                assert N < 40 or 0.7 * charge < peak
 
     @pytest.mark.parametrize("channel", [ChannelParam.amplifier(2.0),
                                          ChannelParam.attenuator(0.5)], ids=["amp", "att"])
@@ -484,6 +505,8 @@ def rounding_bound(state, channel, complement):
 def exact_input(kind, N):
     if kind == "thermal":
         return fock.thermal_fock(0.5, N)
+    if kind == "pure":
+        return pure_state(np.random.default_rng(N), N)
     return fock.random_one_mode_state(np.random.default_rng(N), N, support=min(10, N))
 
 
@@ -495,7 +518,7 @@ class TestKrausSum:
 
     @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
     @pytest.mark.parametrize("N", [2, 3, 5, 12, 40, 81])
-    @pytest.mark.parametrize("kind", ["thermal", "random"])
+    @pytest.mark.parametrize("kind", ["thermal", "random", "pure"])
     def test_equals_the_per_term_loop(self, channel, complement, N, kind):
         state = exact_input(kind, N)
         out = fock.apply_channel_fock(state, channel, complement=complement,
@@ -535,6 +558,59 @@ class TestKrausSum:
                                        enforce_cutoff=False)
         assert (warm.matrix == cold.matrix).all()
         assert warm.tail_bound == cold.tail_bound
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    def test_low_band_member_equals_its_single_call(self, channel, complement):
+        # a pure member on all 40 levels sets the stack's K to 40; the other two
+        # occupy 4 to 12 diagonals, and the ones above change none of their bits
+        rng = np.random.default_rng(6)
+        low = [fock.random_one_mode_state(rng, 40, support=s) for s in (3, 10)]
+        full = pure_state(rng, 40)
+        states = stack_of([*low, full])
+        assert band(states.matrix) == 40 and all(band(s.matrix) <= 12 for s in low)
+        stacked = fock.apply_channel_fock(states, channel, complement=complement,
+                                          enforce_cutoff=False)
+        for state, out, tail in zip(low, stacked.matrix, stacked.tail_bound):
+            single = fock.apply_channel_fock(state, channel, complement=complement,
+                                             enforce_cutoff=False)
+            assert np.array_equal(out, single.matrix)
+            assert tail == single.tail_bound
+        expected = loop_reference(full.matrix, channel, complement)
+        bound = rounding_bound(full, channel, complement)
+        assert (np.abs(stacked.matrix[-1] - expected) <= bound).all()
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    def test_band_one_is_the_full_transfer(self, channel, complement):
+        # a thermal input (K = 1) gets the output of the transfer on all N diagonals
+        state = fock.thermal_fock(0.5, 40)
+        out = fock.apply_channel_fock(state, channel, complement=complement,
+                                      enforce_cutoff=False)
+        assert np.array_equal(out.matrix, fock._kraus_sum(state.matrix, channel, complement, 40))
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("kind", ["thermal", "fock"])
+    def test_band_one_matches_the_loop(self, channel, complement, kind):
+        N = 200
+        if kind == "thermal":
+            state = fock.thermal_fock(1.0, N)
+        else:  # |7><7|
+            matrix = np.zeros((N, N))
+            matrix[7, 7] = 1.0
+            state = fock.TruncatedState(matrix, tail_bound=0.0)
+        assert band(state.matrix) == 1
+        out = fock.apply_channel_fock(state, channel, complement=complement,
+                                      enforce_cutoff=False)
+        expected = loop_reference(state.matrix, channel, complement)
+        assert (np.abs(out.matrix - expected) <= rounding_bound(state, channel, complement)).all()
+
+    @pytest.mark.parametrize("channel, complement", EXACT_CHANNELS, ids=EXACT_IDS)
+    def test_all_zero_input(self, channel, complement):
+        # no diagonal is occupied, so K = 1, and the whole norm is lost
+        state = fock.TruncatedState(np.zeros((8, 8)), tail_bound=1.0)
+        out = fock.apply_channel_fock(state, channel, complement=complement,
+                                      enforce_cutoff=False)
+        assert not out.matrix.any()
+        assert out.tail_bound == 1.0
 
     def test_stack_keeps_its_shape(self):
         rng = np.random.default_rng(4)

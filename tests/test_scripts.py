@@ -57,3 +57,9 @@ def test_channel_timing(suite_timings, monkeypatch, cold):
     times = suite_timings.time_channel(12, cold)
     assert len(times) == 6
     assert all(t > 0.0 for t in times)
+
+
+def test_thermal_channel_timing(suite_timings):
+    times = suite_timings.time_thermal_channel(12)
+    assert len(times) == suite_timings.REPEATS
+    assert all(t > 0.0 for t in times)
