@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Wall time of every verification suite, of two commands, of the Fock oracle
-at three cutoffs and of one Fock channel operation, with one BLAS thread.
+at three cutoffs, of one Fock channel operation and of one Gaussian CMI, with
+one BLAS thread.
 
 Runs each suite of ``cvsquash.verify.SUITES`` at its default tolerance and
 seed, REPEATS times in this one process, and prints one line per suite: its
@@ -18,7 +19,11 @@ each run, as in a one-off call such as ``cvsquash oracle channel``.  Then the
 median of REPEATS runs of ``fock.thermal_fock`` at mean energy THERMAL_ENERGY and
 cutoff THERMAL_CUTOFF, ``fock.apply_channel_fock`` through the same amplifier and
 ``fock.spectral_entropy`` of the output: the work of ``cvsquash oracle channel``
-on an input that occupies one diagonal.  Last comes the line count of the
+on an input that occupies one diagonal.  Then the covariance route: the median
+of CMI_REPEATS runs of the benchmark's ``extension-grid`` operation, three
+scalar ``gaussian_cmi(extension_family(kappa, E, x))`` calls at x = eta,
+1 - eta and 1/2 of CMI_POINT, and the median per point of REPEATS calls of one
+stacked CMI over STACKED_POINTS seeded points.  Last comes the line count of the
 imported package's modules: run on two trees, it gives their line counts at
 their test results.
 
@@ -43,6 +48,7 @@ import cvsquash  # noqa: E402
 from cvsquash import fock  # noqa: E402
 from cvsquash.cli import main as cli_main  # noqa: E402
 from cvsquash.entropics import ChannelParam  # noqa: E402
+from cvsquash.states import extension_family, gaussian_cmi  # noqa: E402
 from cvsquash.verify import SUITES, run_suite  # noqa: E402
 
 REPEATS = 5
@@ -61,6 +67,13 @@ CHANNEL_REPEATS = 100
 #: the thermal input of the last timed line, at a cutoff far above the rule's 80
 THERMAL_ENERGY = 1.0
 THERMAL_CUTOFF = 400
+#: the covariance route: the (kappa, E, eta) of the timed extension-grid
+#: operation, which takes well under a millisecond, how many times it is timed,
+#: and the size of the stacked CMI, whose points are drawn from the box
+#: kappa in [1, 10], E in [0, 50], eta in [0, 1]
+CMI_POINT = (2.0, 1.0, 0.3)
+CMI_REPEATS = 1000
+STACKED_POINTS = 3000
 
 
 def time_suite(name):
@@ -131,6 +144,32 @@ def time_thermal_channel(N):
     return times
 
 
+def time_extension_op(repeats):
+    """``repeats`` wall times of the CMI of the extension family at CMI_POINT's
+    eta, 1 - eta and 1/2: three scalar calls, as in one extension-grid operation."""
+    kappa, E, eta = CMI_POINT
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for x in (eta, 1.0 - eta, 0.5):
+            gaussian_cmi(extension_family(kappa, E, x), "A", "B", "R")
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def time_stacked_cmi(points):
+    """REPEATS wall times per point of one stacked CMI of the extension family
+    over ``points`` seeded points of the box."""
+    rng = np.random.default_rng(points)
+    kappa, E, eta = rng.uniform((1.0, 0.0, 0.0), (10.0, 50.0, 1.0), (points, 3)).T
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        gaussian_cmi(extension_family(kappa, E, eta), "A", "B", "R")
+        times.append((time.perf_counter() - start) / points)
+    return times
+
+
 def main():
     print(f"{'suite':<14} {'checks_run':>10} {'max_violation':>22} {'median_s':>9}")
     for name in sorted(SUITES):
@@ -152,6 +191,11 @@ def main():
           f" {'median_ms':>9}")
     median = statistics.median(time_thermal_channel(THERMAL_CUTOFF))
     print(f"{THERMAL_CUTOFF:<48} {median * 1e3:>9.3f}")
+    print(f"\n{f'one Gaussian CMI at {CMI_POINT}':<48} {'median_us':>9}")
+    median = statistics.median(time_extension_op(CMI_REPEATS))
+    print(f"{'extension-grid operation: 3 scalar CMIs':<48} {median * 1e6:>9.2f}")
+    median = statistics.median(time_stacked_cmi(STACKED_POINTS))
+    print(f"{f'stacked CMI, per point of {STACKED_POINTS}':<48} {median * 1e6:>9.2f}")
     package = pathlib.Path(cvsquash.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     print(f"\n{package}/*.py: {lines} lines")

@@ -238,6 +238,8 @@ def cmd_oracle(args):
             "comp": ("(kappa - 1) (E + 1)", (k - 1.0) * (E + 1.0)),
         }[args.kind]
         reference = g(finite(formula, energy, kappa=k, E=E))
+        # a thermal input occupies one diagonal: the channel is refused before it is built
+        fock._check_channel_memory(args.cutoff, 1, 1, fock._channel_energies(E, channel))
         state = fock.thermal_fock(E, args.cutoff)
         out = fock.apply_channel_fock(state, channel, complement=complement)
         fock_value = fock.spectral_entropy(out)

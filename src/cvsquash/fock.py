@@ -167,6 +167,17 @@ def _channel_energies(E_in, channel):
     return max(E_in, grown)  # at kappa = 1 and subnormal E_in, grown rounds to 0
 
 
+def _check_channel_memory(N, K, count, E_out):
+    """Refuse the working set of ``apply_channel_fock`` on ``count`` matrices of
+    cutoff N and band K, whose largest channel energy is E_out."""
+    # the transfer tensor (8 K N (N + 1) B); per state the padded input, the upper
+    # triangle, the output and the buffer of out += upper (16 N (5 N + 1) B when
+    # complex); per call the padded table, the table when it is built and the scan's
+    # flags (below 32 N^2 B); and 8 KiB of fixed temporaries
+    _check_memory(N, 8 * K * N * (N + 1) + 16 * N * (5 * N + 1) * count + 32 * N**2 + 2**13,
+                  E_out)
+
+
 def _kraus_sum(rho, channel, complement, K):
     """Kraus sum of the channel on a vacuum ancilla over a (..., N, N) stack of
     matrices, as a stack of the same shape, given the stack's band K: no matrix
@@ -247,7 +258,8 @@ def _kraus_sum(rho, channel, complement, K):
     if complement:  # T @ conj(D) = conj(T @ D), as T is real
         np.conjugate(upper, out=upper)
     upper = upper[:N].transpose(2, 0, 1)
-    # a ufunc would buffer the transposed read; copyto does not
+    # copyto reads the transposed view without a buffer; out += upper then reads
+    # upper through numpy's ufunc buffer (up to 8192 entries), which the charge counts
     out = np.empty((S, N, N), dtype)
     np.copyto(out, upper.transpose(0, 2, 1))
     np.conjugate(out, out=out)
@@ -289,13 +301,7 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
                            offset=(N - 1) * offsets.itemsize,
                            strides=(-offsets.itemsize, offsets.itemsize))
     K = int(j_minus_i.max(where=occupied, initial=0)) + 1
-    # the transfer tensor (8 K N (N + 1) B); per state the padded input, the upper
-    # triangle, the output and the buffer of out += upper (16 N (5 N + 1) B when
-    # complex); per call the padded table, the table when it is built and the scan's
-    # flags (below 32 N^2 B); and 8 KiB of fixed temporaries
-    count = matrix.size // N**2
-    _check_memory(N, 8 * K * N * (N + 1) + 16 * N * (5 * N + 1) * count + 32 * N**2 + 2**13,
-                  E_out)
+    _check_channel_memory(N, K, matrix.size // N**2, E_out)
     if enforce_cutoff:
         check_cutoff(N, E_out)
         tail = float(np.max(state.tail_bound))

@@ -5,6 +5,8 @@ real symmetric numpy arrays, or stacks (..., 2n, 2n) of them, on which every
 function acts matrix by matrix; the vacuum is (1/2) * identity.
 """
 
+import functools
+
 import numpy as np
 
 from .entropics import g
@@ -25,6 +27,14 @@ def n_modes_of(sigma):
     return sigma.shape[-1] // 2
 
 
+@functools.cache
+def _delta(n):
+    """rows and signs with Delta L = L[..., rows, :] * signs: the two rows of
+    each mode swapped, the second negated, exactly."""
+    rows = np.arange(2 * n) ^ 1
+    return rows, np.where(rows > np.arange(2 * n), 1.0, -1.0)[:, None]
+
+
 def symplectic_eigenvalues(sigma):
     """Kernel: descending symplectic spectrum of a covariance matrix, or of each
     matrix of a stack (..., 2n, 2n) of them.
@@ -40,22 +50,24 @@ def symplectic_eigenvalues(sigma):
     """
     sigma = np.asarray(sigma, dtype=float)
     n = n_modes_of(sigma)
-    transpose = np.swapaxes(sigma, -1, -2)
-    scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1)))
-    if not np.isfinite(scale).all():  # NaN passes Cholesky and every check below
-        raise InvalidStateError("covariance matrix has a non-finite entry")
-    if (np.abs(sigma - transpose).max(axis=(-2, -1)) > 1e-12 * scale).any():
-        raise InvalidStateError("covariance matrix is not symmetric")
+    transpose = sigma.swapaxes(-1, -2)
+    scale = np.abs(sigma).max(axis=(-2, -1), initial=1.0)  # max(1, |sigma|)
+    # NaN passes Cholesky and every check below.  A NaN entry makes the
+    # asymmetry's excess over its bound NaN, and an infinite one makes it
+    # inf - inf, so one comparison refuses all three; only the message differs
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(sigma - transpose).max(axis=(-2, -1)) - 1e-12 * scale
+        if not (asymmetry <= 0.0).all():
+            raise InvalidStateError("covariance matrix " + (
+                "is not symmetric" if np.isfinite(scale).all() else "has a non-finite entry"))
     try:
         L = np.linalg.cholesky(0.5 * (sigma + transpose))
     except np.linalg.LinAlgError as exc:
         raise InvalidStateError("covariance matrix is not positive definite") from exc
-    delta_L = np.empty_like(L)  # Delta L: swap the rows of each mode, negating the second
-    delta_L[..., 0::2, :] = L[..., 1::2, :]
-    delta_L[..., 1::2, :] = -L[..., 0::2, :]
-    A = np.swapaxes(L, -1, -2) @ delta_L
+    rows, signs = _delta(n)
+    A = L.swapaxes(-1, -2) @ (L[..., rows, :] * signs)  # L^T Delta L
     try:
-        nu = np.linalg.eigvalsh(1j * (0.5 * (A - np.swapaxes(A, -1, -2))))  # ascending
+        nu = np.linalg.eigvalsh(0.5j * (A - A.swapaxes(-1, -2)))  # ascending
     except np.linalg.LinAlgError as exc:
         raise InvalidStateError("symplectic eigenvalues did not converge") from exc
     paired = nu[..., :n - 1:-1]  # the positive half, descending
@@ -86,9 +98,11 @@ def gaussian_entropy(sigma):
     modes padded onto a matrix therefore add exactly 0.
     """
     nu = symplectic_eigenvalues(sigma)
-    excess = np.maximum(nu - 0.5, 0.0)
-    excess[excess < 1e-11 * np.maximum(1.0, nu[..., :1])] = 0.0
-    out = np.sum(g(excess), axis=-1)
+    excess = nu - 0.5
+    mixed = excess >= 1e-11 * np.maximum(1.0, nu[..., :1])
+    terms = np.zeros(excess.shape)  # g goes only where it adds more than 0
+    terms[mixed] = g(excess[mixed])
+    out = terms.sum(axis=-1)
     return out if out.ndim else float(out)
 
 

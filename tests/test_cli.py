@@ -621,6 +621,20 @@ class TestOracle:
         assert "limit of 1024 MiB" in err
         assert peak < 2**20  # refused before the input state is built
 
+    def test_channel_refused_before_the_input_is_built(self, capsys, monkeypatch):
+        # 2992 is the least cutoff whose channel charge for one thermal state (band
+        # K = 1) is over the limit; thermal_fock alone would take cutoffs up to 5792
+        built = []
+        monkeypatch.setattr(fock, "thermal_fock", lambda *args: built.append(args))
+        code, out, err = run(
+            capsys, "oracle", "channel", "--kind", "amp", "--param", "2", "--energy", "1",
+            "--cutoff", "2992",
+        )
+        assert code == 5
+        assert out == ""
+        assert "cutoff 2992 needs 1025 MiB of working memory" in err
+        assert built == []
+
     def test_pure_output_entropy_is_positive_zero(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "channel", "--kind", "amp", "--param", "1", "--energy", "0",

@@ -12,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: every script except suite_timings.py, which runs each verify suite 5 times
 COMMANDS = {
+    "bench_trajectory": ["bench_trajectory.py"],
     "cutoff_convergence": ["cutoff_convergence.py", "--max-cutoff", "32"],
     "validation_scan": ["validation_scan.py", "--draws", "200"],
 }
@@ -30,16 +31,31 @@ def test_script_runs(name, tmp_path):
     assert result.stdout
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_bench_trajectory_reads_every_file():
+    # both run layouts: nested result.metrics in the early files, flat runs later
+    script = load_script("bench_trajectory")
+    files = script.bench_files(ROOT)
+    assert len(files) >= 20
+    for _, path in files:
+        table = script.medians(path)
+        assert any(len(by_side) == 2 and all(len(m) == 4 for m in by_side.values())
+                   for by_side in table.values()), path.name
+
+
 @pytest.fixture
 def suite_timings(monkeypatch):
     # the parts of suite_timings.py fast enough to run here; importing the script
     # sets the BLAS thread variables, which monkeypatch restores after
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
-    spec = importlib.util.spec_from_file_location(
-        "suite_timings", ROOT / "scripts" / "suite_timings.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("suite_timings")
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     return script
 
@@ -61,5 +77,17 @@ def test_channel_timing(suite_timings, monkeypatch, cold):
 
 def test_thermal_channel_timing(suite_timings):
     times = suite_timings.time_thermal_channel(12)
+    assert len(times) == suite_timings.REPEATS
+    assert all(t > 0.0 for t in times)
+
+
+def test_extension_op_timing(suite_timings):
+    times = suite_timings.time_extension_op(3)
+    assert len(times) == 3
+    assert all(t > 0.0 for t in times)
+
+
+def test_stacked_cmi_timing(suite_timings):
+    times = suite_timings.time_stacked_cmi(30)
     assert len(times) == suite_timings.REPEATS
     assert all(t > 0.0 for t in times)

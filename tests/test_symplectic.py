@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvsquash import symplectic
 from cvsquash.entropics import g
 from cvsquash.errors import DomainError, InvalidStateError
-from cvsquash.states import GaussianState, extension_family
+from cvsquash.states import (
+    GaussianState,
+    _construction_subsets,
+    _padded,
+    extension_family,
+    tms_thermal_state,
+)
 from cvsquash.symplectic import (
     gaussian_entropy,
     marginal,
@@ -50,6 +57,60 @@ def random_physical_stack(rng, n_modes, count):
         S = random_symplectic(rng.normal(scale=0.2, size=(2 * n_modes, 2 * n_modes)))
         stack.append(apply_symplectic(S, np.diag(nu)))
     return np.array(stack)
+
+
+def reference_spectrum(sigma):
+    """A plain reference for the kernel: separate finite and symmetry refusals,
+    Delta L by slices and the Hermitian matrix by two products.  The package's
+    kernel takes shortcuts that change no bit, so it must equal this exactly."""
+    sigma = np.asarray(sigma, dtype=float)
+    n = sigma.shape[-1] // 2
+    transpose = np.swapaxes(sigma, -1, -2)
+    scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1)))
+    if not np.isfinite(scale).all():
+        raise InvalidStateError("covariance matrix has a non-finite entry")
+    if (np.abs(sigma - transpose).max(axis=(-2, -1)) > 1e-12 * scale).any():
+        raise InvalidStateError("covariance matrix is not symmetric")
+    L = np.linalg.cholesky(0.5 * (sigma + transpose))
+    delta_L = np.empty_like(L)
+    delta_L[..., 0::2, :] = L[..., 1::2, :]
+    delta_L[..., 1::2, :] = -L[..., 0::2, :]
+    A = np.swapaxes(L, -1, -2) @ delta_L
+    nu = np.linalg.eigvalsh(1j * (0.5 * (A - np.swapaxes(A, -1, -2))))
+    paired = nu[..., :n - 1:-1]
+    assert (np.abs(paired + nu[..., :n]).max(axis=-1)
+            <= 1e-9 * np.maximum(1.0, paired[..., 0])).all()
+    assert (paired[..., -1] >= 0.5 - np.maximum(1e-10, 1e-13 * scale)).all()
+    return paired
+
+
+def reference_entropy(sigma):
+    """g on every symplectic eigenvalue's excess, with those within
+    1e-11 * max(1, nu_0) of 1/2 set to exactly 0 first."""
+    nu = reference_spectrum(sigma)
+    excess = np.maximum(nu - 0.5, 0.0)
+    excess[excess < 1e-11 * np.maximum(1.0, nu[..., :1])] = 0.0
+    out = np.sum(g(excess), axis=-1)
+    return out if out.ndim else float(out)
+
+
+def partly_pure_stack(rng, n_modes, count):
+    """Like random_physical_stack, with about a third of the modes pure (nu = 1/2),
+    which roundoff in S diag(nu) S^T puts on either side of 1/2."""
+    stack = []
+    for _ in range(count):
+        nu = rng.uniform(0.5, 5.0, n_modes)
+        nu[rng.random(n_modes) < 0.35] = 0.5
+        S = random_symplectic(rng.normal(scale=0.2, size=(2 * n_modes, 2 * n_modes)))
+        stack.append(apply_symplectic(S, np.diag(np.repeat(nu, 2))))
+    return np.array(stack)
+
+
+def construction_stacks():
+    """The padded stacks that GaussianState builds for the extension family at
+    the seeded draws and corners of stack_points: (7, 66, 6, 6)."""
+    cov = extension_family(*stack_points()).cov
+    return _padded(cov, _construction_subsets(3))
 
 
 class TestForm:
@@ -215,6 +276,86 @@ class TestStackedFunctions:
     def test_marginal_of_a_stack_checks_modes(self):
         with pytest.raises(DomainError):
             marginal(extension_stack(), [3])
+
+
+class TestAgainstReference:
+    """The kernel equals reference_spectrum and reference_entropy bit for bit."""
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("draw", [random_physical_stack, partly_pure_stack],
+                             ids=["mixed", "partly-pure"])
+    def test_seeded_stacks(self, n_modes, draw):
+        stack = draw(np.random.default_rng(40 + n_modes), n_modes, 48).reshape(6, 8, *[2 * n_modes] * 2)
+        assert np.array_equal(symplectic_eigenvalues(stack), reference_spectrum(stack))
+        assert np.array_equal(gaussian_entropy(stack), reference_entropy(stack))
+        for sigma in stack[0]:
+            assert gaussian_entropy(sigma) == reference_entropy(sigma)
+
+    def test_construction_stacks(self):
+        stacks = construction_stacks()
+        assert np.array_equal(symplectic_eigenvalues(stacks), reference_spectrum(stacks))
+        assert np.array_equal(gaussian_entropy(stacks), reference_entropy(stacks))
+        for point in np.moveaxis(stacks, 1, 0):  # the (7, 6, 6) stack of one state
+            assert np.array_equal(gaussian_entropy(point), reference_entropy(point))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    @pytest.mark.parametrize("compute", [symplectic_eigenvalues, gaussian_entropy,
+                                         validate_covariance, reference_spectrum],
+                             ids=["symplectic_eigenvalues", "gaussian_entropy",
+                                  "validate_covariance", "reference"])
+    def test_one_sided_infinite_entry_is_non_finite(self, inf, compute):
+        # |inf - x| is no larger than 1e-12 times an infinite scale: the symmetry
+        # test alone would pass it
+        sigma = 0.5 * np.eye(4)
+        sigma[0, 3] = inf
+        for bad in (sigma, np.stack([0.5 * np.eye(4), sigma.T, np.diag([1.5, 1.5, 0.5, 0.5])])):
+            with pytest.raises(InvalidStateError, match="has a non-finite entry"):
+                compute(bad)
+
+
+class TestPureEntries:
+    @staticmethod
+    def spy_on_g(monkeypatch):
+        """The arrays the kernel hands to g, which still computes the entropy."""
+        received = []
+        monkeypatch.setattr(symplectic, "g", lambda E: received.append(np.copy(E)) or g(E))
+        return received
+
+    def test_pure_states_add_exactly_zero(self, monkeypatch):
+        stack = np.stack([0.5 * np.eye(4), tms_thermal_state(7.0, 0.0).cov])
+        received = self.spy_on_g(monkeypatch)
+        out = gaussian_entropy(stack)
+        assert out.tolist() == [0.0, 0.0]
+        assert np.copysign(1.0, out).tolist() == [1.0, 1.0]
+        assert sum(E.size for E in received) == 0
+
+    def test_g_receives_only_mixed_entries(self, monkeypatch):
+        stacks = construction_stacks()
+        nu = symplectic_eigenvalues(stacks)
+        mixed = nu - 0.5 >= 1e-11 * np.maximum(1.0, nu[..., :1])
+        assert 0 < mixed.sum() < mixed.size  # the padded vacuum modes are pure
+        received = self.spy_on_g(monkeypatch)
+        gaussian_entropy(stacks)
+        assert len(received) == 1
+        assert np.array_equal(received[0], (nu - 0.5)[mixed])
+
+    @pytest.mark.parametrize("others, excess", [((), 2e-11), ((), 5e-9), ((100.5,), 2e-9)])
+    def test_small_excess_takes_the_series(self, others, excess):
+        # above the pure threshold 1e-11 max(1, nu_0), below g's series cutoff 1e-8
+        sigma = np.diag(np.repeat([*others, 0.5 + excess], 2))
+        nu = symplectic_eigenvalues(sigma)
+        E = nu[-1] - 0.5
+        assert 1e-11 * max(1.0, nu[0]) <= E < 1e-8
+        series = E * (1.0 - math.log(E)) + 0.5 * E * E
+        expected = sum(g(x - 0.5) for x in nu[:-1]) + series
+        assert gaussian_entropy(sigma) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_excess_below_the_threshold_adds_zero(self):
+        sigma = np.diag(np.repeat([100.5, 0.5 + 5e-10], 2))  # 5e-10 < 1e-11 * 100.5
+        nu = symplectic_eigenvalues(sigma)
+        assert nu[-1] > 0.5
+        assert gaussian_entropy(sigma) == g(nu[0] - 0.5)
 
 
 class TestEntropy:
