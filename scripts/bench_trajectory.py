@@ -61,7 +61,8 @@ def _change(before, after):
 def main(argv):
     directory = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).resolve().parents[1]
     table = [(n, medians(path)) for n, path in bench_files(directory)]
-    print(f"{'file':<5} {'workload':<16} {'metric':<12} {'parent':>11} {'change':>11} {'change':>9}")
+    columns = f"{'workload':<16} {'metric':<12}"
+    print(f"{'file':<5} {columns} {'parent':>11} {'change':>11} {'change':>9}")
     for n, by_workload in table:
         for workload in sorted(by_workload):
             parent, change = (by_workload[workload].get(side, {}) for side in SIDES)
@@ -69,7 +70,7 @@ def main(argv):
                 if name in parent and name in change:
                     print(f"{n:<5} {workload:<16} {name:<12} {parent[name]:>11.5g}"
                           f" {change[name]:>11.5g} {_change(parent[name], change[name]):>9}")
-    print(f"\n{'drift':<9} {'workload':<16} {'metric':<12} {'change':>11} {'parent':>11} {'drift':>9}")
+    print(f"\n{'drift':<9} {columns} {'change':>11} {'parent':>11} {'drift':>9}")
     for (n, before), (m, after) in zip(table, table[1:]):
         for workload in sorted(set(before) & set(after)):
             change = before[workload].get("change", {})

@@ -285,7 +285,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("draw", [random_physical_stack, partly_pure_stack],
                              ids=["mixed", "partly-pure"])
     def test_seeded_stacks(self, n_modes, draw):
-        stack = draw(np.random.default_rng(40 + n_modes), n_modes, 48).reshape(6, 8, *[2 * n_modes] * 2)
+        dim = 2 * n_modes
+        stack = draw(np.random.default_rng(40 + n_modes), n_modes, 48).reshape(6, 8, dim, dim)
         assert np.array_equal(symplectic_eigenvalues(stack), reference_spectrum(stack))
         assert np.array_equal(gaussian_entropy(stack), reference_entropy(stack))
         for sigma in stack[0]:
@@ -319,7 +320,12 @@ class TestPureEntries:
     def spy_on_g(monkeypatch):
         """The arrays the kernel hands to g, which still computes the entropy."""
         received = []
-        monkeypatch.setattr(symplectic, "g", lambda E: received.append(np.copy(E)) or g(E))
+
+        def spy(E):
+            received.append(np.copy(E))
+            return g(E)
+
+        monkeypatch.setattr(symplectic, "g", spy)
         return received
 
     def test_pure_states_add_exactly_zero(self, monkeypatch):
