@@ -215,12 +215,14 @@ def cmd_verify(args):
 def cmd_oracle(args):
     precision = args.precision
     if args.mode == "cmi":
-        params = (args.kappa, args.energy, args.eta, args.cutoff)
-        fock_value = fock.oracle_cmi(*params)
+        # one pass gives both numbers, after the refusals of oracle_cmi
+        distributions = fock._oracle_distributions(args.kappa, args.energy, args.eta,
+                                                   args.cutoff, enforce_cutoff=True)
+        fock_value = fock._cmi_of(distributions)
         reference = gaussian_cmi(
             extension_family(args.kappa, args.energy, args.eta), "A", "B", "R"
         )
-        lost = ("lost_norm", fock.oracle_lost_norm(*params))
+        lost = ("lost_norm", fock._lost_norm_of(distributions))
     else:
         kinds = {
             "att": (ChannelParam.attenuator, False),

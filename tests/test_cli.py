@@ -581,6 +581,27 @@ class TestOracle:
         assert 1e-10 < float(values["lost_norm"]) < 1e-7
         assert abs(float(values["difference"])) < 1e-5
 
+    def test_cmi_builds_the_distributions_once(self, capsys, monkeypatch):
+        # the README's example: both Fock numbers come from one pass, and print as
+        # the public calls give them at 17 digits
+        calls = []
+        build = fock._oracle_distributions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "_oracle_distributions", counting)
+        code, out, _ = run(
+            capsys, "oracle", "cmi", "--kappa", "1.5", "--energy", "0.5", "--eta", "0.5",
+            "--cutoff", "34", "--precision", "17",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        values = dict(line.split(": ") for line in out.splitlines())
+        assert float(values["fock"]) == fock.oracle_cmi(1.5, 0.5, 0.5, 34)
+        assert float(values["lost_norm"]) == fock.oracle_lost_norm(1.5, 0.5, 0.5, 34)
+
     def test_cmi_memory_refusal_exit_5(self, capsys):
         tracemalloc.start()
         try:

@@ -2,11 +2,12 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cvsquash import symplectic
+from cvsquash import fock, states, symplectic
 from cvsquash.entropics import g, psi
 from cvsquash.errors import DomainError, InvalidStateError
 from cvsquash.states import (
@@ -401,3 +402,86 @@ class TestStacks:
         with pytest.raises(InvalidStateError) as stacked:
             GaussianState(cov=stack, labels=("A", "B"))
         assert str(stacked.value) == str(alone.value)
+
+
+def padded_charge(points, n_modes, subsets):
+    """Reference for the charge of states._padded: ``subsets`` padded copies of
+    ``points`` covariances of n_modes modes, in the entropy kernel."""
+    d = 2 * n_modes
+    return subsets * points * 8 * (6 * d * d + d + 6) + 136 * 2**10
+
+
+#: subsets a construction pads: the whole state, each mode and each all-but-one group
+CONSTRUCTION_SUBSETS = {1: 1, 2: 3, 3: 7, 4: 9}
+
+
+def covariance_stack(n_modes, points):
+    """Seeded physical covariances of 1 to 4 modes: a thermal mode, a two-mode
+    squeezed thermal pair, the extension family, and two such pairs side by side."""
+    rng = np.random.default_rng(35)
+    kappa, E, eta = rng.uniform((1.0, 0.0, 0.0), (3.0, 2.0, 1.0), (points, 3)).T
+    if n_modes == 1:
+        return thermal_state(E).cov
+    if n_modes == 2:
+        return tms_thermal_state(kappa, E).cov
+    if n_modes == 3:
+        return extension_family(kappa, E, eta).cov
+    cov = np.zeros((points, 8, 8))
+    cov[:, :4, :4] = tms_thermal_state(kappa, E).cov
+    cov[:, 4:, 4:] = tms_thermal_state(kappa[::-1], eta).cov
+    return cov
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """A stack is charged for the entropy kernel before it is padded."""
+
+    @pytest.mark.parametrize("n_modes, points", [
+        (1, 10**3), (2, 10**3), (3, 10**3), (4, 10**3), (1, 10**4), (2, 10**4), (3, 10**4),
+    ])
+    def test_construction_peak_within_its_charge(self, n_modes, points):
+        cov = covariance_stack(n_modes, points)
+        labels = tuple("ABCD"[:n_modes])
+        peak = traced_peak(lambda: GaussianState(cov=cov, labels=labels))
+        charge = padded_charge(points, n_modes, CONSTRUCTION_SUBSETS[n_modes])
+        assert 0.7 * charge < peak <= charge
+
+    def test_lazy_peak_within_its_charge(self):
+        # the pairs AC and BC of a four-mode state are not in the memo
+        state = GaussianState(cov=covariance_stack(4, 10**3), labels=tuple("ABCD"))
+        peak = traced_peak(lambda: gaussian_cmi(state, "A", "B", "C"))
+        charge = padded_charge(10**3, 4, 2)
+        assert 0.7 * charge < peak <= charge
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_limit_below_the_charge_refuses_before_padding(self, monkeypatch, n_modes):
+        cov = covariance_stack(n_modes, 100)
+        labels = tuple("ABCD"[:n_modes])
+        charge = padded_charge(100, n_modes, CONSTRUCTION_SUBSETS[n_modes])
+        padded = []
+        padding = states._padding
+        monkeypatch.setattr(states, "_padding", lambda *args: padded.append(args) or padding(*args))
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge - 1)
+        with pytest.raises(DomainError, match="100 points need .* MiB, above the limit"):
+            GaussianState(cov=cov, labels=labels)
+        assert padded == []
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge)
+        GaussianState(cov=cov, labels=labels)
+        assert len(padded) == 1
+
+    def test_lazy_limit_below_the_charge_refuses(self, monkeypatch):
+        state = GaussianState(cov=covariance_stack(4, 100), labels=tuple("ABCD"))
+        charge = padded_charge(100, 4, 2)
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge - 1)
+        with pytest.raises(DomainError, match="100 points need"):
+            gaussian_cmi(state, "A", "B", "C")
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge)
+        gaussian_cmi(state, "A", "B", "C")
