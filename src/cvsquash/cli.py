@@ -189,9 +189,9 @@ def _figure1_text(blocks, fmt, precision):
 def cmd_figure1(args):
     rows = in_domain("--steps", args.steps, CUTOFF) * len(args.kappas)  # at least 2, as a cutoff
     nbytes = rows * FIGURE1_ROW_BYTES[args.format]
-    if nbytes > fock.ORACLE_MEMORY_LIMIT:  # refused before anything is allocated
-        raise DomainError(f"figure1 sweep of {rows} rows needs {nbytes / 2**20:.4g} MiB,"
-                          f" above the limit of {fock.ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB")
+    refusal = fock._memory_refusal(nbytes, "figure1 sweep of {} rows needs {}", rows)
+    if refusal:  # refused before anything is allocated
+        raise DomainError(refusal)
     text = _figure1_text(_sweep(args.kappas, args.e_min, args.e_max, args.steps),
                          args.format, args.precision)
     _emit(text, args.output)

@@ -34,7 +34,8 @@ _TAIL_SLACK = 10.0
 #: eigenvalues below this are dropped when computing spectral entropies
 _EIG_FLOOR = 1e-14
 
-#: working memory a Fock computation may use; larger cutoffs are refused up front
+#: working memory a computation may use (a Fock cutoff, a stack of covariance
+#: matrices, a figure1 sweep); more is refused up front, by ``_memory_refusal``
 ORACLE_MEMORY_LIMIT = 2**30
 
 
@@ -116,20 +117,28 @@ def check_cutoff(N, E_max):
         )
 
 
+def _memory_refusal(nbytes, needs, *args):
+    """The refusal of a working set of ``nbytes`` above ``ORACLE_MEMORY_LIMIT``, read at
+    call time, ``needs`` formatted with ``args`` and the size; None if it fits."""
+    if nbytes > ORACLE_MEMORY_LIMIT:
+        return (needs.format(*args, f"{nbytes / 2**20:.4g} MiB")
+                + f", above the limit of {ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB")
+
+
 def _check_memory(N, nbytes, E_max):
     """Refuse, before anything is allocated, a working set of ``nbytes`` above
     ``ORACLE_MEMORY_LIMIT``; the error carries the cutoff the rule asks for at E_max."""
-    if nbytes > ORACLE_MEMORY_LIMIT:
-        raise CutoffError(
-            f"cutoff {N} needs {nbytes / 2**20:.4g} MiB of working memory,"
-            f" above the limit of {ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB",
-            required=required_cutoff(E_max),
-        )
+    refusal = _memory_refusal(nbytes, "cutoff {} needs {} of working memory", N)
+    if refusal:
+        raise CutoffError(refusal, required=required_cutoff(E_max))
 
 
-def _thermal_probabilities(E, N):
-    """Photon-number distribution of a thermal state of mean E, to level N - 1."""
-    return (E / (E + 1.0)) ** np.arange(N) / (E + 1.0)  # 0^0 = 1 at E = 0
+def _thermal_probabilities(E, N, out=None):
+    """Photon-number distribution of a thermal state of mean E, to level N - 1,
+    written into ``out`` if it is given."""
+    q1 = E + 1.0
+    p = np.power(E / q1, np.arange(N), out=out)  # 0^0 = 1 at E = 0
+    return np.divide(p, q1, out=p)
 
 
 def thermal_fock(E, N):
@@ -322,7 +331,9 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
 
 def _log_factorials(N):
     """ln k! for k < N, summed in order, so a shorter table is a prefix of a longer."""
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, N)))))
+    out = np.arange(float(N))
+    out[0] = 1.0  # ln 1 = 0.0, and 0.0 + ln 1 = ln 1: the sums of ln 1, ln 2, ...
+    return np.add.accumulate(np.log(out, out=out), out=out)
 
 
 def _log_powers(x, N):
@@ -330,7 +341,7 @@ def _log_powers(x, N):
     with 0 ln 0 = 0."""
     out = np.zeros(x.shape + (N,))
     with np.errstate(divide="ignore"):
-        out[..., 1:] = np.log(x)[..., None] * np.arange(1, N)
+        np.multiply(np.log(x)[..., None], np.arange(1.0, N), out=out[..., 1:])
     return out
 
 
@@ -407,8 +418,8 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     e_max = oracle_energy(kappa, E, eta)
     # the (2, 4, N + 1) buffer, which the returned view keeps, and the two (4, N) arrays
     # of entropy_of_spectrum; and 192 KiB for three ufunc buffers and the interpreter.
-    # Measured (tracemalloc), a call peaks at 16.002 x 8 N B at N = 10^5 and 16.000 x
-    # at 10^6; from N = 2 to 30000, at 0.82 of the charge at most (N = 1000).
+    # Measured (tracemalloc), a call peaks at 16.001 x 8 N B at N = 10^5 and 16.000 x
+    # at 10^6; up to N = 8000, at 0.85 of the charge at most (N = 1000, with the buffers).
     _check_memory(N, 16 * 8 * N + 3 * 2**16, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
@@ -416,16 +427,9 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     # the means of n_R, n_C, n_B + n_R and n_B + n_C; partners are in reverse order
     grown = (kappa - 1.0) * (E + 1.0)
     mu = np.array([eta * E, (1.0 - eta) * E, grown + eta * E, grown + (1.0 - eta) * E])
-    m = np.arange(N + 1.0)
-    # ln of the binomial's probabilities at k = 0..N: ln C(N, k) + k ln p + (N - k) ln (1 - p),
-    # with k ln p from column 1 on, so that a zero mean never forms -inf 0
-    powers = np.zeros((2, 4, N + 1))
-    with np.errstate(divide="ignore"):
-        ratios = np.log(np.array([1.0 + mu, mu[::-1]]) / (kappa * (E + 1.0)))
-        np.multiply(ratios[..., None], m[1:], out=powers[..., 1:])
-        log_fact = np.log(m)
-    log_fact[0] = 0.0  # then ln k! for k <= N, as _log_factorials sums it: 0.0 + ln 1 = ln 1
-    np.add.accumulate(log_fact, out=log_fact)
+    log_fact = _log_factorials(N + 1)
+    # ln of the binomial's probabilities at k = 0..N: ln C(N, k) + k ln p + (N - k) ln (1 - p)
+    powers = _log_powers(np.array([1.0 + mu, mu[::-1]]) / (kappa * (E + 1.0)), N + 1)
     pmf = np.add(powers[0], powers[1, :, ::-1], out=powers[0])
     binomial = np.subtract(log_fact[N], log_fact, out=powers[1, 0])  # powers[1] is free
     pmf += np.subtract(binomial, log_fact[::-1], out=binomial)
@@ -436,8 +440,7 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     np.add.accumulate(pmf[:, :0:-1], axis=1, out=upper[:, -2::-1])  # [m]: the sum over k > m
     survival = np.subtract(1.0, np.add.accumulate(pmf, axis=1, out=pmf), out=pmf)  # over k <= m
     np.copyto(survival, upper, where=upper < 0.5)
-    q1 = mu[:, None] + 1.0  # the thermal law (q / (q + 1))^m / (q + 1) of _thermal_probabilities
-    survival *= np.divide(np.power(mu[:, None] / q1, m, out=upper), q1, out=upper)
+    survival *= _thermal_probabilities(mu[:, None], N + 1, out=upper)
     return survival[:, :N]
 
 

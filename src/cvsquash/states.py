@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock
 from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
+from .fock import _memory_refusal
 from .symplectic import gaussian_entropy, marginal, n_modes_of
 
 #: signs of the P-quadrature block of a constructor's covariance relative to
@@ -54,9 +54,9 @@ def _padded(cov, subsets):
     # (8192 complex entries) and the interpreter.  Measured (tracemalloc) on 1 to 4
     # modes, a construction peaks at 0.78 to 0.99 of this from 10^3 points on.
     nbytes = len(subsets) * points * 8 * (6 * d**2 + d + 6) + 136 * 2**10
-    if nbytes > fock.ORACLE_MEMORY_LIMIT:
-        raise DomainError(f"{points} points need {nbytes / 2**20:.4g} MiB, above the"
-                          f" limit of {fock.ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB")
+    refusal = _memory_refusal(nbytes, "{} points need {}", points)
+    if refusal:
+        raise DomainError(refusal)
     kept, vacuum = _padding(d // 2, tuple(subsets), cov.ndim)
     return np.where(kept, cov, vacuum)
 

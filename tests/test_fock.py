@@ -696,7 +696,7 @@ class TestOracleCmi:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 16 * 8 * N + 3 * 2**16  # the estimate checked against the limit
+            assert peak <= 25 * 8 * N + 2**17  # the estimate checked against the limit
             assert peak < 8 * N**2 / 4  # a quarter of one N^2 array of doubles
             # the refusal boundary lies between the peak and 1.25 times it: what
             # does not fit is refused, and what fits with that margin is not
