@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall time of every verification suite, of two commands, of the Fock oracle
-at three cutoffs, of one Fock channel operation and of one Gaussian CMI, with
-one BLAS thread.
+at three cutoffs, of one figure1 sweep operation, of one Fock channel operation
+and of one Gaussian CMI, with one BLAS thread.
 
 Runs each suite of ``cvsquash.verify.SUITES`` at its default tolerance and
 seed, REPEATS times in this one process, and prints one line per suite: its
@@ -10,7 +10,11 @@ run of a suite is timed like the others, so the median is of warm runs.  Then
 it prints the median of REPEATS wall times of each command in COMMANDS, run
 through ``cvsquash.cli.main`` with its output sent to the null device, and the
 median of REPEATS calls of ``fock.oracle_cmi`` at ORACLE_POINT for each cutoff
-in ORACLE_CUTOFFS.  Then the median of CHANNEL_REPEATS runs of the benchmark's
+in ORACLE_CUTOFFS.  Then the median of SWEEP_REPEATS runs of the benchmark's
+``classical-sweep`` operation, ``figure1`` at one kappa over SWEEP_STEPS energies
+in [0, SWEEP_E_MAX] sent to the null device, and of its two stages on the same
+arguments: ``cli._sweep``, the numbers, and ``cli._figure1_text``, the text.
+Then the median of CHANNEL_REPEATS runs of the benchmark's
 ``channel-entropy`` operation, ``fock.apply_channel_fock`` on one seeded state
 at cutoff CHANNEL_CUTOFF through the amplifier of gain CHANNEL_GAIN or its
 complement, and ``fock.spectral_entropy`` of the output: once with the
@@ -45,8 +49,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 import cvsquash  # noqa: E402
-from cvsquash import fock  # noqa: E402
-from cvsquash.cli import main as cli_main  # noqa: E402
+from cvsquash import cli, fock  # noqa: E402
 from cvsquash.entropics import ChannelParam  # noqa: E402
 from cvsquash.states import extension_family, gaussian_cmi  # noqa: E402
 from cvsquash.verify import SUITES, run_suite  # noqa: E402
@@ -59,6 +62,13 @@ COMMANDS = (["figure1"], ["bounds", "tms", "--kappa", "2", "--energy", "1"])
 #: and the cutoffs: one of the benchmark's range and two far above it
 ORACLE_POINT = (1.5, 0.5, 0.5)
 ORACLE_CUTOFFS = (40, 1000, 10**5)
+#: the classical-sweep operation: its kappa, drawn from (1, 10] by the benchmark,
+#: its energy grid, and how many times it and each of its stages are timed; a
+#: run takes under a millisecond
+SWEEP_KAPPA = 2.0
+SWEEP_E_MAX = 5.0
+SWEEP_STEPS = 400
+SWEEP_REPEATS = 1000
 #: the channel operation: its cutoff and gain, as in the benchmark, and how many
 #: times each of its two channels is timed; a run takes well under a millisecond
 CHANNEL_CUTOFF = 40
@@ -94,7 +104,7 @@ def time_command(argv):
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        code = cli_main([*argv, "--output", os.devnull])
+        code = cli.main([*argv, "--output", os.devnull])
         times.append(time.perf_counter() - start)
         if code != 0:
             raise RuntimeError(f"cvsquash {' '.join(argv)} exited with code {code}")
@@ -108,6 +118,30 @@ def time_oracle(N):
         start = time.perf_counter()
         fock.oracle_cmi(*ORACLE_POINT, N)
         times.append(time.perf_counter() - start)
+    return times
+
+
+def time_sweep_op(repeats):
+    """``repeats`` wall times each of the classical-sweep operation, which must
+    exit 0, and of its two stages, by name: ``cli._sweep`` and
+    ``cli._figure1_text`` at CSV and the default precision."""
+    argv = ["figure1", "--kappas", repr(SWEEP_KAPPA), "--e-min", "0", "--e-max",
+            repr(SWEEP_E_MAX), "--steps", str(SWEEP_STEPS), "--output", os.devnull]
+    stages = {
+        "operation": lambda: cli.main(argv),
+        "_sweep": lambda: cli._sweep([SWEEP_KAPPA], 0.0, SWEEP_E_MAX, SWEEP_STEPS),
+        "_figure1_text": lambda: cli._figure1_text(blocks, "csv", cli.DEFAULT_PRECISION),
+    }
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"cvsquash {' '.join(argv)} failed")
+    blocks = stages["_sweep"]()
+    times = {}
+    for name, run in stages.items():
+        times[name] = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            times[name].append(time.perf_counter() - start)
     return times
 
 
@@ -182,6 +216,10 @@ def main():
     print(f"\n{f'oracle_cmi{ORACLE_POINT} at cutoff':<48} {'median_ms':>9}")
     for N in ORACLE_CUTOFFS:
         print(f"{N:<48} {statistics.median(time_oracle(N)) * 1e3:>9.3f}")
+    print(f"\n{f'classical-sweep: kappa {SWEEP_KAPPA:g}, {SWEEP_STEPS} energies':<48}"
+          f" {'median_us':>9}")
+    for name, times in time_sweep_op(SWEEP_REPEATS).items():
+        print(f"{name:<48} {statistics.median(times) * 1e6:>9.2f}")
     print(f"\n{f'channel-entropy at cutoff {CHANNEL_CUTOFF}, amplitude table':<48}"
           f" {'median_ms':>9}")
     for label, cold in (("cached", False), ("cache cleared", True)):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropics import _sub, g, h
+from .entropics import _g, _h_args, _h_of, _sub, g, h
 from .errors import ENERGY, GAIN, DomainError, finite, in_domain
 
 
@@ -45,12 +45,9 @@ def esq_bounds_tms(kappa, E):
     """
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
-    with np.errstate(over="ignore"):
-        energy = (kappa - 0.5) * E + (kappa - 1.0)  # exactly E / 2 at kappa = 1
-    energy = finite("(kappa - 1/2) E + kappa - 1", energy, kappa=kappa, E=E)
-    lower = math.log(finite("2 kappa - 1", 2.0 * kappa - 1.0, kappa=kappa))
+    lower, *arguments = _tms_bounds_args(kappa, E)
     # one g call on both stacked arguments
-    upper = _sub(*g(np.stack(np.broadcast_arrays(energy, 0.5 * E))))
+    upper = _sub(*g(np.stack(np.broadcast_arrays(*arguments))))
     return BoundReport(
         lower=lower,
         upper=upper,
@@ -58,6 +55,16 @@ def esq_bounds_tms(kappa, E):
         provenance=("theorem-1",),
         parameters={"kappa": kappa, "E": E},
     )
+
+
+def _tms_bounds_args(kappa, E):
+    """esq_bounds_tms' lower bound and the two g arguments of its upper bound, at a
+    validated kappa and E; DomainError if either bound's formula overflows."""
+    with np.errstate(over="ignore"):
+        energy = (kappa - 0.5) * E + (kappa - 1.0)  # exactly E / 2 at kappa = 1
+    energy = finite("(kappa - 1/2) E + kappa - 1", energy, kappa=kappa, E=E)
+    lower = math.log(finite("2 kappa - 1", 2.0 * kappa - 1.0, kappa=kappa))
+    return lower, energy, 0.5 * E
 
 
 def tms_equivalent_params(channel, E):
@@ -160,17 +167,41 @@ def classical_esq(kappa, E):
     """
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
-    e_kappa = find_E_kappa(kappa) if kappa > 1.0 else 0.0
-    argmin = np.minimum(E, e_kappa)
+    e_kappa, argmin = _classical_argmin(kappa, E)
     value = 0.5 * h(kappa, argmin)
     return value, MinimizerResult(argmin_x=argmin, min_value=value, clipped=E < e_kappa,
                                   E_kappa=e_kappa)
 
 
+def _classical_argmin(kappa, E):
+    """E_kappa, or 0 at kappa = 1, and the minimizer min(E, E_kappa), at a validated kappa and E."""
+    e_kappa = find_E_kappa(kappa) if kappa > 1.0 else 0.0
+    return e_kappa, np.minimum(E, e_kappa)
+
+
+def _tms_sweep_block(kappa, E):
+    """figure1's block at one kappa over the grid E, both validated: esq_lower and the
+    (len(E), 3) table of E, esq_upper and esq_classical, as esq_bounds_tms and
+    classical_esq give them bit for bit, refusals included.  The five g arguments
+    go through g's body in one unvalidated pass.  Each is finite and >= 0: the
+    upper bound's are checked, and find_E_kappa refuses any kappa at which h's
+    overflow at x = 10 >= E_kappa."""
+    lower, *arguments = _tms_bounds_args(kappa, E)
+    _, argmin = _classical_argmin(kappa, E)
+    values = _g(np.array((*arguments, *_h_args(kappa, argmin))))
+    table = np.empty((len(E), 3))
+    table[:, 0] = E
+    np.subtract(values[0], values[1], out=table[:, 1])
+    np.multiply(0.5, _h_of(values[2:]), out=table[:, 2])
+    return lower, table
+
+
 def separation_check(kappa, E):
     """Classical squashed entanglement minus the squashed-entanglement upper bound.
 
-    Strictly positive for kappa > 1 and E > 0; zero at kappa = 1 or E = 0.
+    Strictly positive for kappa > 1 and E > 0 in exact arithmetic, and zero at
+    kappa = 1 or E = 0.  In floating point the difference rounds to <= 0 at tiny
+    E: it is exactly 0.0 at (1.5, 1e-16) and at (1.0001, 1e-300).
     """
     value, _ = classical_esq(kappa, E)
     return value - esq_bounds_tms(kappa, E).upper

@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from . import fock
+from . import bounds, fock
 from .bounds import (
     BoundReport,
     channel_esq,
-    classical_esq,
     esq_bounds_channel_state,
     esq_bounds_tms,
     secret_key_capacity,
@@ -137,21 +136,26 @@ def cmd_channel(args):
 def _sweep(kappas, e_min, e_max, steps):
     """The figure1 sweep, one block per kappa: (kappa, esq_lower, table), where
     the (steps, 3) table holds the columns E, esq_upper and esq_classical.
-    steps is an integer >= 2, checked by the caller."""
+    steps is an integer >= 2, checked by the caller.  The kappas and the grid's
+    ends are validated once, for every block; every grid point is finite."""
     if not kappas:
         raise DomainError("the kappa list must be nonempty")
     in_domain("--kappas", kappas, GAIN)
     e_min = in_domain("--e-min", e_min, ENERGY)
     e_max = in_domain("--e-max", e_max, (e_min, ENERGY[1], f"finite and >= --e-min = {e_min}"))
-    # the largest product of the grid below: when it is finite, so is every other one
-    finite("(e_max - e_min)(steps - 1)", (e_max - e_min) * (steps - 1), e_max=e_max, steps=steps)
-    energies = e_min + (e_max - e_min) * np.arange(steps) / (steps - 1)
-    blocks = []
-    for kappa in kappas:
-        report = esq_bounds_tms(kappa, energies)
-        classical, _ = classical_esq(kappa, energies)
-        blocks.append((kappa, report.lower, np.stack((energies, report.upper, classical), axis=1)))
-    return blocks
+    span = e_max - e_min
+    with np.errstate(over="ignore"):
+        if math.isinf(span * (steps - 1)):  # the grid's largest product
+            # formed at span 2^-m, 2^m >= steps - 1, and scaled back: a power of two
+            # commutes with rounding above the subnormals, so every point is as below
+            m = (steps - 2).bit_length()
+            grid = np.ldexp(math.ldexp(span, -m) * np.arange(steps) / (steps - 1), m)
+        else:
+            grid = span * np.arange(steps) / (steps - 1)
+        energies = e_min + grid
+    if math.isinf(energies[-1]):  # rounding carried the last point past e_max
+        energies = np.minimum(energies, e_max)
+    return [(kappa, *bounds._tms_sweep_block(kappa, energies)) for kappa in kappas]
 
 
 def _figure1_text(blocks, fmt, precision):

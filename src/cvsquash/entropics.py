@@ -50,7 +50,13 @@ def g(E):
     only the entries below _G_SERIES_CUTOFF are then overwritten, by the series
     E(1 - ln E) + E^2/2, or by the exact g(0) = 0.
     """
-    arr = np.asarray(in_domain("mean energy", E, ENERGY))
+    out = _g(np.asarray(in_domain("mean energy", E, ENERGY)))
+    return out if out.ndim else float(out)
+
+
+def _g(arr):
+    """g of a float array whose every entry is finite and >= 0, unvalidated: g's body,
+    for callers whose arguments are already known to be in its domain."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # 1/E overflows for subnormal E and is inf at 0; both are overwritten
         out = np.asarray(arr * np.log1p(1.0 / arr) + np.log1p(arr))  # 0-d stays assignable
@@ -58,7 +64,7 @@ def g(E):
         if small.any():
             tiny = arr[small]
             out[small] = np.where(tiny == 0.0, 0.0, tiny * (1.0 - np.log(tiny)) + 0.5 * tiny * tiny)
-    return out if out.ndim else float(out)
+    return out
 
 
 #: g of the largest double, ~710.78: the largest entropy g_inverse can invert
@@ -137,9 +143,17 @@ def h(kappa, x):
     kappa = in_domain("squeezing gain", kappa, GAIN)
     x = in_domain("mean energy", x, ENERGY)
     # one g call on the three stacked arguments
-    first, second, third = g(np.stack(np.broadcast_arrays(kappa * x + kappa - 1.0,
-                                                           (kappa - 1.0) * (x + 1.0), x)))
-    return _sub(first + second, third)
+    return _h_of(g(np.stack(np.broadcast_arrays(*_h_args(kappa, x)))))
+
+
+def _h_args(kappa, x):
+    """The three g arguments of h_kappa(x)."""
+    return kappa * x + kappa - 1.0, (kappa - 1.0) * (x + 1.0), x
+
+
+def _h_of(values):
+    """h_kappa from the g values of _h_args' three arguments, stacked on the first axis."""
+    return _sub(values[0] + values[1], values[2])
 
 
 def moe_amplifier(kappa, s):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 import threading
 import tracemalloc
 
@@ -242,21 +243,58 @@ class TestFigure1:
         assert out == ""
         assert err.startswith(f"error: {flag}")
 
-    def test_energy_grid_overflow_named(self, capsys):
+    def test_energy_grid_near_overflow_accepted(self, capsys):
         # (e_max - e_min) k overflows from k = 2 on, though every grid point is finite
         code, out, err = run(capsys, "figure1", "--kappas", "2", "--e-max", "1e308",
                              "--steps", "13")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 13
+        assert [row.split(",")[1] for row in rows[::12]] == ["0", "1e+308"]
+        [(_, _, table)] = _sweep([2.0], 0.0, 1e308, 13)
+        assert np.all(np.diff(table[:, 0]) > 0.0)
+        # kappa = 3 is the first of the default list whose (kappa - 1/2) E overflows
+        code, out, err = run(capsys, "figure1", "--e-max", "1e308", "--steps", "13")
         assert (code, out) == (3, "")
-        assert err == "error: (e_max - e_min)(steps - 1) overflows at e_max = 1e+308, steps = 13\n"
+        assert err.startswith("error: (kappa - 1/2) E + kappa - 1 overflows at kappa = 3, E = ")
 
-    @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 3.7, 9.9])
+    @pytest.mark.parametrize("e_min, steps", [(5.606773020660784e307, 55),
+                                              (2.0387508761897163e295, 2)])
+    def test_energy_grid_capped_at_e_max(self, e_min, steps):
+        # rounding carries the last point of these grids past the largest double
+        e_max = sys.float_info.max
+        [(_, _, table)] = _sweep([1.0], e_min, e_max, steps)
+        assert (table[0, 0], table[-1, 0]) == (e_min, e_max)
+        assert np.all(np.diff(table[:, 0]) > 0.0)
+
+    @staticmethod
+    def assert_rows_match_scalar_api(kappas, e_min, e_max, steps):
+        blocks = _sweep(kappas, e_min, e_max, steps)
+        assert [k for k, _, _ in blocks] == kappas
+        for kappa, lower, table in blocks:
+            assert len(table) == steps
+            for E, upper, classical in table.tolist():
+                report = esq_bounds_tms(kappa, E)
+                assert (lower, upper) == (report.lower, report.upper)
+                assert classical == classical_esq(kappa, E)[0]
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 3.7, 9.9,
+                                       1.0000000000000002, 1.2345678901234567e300])
     def test_rows_match_scalar_api(self, kappa):
-        [(k, lower, table)] = _sweep([kappa], 0.0, 5.0, 400)
-        assert len(table) == 400
-        for E, upper, classical in table.tolist():
-            report = esq_bounds_tms(kappa, E)
-            assert (k, lower, upper) == (kappa, report.lower, report.upper)
-            assert classical == classical_esq(kappa, E)[0]
+        # the two extreme kappas are those of the memory-charge sweeps; (kappa - 1/2) E
+        # overflows above E = 1e-3 at the larger one
+        self.assert_rows_match_scalar_api([kappa], 0.0, 5.0 if kappa < 1e300 else 1e-3, 400)
+
+    @pytest.mark.parametrize("kappa", [1.0000000000000002, 1.2, 2.0, 1e300])
+    def test_rows_match_scalar_api_across_E_kappa(self, kappa):
+        # a grid of a few doubles about E_kappa, where min(E, E_kappa) switches
+        e_kappa = bounds.find_E_kappa(kappa)
+        e_min, e_max = e_kappa, e_kappa
+        for _ in range(3):
+            e_min, e_max = math.nextafter(e_min, 0.0), math.nextafter(e_max, 1.0)
+        self.assert_rows_match_scalar_api([kappa, 1.5], e_min, e_max, 7)
+        [(_, _, table)] = _sweep([kappa], e_min, e_max, 7)
+        assert table[0, 0] < e_kappa < table[-1, 0]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("precision", [0, 1, 3, 12, 17])
@@ -279,17 +317,30 @@ class TestFigure1:
             assert out == figure1_text(rows, precision, fmt)
 
     def test_one_g_call_per_bound(self, monkeypatch):
-        # esq_upper and the classical value's h each evaluate g once, on stacked arguments
-        shapes, real_g = [], entropics.g
+        # each kappa block evaluates g's body once, on the five stacked arguments of
+        # esq_upper and esq_classical, and calls no validating function of the scalar API
+        calls, real_g, real_find = [], entropics._g, bounds.find_E_kappa
 
         def spy(E):
-            shapes.append(np.shape(E))
+            calls.append(("_g", np.shape(E)))
             return real_g(E)
 
-        monkeypatch.setattr(entropics, "g", spy)
-        monkeypatch.setattr(bounds, "g", spy)
-        _sweep([2.0], 0.0, 5.0, 400)
-        assert sorted(shapes) == [(2, 400), (3, 400)]
+        def find_spy(kappa):
+            calls.append(("find_E_kappa", kappa))
+            return real_find(kappa)
+
+        def refused(*args):
+            raise AssertionError("the sweep validated its arguments again")
+
+        monkeypatch.setattr(bounds, "_g", spy)
+        monkeypatch.setattr(bounds, "find_E_kappa", find_spy)
+        for name in ("g", "h", "esq_bounds_tms", "classical_esq"):
+            monkeypatch.setattr(bounds, name, refused)
+        for name in ("g", "h", "in_domain"):
+            monkeypatch.setattr(entropics, name, refused)
+        _sweep([2.0, 1.0, 3.0], 0.0, 5.0, 400)
+        assert calls == [("find_E_kappa", 2.0), ("_g", (5, 400)), ("_g", (5, 400)),
+                         ("find_E_kappa", 3.0), ("_g", (5, 400))]
 
     @pytest.mark.parametrize("existing", [None, "kept\n"])
     def test_overflow_writes_nothing(self, capsys, tmp_path, existing):

@@ -81,6 +81,12 @@ def test_thermal_channel_timing(suite_timings):
     assert all(t > 0.0 for t in times)
 
 
+def test_sweep_op_timing(suite_timings):
+    times = suite_timings.time_sweep_op(3)
+    assert list(times) == ["operation", "_sweep", "_figure1_text"]
+    assert all(len(ts) == 3 and all(t > 0.0 for t in ts) for ts in times.values())
+
+
 def test_extension_op_timing(suite_timings):
     times = suite_timings.time_extension_op(3)
     assert len(times) == 3
