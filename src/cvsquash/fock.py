@@ -339,9 +339,12 @@ def _log_factorials(N):
 def _log_powers(x, N):
     """m ln x for m < N along a new last axis, for every entry of the array x,
     with 0 ln 0 = 0."""
-    out = np.zeros(x.shape + (N,))
-    with np.errstate(divide="ignore"):
-        np.multiply(np.log(x)[..., None], np.arange(1.0, N), out=out[..., 1:])
+    out = np.empty(x.shape + (N,))
+    # whole contiguous rows, which numpy multiplies without buffering; column 0,
+    # 0 ln x (NaN at x = 0, -0.0 below 1), is then set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.log(x)[..., None], np.arange(float(N)), out=out)
+    out[..., 0] = 0.0
     return out
 
 
@@ -417,10 +420,10 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
     # the (2, 4, N + 1) buffer, which the returned view keeps, and the two (4, N) arrays
-    # of entropy_of_spectrum; and 192 KiB for three ufunc buffers and the interpreter.
-    # Measured (tracemalloc), a call peaks at 16.001 x 8 N B at N = 10^5 and 16.000 x
-    # at 10^6; up to N = 8000, at 0.85 of the charge at most (N = 1000, with the buffers).
-    _check_memory(N, 16 * 8 * N + 3 * 2**16, e_max)
+    # of entropy_of_spectrum; and 130 KiB for ufunc buffers and the interpreter, up to
+    # 81 KiB near N = 1000 (tracemalloc: 0.81 of the charge there, 16.001 x 8 N B at
+    # N = 10^5).  The limit allows N up to 8 387 568.
+    _check_memory(N, 16 * 8 * N + 130 * 2**10, e_max)
     if enforce_cutoff:
         check_cutoff(N, e_max)
 

@@ -6,6 +6,7 @@ parameter arrays, which broadcast, and give one state holding their stack.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,23 +41,29 @@ def _padding(n, subsets, ndim):
     return kept, 0.5 * np.eye(2 * n)
 
 
-def _padded(cov, subsets):
-    """Copies of the stack cov along a new first axis, one per subset of mode
-    indices, with every mode outside it a vacuum block, which adds no entropy.
-
-    Refused with DomainError before they are built when the entropy kernel's
-    working set on them exceeds ``fock.ORACLE_MEMORY_LIMIT``."""
-    d = cov.shape[-1]
-    points = cov.size // d**2
+def _charge(points, n, copies):
+    """Refuse with DomainError when the entropy kernel's working set on ``copies``
+    padded stacks of ``points`` covariances of n modes exceeds
+    ``fock.ORACLE_MEMORY_LIMIT``."""
+    d = 2 * n
     # per padded d x d matrix, six float copies (the matrix, its Cholesky factor,
     # L^T Delta L, its antisymmetric part, and the complex Hermitian matrix, which
     # counts twice) and 8 (d + 6) B for its spectrum; and 136 KiB for numpy's buffers
     # (8192 complex entries) and the interpreter.  Measured (tracemalloc) on 1 to 4
     # modes, a construction peaks at 0.78 to 0.99 of this from 10^3 points on.
-    nbytes = len(subsets) * points * 8 * (6 * d**2 + d + 6) + 136 * 2**10
+    nbytes = copies * points * 8 * (6 * d**2 + d + 6) + 136 * 2**10
     refusal = _memory_refusal(nbytes, "{} points need {}", points)
     if refusal:
         raise DomainError(refusal)
+
+
+def _padded(cov, subsets):
+    """Copies of the stack cov along a new first axis, one per subset of mode
+    indices, with every mode outside it a vacuum block, which adds no entropy.
+
+    Refused with DomainError by ``_charge`` before they are built."""
+    d = cov.shape[-1]
+    _charge(cov.size // d**2, d // 2, len(subsets))
     kept, vacuum = _padding(d // 2, tuple(subsets), cov.ndim)
     return np.where(kept, cov, vacuum)
 
@@ -118,15 +125,23 @@ class GaussianState:
         return out if out.ndim else float(out)
 
 
-def _params(*checks):
+def _params(n, *checks):
     """The (name, value, domain) checks of in_domain, their values brought to one
-    shape by adding 0.0 times all of them, which is exact for finite values."""
+    shape by adding 0.0 times all of them, which is exact for finite values.
+
+    A stack of states of n modes built from arrays is charged by ``_charge``, as
+    its construction's padded stacks, from their broadcast shape: a stack too
+    large is refused before anything of that shape is built."""
     params = [in_domain(*check) for check in checks]
-    try:
-        zero = sum(0.0 * p for p in params)
-    except ValueError:
-        shapes = ", ".join(str(np.shape(p)) for p in params)
-        raise DomainError(f"parameter shapes {shapes} do not broadcast") from None
+    shapes = [p.shape for p in params if isinstance(p, np.ndarray)]  # the rest are floats
+    if shapes:
+        try:
+            points = math.prod(np.broadcast_shapes(*shapes))
+        except ValueError:
+            shapes = ", ".join(str(np.shape(p)) for p in params)
+            raise DomainError(f"parameter shapes {shapes} do not broadcast") from None
+        _charge(points, n, len(_construction_subsets(n)))
+    zero = sum(0.0 * p for p in params)
     return [p + zero for p in params]
 
 
@@ -144,13 +159,13 @@ def _covariance(q):
 
 def thermal_state(E, label="A"):
     """One-mode thermal state with mean energy E: covariance (E + 1/2) I."""
-    E = in_domain("mean energy", E, ENERGY)
+    (E,) = _params(1, ("mean energy", E, ENERGY))
     return GaussianState(cov=_covariance([[E + 0.5]]), labels=(label,))
 
 
 def tms_thermal_state(kappa, E, labels=("A", "B")):
     """Two-mode squeezer applied to thermal(E) tensor vacuum; closed-form covariance."""
-    kappa, E = _params(("squeezing gain", kappa, GAIN), ("mean energy", E, ENERGY))
+    kappa, E = _params(2, ("squeezing gain", kappa, GAIN), ("mean energy", E, ENERGY))
     ab = (E + 1.0) * np.sqrt(kappa * (kappa - 1.0))
     cov = _covariance([[kappa * (E + 1.0) - 0.5, ab], [ab, (kappa - 1.0) * (E + 1.0) + 0.5]])
     return GaussianState(cov=cov, labels=tuple(labels))
@@ -163,7 +178,7 @@ def gamma_attenuated(eta, E, labels=("A", "B")):
 
 def gamma_amplified(kappa, E, labels=("A", "B")):
     """Amplifier with gain kappa on half of a two-mode squeezed vacuum."""
-    kappa, E = _params(("amplifier gain", kappa, GAIN), ("mean energy", E, ENERGY))
+    kappa, E = _params(2, ("amplifier gain", kappa, GAIN), ("mean energy", E, ENERGY))
     c = np.sqrt(kappa * E * (E + 1.0))
     return GaussianState(cov=_covariance([[kappa * E + kappa - 0.5, c], [c, E + 0.5]]),
                          labels=tuple(labels))
@@ -171,7 +186,7 @@ def gamma_amplified(kappa, E, labels=("A", "B")):
 
 def attenuated_tmsv_cov(eta, E):
     """Closed-form covariance of the AR state: attenuator on half a TMSV of energy E."""
-    eta, E = _params(("transmissivity", eta, TRANSMISSIVITY), ("mean energy", E, ENERGY))
+    eta, E = _params(2, ("transmissivity", eta, TRANSMISSIVITY), ("mean energy", E, ENERGY))
     c = np.sqrt(eta * E * (E + 1.0))
     return _covariance([[E + 0.5, c], [c, eta * E + 0.5]])
 
@@ -188,7 +203,7 @@ def extension_family(kappa, E, eta, labels=("A", "B", "R")):
     The AB blocks are evaluated as in tms_thermal_state, so tracing out R
     leaves exactly its covariance.
     """
-    kappa, E, eta = _params(("squeezing gain", kappa, GAIN), ("mean energy", E, ENERGY),
+    kappa, E, eta = _params(3, ("squeezing gain", kappa, GAIN), ("mean energy", E, ENERGY),
                             ("transmissivity", eta, TRANSMISSIVITY))
     c, t, s, root = np.sqrt((eta * E * (E + 1.0), kappa, kappa - 1.0, kappa * (kappa - 1.0)))
     ab, tc, sc = (E + 1.0) * root, t * c, s * c
@@ -213,8 +228,9 @@ def gaussian_cmi(state, part_a, part_b, part_r=()):
     parts = part_a + part_b + part_r
     if len(set(parts)) != len(parts):
         raise DomainError("parts A, B, R must be disjoint")
-    subsets = [frozenset(state.mode_indices(subset))
-               for subset in (part_a + part_r, part_b + part_r, part_r, parts)]
+    modes = state.mode_indices(parts)  # A's, then B's, then R's
+    a, r = modes[:len(part_a)], modes[len(part_a) + len(part_b):]
+    subsets = [frozenset(a + r), frozenset(modes[len(part_a):]), frozenset(r), frozenset(modes)]
     s_ar, s_br, s_r, s_abr = state._memoized(subsets)
     out = s_ar + s_br - s_r - s_abr
     return out if out.ndim else float(out)

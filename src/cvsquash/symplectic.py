@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from .entropics import g
+from .entropics import _g
 from .errors import DomainError, InvalidStateError
 
 #: base tolerance on nu_min - 1/2 when validating covariance matrices; scaled
@@ -44,9 +44,14 @@ def symplectic_eigenvalues(sigma):
     Cholesky and one symmetric eigensolve per matrix, with no matrix square
     root, and full symmetric-eigensolver accuracy, unlike the nonsymmetric
     eigenproblem for inv(Delta) sigma.  Raises InvalidStateError unless every
-    matrix is finite, symmetric, positive definite, has a spectrum that pairs
-    up, and meets the uncertainty relation nu_min >= 1/2 to within
-    max(_NU_TOL, 1e-13 * scale).
+    matrix is finite, symmetric, positive definite, and meets the uncertainty
+    relation nu_min >= 1/2 to within max(_NU_TOL, 1e-13 * scale).
+
+    The spectrum pairs up with no check: the Hermitian matrix is formed as
+    i/2 (A - A^T), purely imaginary and exactly antisymmetric, so its exact
+    spectrum is {+/- nu_k}, and Weyl's inequality with the eigensolver's
+    backward error puts each computed eigenvalue within about n eps nu_0 of
+    its exact value, some 1e-14 nu_0 at three modes.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = n_modes_of(sigma)
@@ -71,8 +76,6 @@ def symplectic_eigenvalues(sigma):
     except np.linalg.LinAlgError as exc:
         raise InvalidStateError("symplectic eigenvalues did not converge") from exc
     paired = nu[..., :n - 1:-1]  # the positive half, descending
-    if (np.abs(paired + nu[..., :n]).max(axis=-1) > 1e-9 * np.maximum(1.0, paired[..., 0])).any():
-        raise InvalidStateError("symplectic spectrum does not pair up; matrix is not physical")
     violated = paired[..., -1] < 0.5 - np.maximum(_NU_TOL, 1e-13 * scale)
     if violated.any():
         raise InvalidStateError(
@@ -95,13 +98,15 @@ def gaussian_entropy(sigma):
     Eigenvalues within 1e-11 * max(1, nu_0) of 1/2 are treated as exactly pure:
     g has infinite slope at 0, so roundoff on pure modes would otherwise be
     amplified by a factor |ln eps| into every entropy difference.  Vacuum
-    modes padded onto a matrix therefore add exactly 0.
+    modes padded onto a matrix therefore add exactly 0.  The mixed excesses,
+    finite from the kernel's checks and at least 1e-11, go to g's unvalidated
+    body ``entropics._g``.
     """
     nu = symplectic_eigenvalues(sigma)
     excess = nu - 0.5
     mixed = excess >= 1e-11 * np.maximum(1.0, nu[..., :1])
     terms = np.zeros(excess.shape)  # g goes only where it adds more than 0
-    terms[mixed] = g(excess[mixed])
+    terms[mixed] = _g(excess[mixed])
     out = terms.sum(axis=-1)
     return out if out.ndim else float(out)
 

@@ -477,6 +477,26 @@ class TestMemoryBound:
         GaussianState(cov=cov, labels=labels)
         assert len(padded) == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda kappa, E, eta: extension_family(kappa, E, eta),
+        lambda kappa, E, eta: extension_family(kappa[:100, None], E[:1000], 0.5),
+        lambda kappa, E, eta: tms_thermal_state(kappa, E),
+        lambda kappa, E, eta: thermal_state(E),
+    ], ids=["extension", "extension-broadcast", "tms", "thermal"])
+    def test_refusal_comes_before_the_stack_is_built(self, monkeypatch, build):
+        # 10^5 points under a 1 MiB limit: what is traced up to the refusal is
+        # less than one float array of their shape
+        params = np.random.default_rng(37).uniform((1.0, 0.0, 0.0), (3.0, 2.0, 1.0), (10**5, 3))
+        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="100000 points need .* MiB, above the limit"):
+                build(*params.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**5
+
     def test_lazy_limit_below_the_charge_refuses(self, monkeypatch):
         state = GaussianState(cov=covariance_stack(4, 100), labels=tuple("ABCD"))
         charge = padded_charge(100, 4, 2)

@@ -106,6 +106,18 @@ def partly_pure_stack(rng, n_modes, count):
     return np.array(stack)
 
 
+def wide_scale_stack(rng, n_modes, count):
+    """Like random_physical_stack, with nu log-uniform in [1/2, 10^6], so that
+    the reference's pairing assertion, the only check that the spectrum pairs
+    up, runs at large scales too."""
+    stack = []
+    for _ in range(count):
+        nu = np.repeat(0.5 * 10.0 ** rng.uniform(0.0, math.log10(2e6), n_modes), 2)
+        S = random_symplectic(rng.normal(scale=0.2, size=(2 * n_modes, 2 * n_modes)))
+        stack.append(apply_symplectic(S, np.diag(nu)))
+    return np.array(stack)
+
+
 def construction_stacks():
     """The padded stacks that GaussianState builds for the extension family at
     the seeded draws and corners of stack_points: (7, 66, 6, 6)."""
@@ -282,8 +294,9 @@ class TestAgainstReference:
     """The kernel equals reference_spectrum and reference_entropy bit for bit."""
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
-    @pytest.mark.parametrize("draw", [random_physical_stack, partly_pure_stack],
-                             ids=["mixed", "partly-pure"])
+    @pytest.mark.parametrize("draw", [random_physical_stack, partly_pure_stack,
+                                      wide_scale_stack],
+                             ids=["mixed", "partly-pure", "wide-scale"])
     def test_seeded_stacks(self, n_modes, draw):
         dim = 2 * n_modes
         stack = draw(np.random.default_rng(40 + n_modes), n_modes, 48).reshape(6, 8, dim, dim)
@@ -318,14 +331,15 @@ class TestAgainstReference:
 class TestPureEntries:
     @staticmethod
     def spy_on_g(monkeypatch):
-        """The arrays the kernel hands to g, which still computes the entropy."""
+        """The arrays the kernel hands to g's unvalidated body, which g still
+        computes the entropy of."""
         received = []
 
         def spy(E):
             received.append(np.copy(E))
             return g(E)
 
-        monkeypatch.setattr(symplectic, "g", spy)
+        monkeypatch.setattr(symplectic, "_g", spy)
         return received
 
     def test_pure_states_add_exactly_zero(self, monkeypatch):
