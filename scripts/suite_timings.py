@@ -28,8 +28,9 @@ of CMI_REPEATS runs of the benchmark's ``extension-grid`` operation, three
 scalar ``gaussian_cmi(extension_family(kappa, E, x))`` calls at x = eta,
 1 - eta and 1/2 of CMI_POINT, and the median per point of REPEATS calls of one
 stacked CMI over STACKED_POINTS seeded points.  Last comes the line count of the
-imported package's modules: run on two trees, it gives their line counts at
-their test results.
+imported package's modules, as ``wc -l`` gives it and split by ``line_split``
+into code, docstring, comment-only and blank lines: run on two trees, it gives
+their line counts at their test results, and shows where a change of size lies.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -41,10 +42,13 @@ import os
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
 
+import ast  # noqa: E402
+import io  # noqa: E402
 import pathlib  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tokenize  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -204,6 +208,31 @@ def time_stacked_cmi(points):
     return times
 
 
+def line_split(paths):
+    """Lines of the Python files ``paths`` by kind, as a dict of counts that sum to
+    their line count: code, docstring (every line of one, blank ones too),
+    comment-only and blank.  A line with code and a comment is code, and so is a
+    blank line inside a string that is no docstring."""
+    counts = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    scoped = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+               tokenize.DEDENT, tokenize.ENDMARKER}
+    for path in paths:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        docstrings, code = set(), set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, scoped) and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in skipped:
+                code.update(range(token.start[0], token.end[0] + 1))
+        for number, line in enumerate(text.splitlines(), 1):
+            kind = ("docstring" if number in docstrings else "code" if number in code
+                    else "blank" if not line.strip() else "comment")
+            counts[kind] += 1
+    return counts
+
+
 def main():
     print(f"{'suite':<14} {'checks_run':>10} {'max_violation':>22} {'median_s':>9}")
     for name in sorted(SUITES):
@@ -235,8 +264,10 @@ def main():
     median = statistics.median(time_stacked_cmi(STACKED_POINTS))
     print(f"{f'stacked CMI, per point of {STACKED_POINTS}':<48} {median * 1e6:>9.2f}")
     package = pathlib.Path(cvsquash.__file__).parent
-    lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
-    print(f"\n{package}/*.py: {lines} lines")
+    paths = sorted(package.glob("*.py"))
+    lines = sum(len(path.read_text().splitlines()) for path in paths)
+    split = " + ".join(f"{count} {kind}" for kind, count in line_split(paths).items())
+    print(f"\n{package}/*.py: {lines} lines = {split}")
     return 0
 
 

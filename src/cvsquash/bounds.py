@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropics import _g, _h_args, _h_of, _sub, g, h
-from .errors import ENERGY, GAIN, DomainError, finite, in_domain
+from .errors import ENERGY, GAIN, DomainError, finite, in_domain, scalar_in_domain
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def esq_bounds_tms(kappa, E):
     Gaussian extension.  E may be an array; upper is then elementwise.  At a
     scalar E = 0 the state is pure and upper is also the exact value g(kappa - 1).
     """
-    kappa = in_domain("squeezing gain", kappa, GAIN)
+    kappa = scalar_in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     lower, *arguments = _tms_bounds_args(kappa, E)
     # one g call on both stacked arguments
@@ -85,7 +85,7 @@ def tms_equivalent_params(channel, E):
 def esq_bounds_channel_state(channel, E):
     """Squashed-entanglement bounds for a channel applied to half a TMSV of energy E:
     Corollary 1, the bounds of esq_bounds_tms at tms_equivalent_params(channel, E)."""
-    E = in_domain("mean energy", E, ENERGY)
+    E = scalar_in_domain("mean energy", E, ENERGY)
     # the largest intermediate: when it is finite, so is every other one
     if channel.kind == "attenuator":
         eta = channel.value
@@ -144,7 +144,8 @@ def find_E_kappa(kappa):
     h_kappa' changes sign once on (0, inf), from -inf at 0 to positive values,
     so bisection in ln x brackets the root down to adjacent doubles.
     """
-    kappa = in_domain("squeezing gain", kappa, (math.nextafter(1, 2), GAIN[1], "finite and > 1"))
+    kappa = scalar_in_domain("squeezing gain", kappa,
+                             (math.nextafter(1, 2), GAIN[1], "finite and > 1"))
     lo, hi = _E_KAPPA_BRACKET
     if not _h_prime(kappa, lo) < 0.0 < _h_prime(kappa, hi):
         raise DomainError(f"failed to bracket the minimizer of h at kappa = {kappa}")
@@ -165,7 +166,7 @@ def classical_esq(kappa, E):
     array; the value and the minimizer fields are then elementwise.  At
     kappa = 1, h vanishes identically and E_kappa is reported as 0.
     """
-    kappa = in_domain("squeezing gain", kappa, GAIN)
+    kappa = scalar_in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     e_kappa, argmin = _classical_argmin(kappa, E)
     value = 0.5 * h(kappa, argmin)

@@ -24,7 +24,7 @@ from .bounds import (
 )
 from .entropics import ChannelParam, g
 from .errors import (CUTOFF, ENERGY, GAIN, CutoffError, DomainError, InvalidStateError,
-                     SingularPointError, finite, in_domain)
+                     SingularPointError, finite, in_domain, memory_refusal)
 from .states import extension_family, gaussian_cmi
 from .verify import SUITES, run_suite
 
@@ -193,7 +193,7 @@ def _figure1_text(blocks, fmt, precision):
 def cmd_figure1(args):
     rows = in_domain("--steps", args.steps, CUTOFF) * len(args.kappas)  # at least 2, as a cutoff
     nbytes = rows * FIGURE1_ROW_BYTES[args.format]
-    refusal = fock._memory_refusal(nbytes, "figure1 sweep of {} rows needs {}", rows)
+    refusal = memory_refusal(nbytes, "figure1 sweep of {} rows needs {}", rows)
     if refusal:  # refused before anything is allocated
         raise DomainError(refusal)
     text = _figure1_text(_sweep(args.kappas, args.e_min, args.e_max, args.steps),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ENERGY, FINITE, GAIN, TRANSMISSIVITY, DomainError, SingularPointError,
-                     finite, in_domain)
+                     finite, in_domain, scalar_in_domain)
 
 # Below this energy the direct formula for g loses digits to cancellation;
 # the series g(E) = E(1 - ln E) + E^2/2 + O(E^3 ln E) is exact to 1e-16 there.
@@ -36,11 +36,11 @@ class ChannelParam:
 
     @classmethod
     def attenuator(cls, eta):
-        return cls("attenuator", float(eta))
+        return cls("attenuator", scalar_in_domain("attenuator transmissivity", eta, TRANSMISSIVITY))
 
     @classmethod
     def amplifier(cls, kappa):
-        return cls("amplifier", float(kappa))
+        return cls("amplifier", scalar_in_domain("amplifier gain", kappa, GAIN))
 
 
 def g(E):

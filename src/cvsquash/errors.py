@@ -1,4 +1,5 @@
-"""Exception types shared across the package, the parameter validator and the overflow refusal."""
+"""Exception types shared across the package, the parameter validator, the overflow
+refusal and the memory limit."""
 
 import sys
 
@@ -39,6 +40,10 @@ TRANSMISSIVITY = (0.0, 1.0, "in [0, 1]")
 FINITE = (-_MAX, _MAX, "finite")  # a conditional entropy, which may be negative
 CUTOFF = (2, sys.maxsize, "an integer >= 2")
 
+#: working memory a computation may use (a Fock cutoff, a stack of covariance
+#: matrices, a figure1 sweep); more is refused up front, by ``memory_refusal``
+MEMORY_LIMIT = 2**30
+
 
 def in_domain(name, value, domain):
     """``value`` as a float, a float array or, for integers, an int; DomainError
@@ -51,11 +56,23 @@ def in_domain(name, value, domain):
         if lo <= value <= hi:  # fails on NaN
             return float(value)
     else:
-        arr = np.asarray(value, dtype=float)
-        if ((arr >= lo) & (arr <= hi)).all():
-            return arr if arr.ndim else float(arr)
+        try:
+            arr = np.asarray(value, dtype=float)
+            if ((arr >= lo) & (arr <= hi)).all():
+                return arr if arr.ndim else float(arr)
+        except (TypeError, ValueError):  # not numbers, as "abc"
+            pass
     # formatted only on failure: printing an array costs more than the check
     raise DomainError(f"{name} must be {text}, got {value}")
+
+
+def scalar_in_domain(name, value, domain):
+    """``in_domain`` for a parameter that takes one number: a float, or DomainError
+    naming ``name`` for an array of one or more dimensions."""
+    value = in_domain(name, value, domain)
+    if isinstance(value, float):
+        return value
+    raise DomainError(f"{name} must be one number, got an array of shape {value.shape}")
 
 
 def finite(text, value, **params):
@@ -68,3 +85,11 @@ def finite(text, value, **params):
     first = np.flatnonzero(~np.isfinite(np.broadcast_to(value, shape)))[0]
     at = ", ".join(f"{k} = {np.broadcast_to(v, shape).flat[first]:g}" for k, v in params.items())
     raise DomainError(f"{text} overflows at {at}")
+
+
+def memory_refusal(nbytes, needs, *args):
+    """The refusal of a working set of ``nbytes`` above ``MEMORY_LIMIT``, read at
+    call time, ``needs`` formatted with ``args`` and the size; None if it fits."""
+    if nbytes > MEMORY_LIMIT:
+        return (needs.format(*args, f"{nbytes / 2**20:.4g} MiB")
+                + f", above the limit of {MEMORY_LIMIT / 2**20:.4g} MiB")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CUTOFF, ENERGY, GAIN, TRANSMISSIVITY, CutoffError, DomainError,
-                     InvalidStateError, finite, in_domain)
+                     InvalidStateError, finite, in_domain, memory_refusal, scalar_in_domain)
 
 #: geometric tail mass a computation is sized for
 TAIL_TARGET = 1e-10
@@ -33,10 +33,6 @@ _TAIL_SLACK = 10.0
 
 #: eigenvalues below this are dropped when computing spectral entropies
 _EIG_FLOOR = 1e-14
-
-#: working memory a computation may use (a Fock cutoff, a stack of covariance
-#: matrices, a figure1 sweep); more is refused up front, by ``_memory_refusal``
-ORACLE_MEMORY_LIMIT = 2**30
 
 
 def _value(x):
@@ -97,7 +93,7 @@ def geometric_tail(E, N):
 
 def required_cutoff(E_max):
     """Smallest cutoff whose geometric tail at energy E_max is below TAIL_TARGET."""
-    if in_domain("mean energy", E_max, ENERGY) == 0.0:
+    if scalar_in_domain("mean energy", E_max, ENERGY) == 0.0:
         return 2
     # ln(E/(E+1)) as -log1p(1/E), which stays nonzero when E/(E+1) rounds to 1
     N = math.log(TAIL_TARGET) / -math.log1p(1.0 / E_max)
@@ -108,6 +104,7 @@ def required_cutoff(E_max):
 
 def check_cutoff(N, E_max):
     """Refuse (with a required-N hint) cutoffs whose tail is far above TAIL_TARGET."""
+    E_max = scalar_in_domain("mean energy", E_max, ENERGY)
     if geometric_tail(E_max, N) > _TAIL_SLACK * TAIL_TARGET:
         hint = required_cutoff(E_max)
         raise CutoffError(
@@ -117,18 +114,10 @@ def check_cutoff(N, E_max):
         )
 
 
-def _memory_refusal(nbytes, needs, *args):
-    """The refusal of a working set of ``nbytes`` above ``ORACLE_MEMORY_LIMIT``, read at
-    call time, ``needs`` formatted with ``args`` and the size; None if it fits."""
-    if nbytes > ORACLE_MEMORY_LIMIT:
-        return (needs.format(*args, f"{nbytes / 2**20:.4g} MiB")
-                + f", above the limit of {ORACLE_MEMORY_LIMIT / 2**20:.4g} MiB")
-
-
 def _check_memory(N, nbytes, E_max):
     """Refuse, before anything is allocated, a working set of ``nbytes`` above
-    ``ORACLE_MEMORY_LIMIT``; the error carries the cutoff the rule asks for at E_max."""
-    refusal = _memory_refusal(nbytes, "cutoff {} needs {} of working memory", N)
+    ``errors.MEMORY_LIMIT``; the error carries the cutoff the rule asks for at E_max."""
+    refusal = memory_refusal(nbytes, "cutoff {} needs {} of working memory", N)
     if refusal:
         raise CutoffError(refusal, required=required_cutoff(E_max))
 
@@ -143,7 +132,7 @@ def _thermal_probabilities(E, N, out=None):
 
 def thermal_fock(E, N):
     """Diagonal geometric thermal state, left sub-normalized by its tail."""
-    E = in_domain("mean energy", E, ENERGY)
+    E = scalar_in_domain("mean energy", E, ENERGY)
     N = in_domain("cutoff", N, CUTOFF)
     # the matrix and the Hermiticity check's temporaries
     _check_memory(N, 4 * 8 * N**2, E)
@@ -294,7 +283,7 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     The transfer covers only the input's band: the diagonals below K = 1 + the
     highest diagonal j - i on which any matrix of the stack has a nonzero entry
     (1 for an all-zero stack), so time and memory are O(K N^2).  One pass finds
-    K before the working set is checked against ``ORACLE_MEMORY_LIMIT``; its
+    K before the working set is checked against ``errors.MEMORY_LIMIT``; its
     temporaries, N^2 bytes of flags, 2 N - 1 integers and numpy's buffer, lie
     within that charge.
     """
@@ -414,9 +403,9 @@ def _oracle_distributions(kappa, E, eta, N, enforce_cutoff):
     1 + mode A's mean, are ratios with no difference, as X's partner Xbar (n_R and
     n_B + n_C, n_C and n_B + n_R) makes up the rest of n_A.  Each survival is
     summed from its smaller side, in one pass over one preallocated buffer."""
-    kappa = in_domain("squeezing gain", kappa, GAIN)
-    E = in_domain("mean energy", E, ENERGY)
-    eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
+    kappa = scalar_in_domain("squeezing gain", kappa, GAIN)
+    E = scalar_in_domain("mean energy", E, ENERGY)
+    eta = scalar_in_domain("transmissivity", eta, TRANSMISSIVITY)
     N = in_domain("cutoff", N, CUTOFF)
     e_max = oracle_energy(kappa, E, eta)
     # the (2, 4, N + 1) buffer, which the returned view keeps, and the two (4, N) arrays
@@ -491,7 +480,7 @@ def oracle_cmi(kappa, E, eta, N, enforce_cutoff=True):
     The four entropies come from one pass of ``entropy_of_spectrum`` over the
     four distributions stacked as rows, each row summed as a call on that row
     alone sums it.  Time and memory are O(N).  Cutoffs whose working set exceeds
-    ``ORACLE_MEMORY_LIMIT`` are refused before anything is allocated.  The
+    ``errors.MEMORY_LIMIT`` are refused before anything is allocated.  The
     truncated state is left sub-normalized by ``oracle_lost_norm``.
     """
     return _cmi_of(_oracle_distributions(kappa, E, eta, N, enforce_cutoff))

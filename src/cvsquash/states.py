@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain
-from .fock import _memory_refusal
+from .errors import ENERGY, GAIN, TRANSMISSIVITY, DomainError, in_domain, memory_refusal
 from .symplectic import gaussian_entropy, marginal, n_modes_of
 
 #: signs of the P-quadrature block of a constructor's covariance relative to
@@ -44,7 +43,7 @@ def _padding(n, subsets, ndim):
 def _charge(points, n, copies):
     """Refuse with DomainError when the entropy kernel's working set on ``copies``
     padded stacks of ``points`` covariances of n modes exceeds
-    ``fock.ORACLE_MEMORY_LIMIT``."""
+    ``errors.MEMORY_LIMIT``."""
     d = 2 * n
     # per padded d x d matrix, six float copies (the matrix, its Cholesky factor,
     # L^T Delta L, its antisymmetric part, and the complex Hermitian matrix, which
@@ -52,7 +51,7 @@ def _charge(points, n, copies):
     # (8192 complex entries) and the interpreter.  Measured (tracemalloc) on 1 to 4
     # modes, a construction peaks at 0.78 to 0.99 of this from 10^3 points on.
     nbytes = copies * points * 8 * (6 * d**2 + d + 6) + 136 * 2**10
-    refusal = _memory_refusal(nbytes, "{} points need {}", points)
+    refusal = memory_refusal(nbytes, "{} points need {}", points)
     if refusal:
         raise DomainError(refusal)
 

@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cvsquash import bounds, entropics, fock, verify
+from cvsquash import bounds, entropics, errors, fock, verify
 from cvsquash.bounds import classical_esq, esq_bounds_tms
 from cvsquash.cli import FIGURE1_ROW_BYTES, _sweep, build_parser, main
 from cvsquash.states import extension_family, gaussian_cmi
@@ -206,13 +206,13 @@ class TestFigure1:
     def test_memory_charge_per_row_by_format(self, capsys, monkeypatch):
         # six rows fit at the CSV charge each and not at the larger JSON charge
         csv_limit = 6 * FIGURE1_ROW_BYTES["csv"]
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", csv_limit)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", csv_limit)
         argv = ("figure1", "--kappas", "1.5,2", "--steps", "3", "--format")
         assert run(capsys, *argv, "csv")[0] == 0
         code, _, err = run(capsys, *argv, "json")
         assert code == 3
         assert "of 6 rows" in err
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", csv_limit - 1)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", csv_limit - 1)
         assert run(capsys, *argv, "csv")[0] == 3
 
     @pytest.mark.parametrize("fmt, kappa, e_min, e_max", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cvsquash import bounds, entropics, fock, states
 from cvsquash.cli import main
 from cvsquash.entropics import G_MAX, ChannelParam
-from cvsquash.errors import DomainError, finite
+from cvsquash.errors import ENERGY, DomainError, finite, in_domain
 
 nan, inf = math.nan, math.inf
 
@@ -97,6 +97,25 @@ def test_bad_parameter_is_domain_error(fn, args, index, kind, name, data):
         with pytest.raises(DomainError) as err:
             fn(*args[:index], bad, *args[index + 1:])
         assert str(err.value).startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("fn, args, index, kind, name", PARAMETERS)
+def test_array_is_taken_or_refused_and_string_refused(fn, args, index, kind, name):
+    # a two-entry array is accepted by the stacked functions and refused by those
+    # of one number; a string that is no number is refused by all
+    for bad, taken in ((np.array([args[index]] * 2), True), ("abc", False)):
+        try:
+            fn(*args[:index], bad, *args[index + 1:])
+        except DomainError as err:
+            assert str(err).startswith(f"{name} must be ")
+        else:
+            assert taken
+
+
+@pytest.mark.parametrize("value", ["abc", [1.0, [2.0, 3.0]], object()])
+def test_in_domain_refuses_what_is_no_number(value):
+    with pytest.raises(DomainError, match="^x must be finite and >= 0, got "):
+        in_domain("x", value, ENERGY)
 
 
 @pytest.mark.parametrize("fn, args", [(fn, args) for fn, args, _ in FUNCTIONS],

@@ -96,6 +96,32 @@ def test_reference_imports_no_package():
     assert not {m for m in modules if m.split(".")[0] == "cvsquash"}
 
 
+def package_imports(name):
+    """The package's modules that its module ``name`` imports, relatively
+    (from .x import y, from . import x) or by the package's name."""
+    tree = ast.parse((ROOT / "src" / "cvsquash" / f"{name}.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cvsquash" if node.level else "", node.module]))
+            modules |= ({module} if module != "cvsquash"
+                        else {f"cvsquash.{alias.name}" for alias in node.names})
+    return {m.split(".")[1] for m in modules if m.startswith("cvsquash.")}
+
+
+@pytest.mark.parametrize("name", ["entropics", "symplectic", "states", "bounds"])
+def test_covariance_route_imports_no_fock(name):
+    # the covariance route and the Fock oracle cross-check each other, so neither
+    # leans on the other: only verify, cli and __init__ join them
+    assert "fock" not in package_imports(name)
+
+
+def test_fock_imports_only_errors():
+    assert package_imports("fock") == {"errors"}
+
+
 def test_package_imports_no_scipy():
     # at run time too: importing the package and its CLI loads no scipy module
     code = (

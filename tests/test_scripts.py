@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -97,3 +98,32 @@ def test_stacked_cmi_timing(suite_timings):
     times = suite_timings.time_stacked_cmi(30)
     assert len(times) == suite_timings.REPEATS
     assert all(t > 0.0 for t in times)
+
+
+def test_line_split(suite_timings, tmp_path):
+    source = textwrap.dedent('''\
+        """A module docstring
+
+        over three lines."""
+
+        import os  # a comment after code is code
+
+        # a comment-only line
+        TEXT = """a string that is no docstring
+
+        keeps its blank line as code"""
+
+
+        class Kind:
+            """One line."""
+
+            def sep(self):
+                """Two
+                lines."""
+                return os.sep
+        ''')
+    path = tmp_path / "module.py"
+    path.write_text(source, encoding="utf-8")
+    split = suite_timings.line_split([path, path])
+    assert split == {"code": 14, "docstring": 12, "comment": 2, "blank": 10}
+    assert sum(split.values()) == 2 * len(source.splitlines())

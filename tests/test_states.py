@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvsquash import fock, states, symplectic
+from cvsquash import errors, states, symplectic
 from cvsquash.entropics import g, psi
 from cvsquash.errors import DomainError, InvalidStateError
 from cvsquash.states import (
@@ -469,11 +469,11 @@ class TestMemoryBound:
         padded = []
         padding = states._padding
         monkeypatch.setattr(states, "_padding", lambda *args: padded.append(args) or padding(*args))
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge - 1)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", charge - 1)
         with pytest.raises(DomainError, match="100 points need .* MiB, above the limit"):
             GaussianState(cov=cov, labels=labels)
         assert padded == []
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", charge)
         GaussianState(cov=cov, labels=labels)
         assert len(padded) == 1
 
@@ -487,7 +487,7 @@ class TestMemoryBound:
         # 10^5 points under a 1 MiB limit: what is traced up to the refusal is
         # less than one float array of their shape
         params = np.random.default_rng(37).uniform((1.0, 0.0, 0.0), (3.0, 2.0, 1.0), (10**5, 3))
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", 2**20)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 2**20)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="100000 points need .* MiB, above the limit"):
@@ -500,8 +500,8 @@ class TestMemoryBound:
     def test_lazy_limit_below_the_charge_refuses(self, monkeypatch):
         state = GaussianState(cov=covariance_stack(4, 100), labels=tuple("ABCD"))
         charge = padded_charge(100, 4, 2)
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge - 1)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", charge - 1)
         with pytest.raises(DomainError, match="100 points need"):
             gaussian_cmi(state, "A", "B", "C")
-        monkeypatch.setattr(fock, "ORACLE_MEMORY_LIMIT", charge)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", charge)
         gaussian_cmi(state, "A", "B", "C")
