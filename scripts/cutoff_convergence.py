@@ -19,14 +19,14 @@ from cvsquash.states import extension_family, gaussian_cmi
 
 
 def channel_study(kappa, E, cutoffs):
-    reference = g(kappa * E + kappa - 1.0)
+    channel = ChannelParam.amplifier(kappa)
+    E_out = channel.output_energy(E)
+    reference = g(E_out)
     rows = []
     for N in cutoffs:
         state = fock.thermal_fock(E, N)
-        out = fock.apply_channel_fock(
-            state, ChannelParam.amplifier(kappa), enforce_cutoff=False
-        )
-        rows.append((N, fock.geometric_tail(kappa * (E + 1.0) - 1.0, N),
+        out = fock.apply_channel_fock(state, channel, enforce_cutoff=False)
+        rows.append((N, fock.geometric_tail(E_out, N),
                      abs(fock.spectral_entropy(out) - reference)))
     return rows
 

@@ -29,8 +29,9 @@ scalar ``gaussian_cmi(extension_family(kappa, E, x))`` calls at x = eta,
 1 - eta and 1/2 of CMI_POINT, and the median per point of REPEATS calls of one
 stacked CMI over STACKED_POINTS seeded points.  Last comes the line count of the
 imported package's modules, as ``wc -l`` gives it and split by ``line_split``
-into code, docstring, comment-only and blank lines: run on two trees, it gives
-their line counts at their test results, and shows where a change of size lies.
+into code, docstring, comment-only and blank lines, per module and in all: run
+on two trees, it gives their line counts at their test results, and shows in
+which module and in which kind of line a change of size lies.
 
     PYTHONPATH=src python3 scripts/suite_timings.py
 """
@@ -88,6 +89,8 @@ THERMAL_CUTOFF = 400
 CMI_POINT = (2.0, 1.0, 0.3)
 CMI_REPEATS = 1000
 STACKED_POINTS = 3000
+#: the kinds of line that line_split counts, in the order they are printed
+LINE_KINDS = ("code", "docstring", "comment", "blank")
 
 
 def time_suite(name):
@@ -213,7 +216,7 @@ def line_split(paths):
     their line count: code, docstring (every line of one, blank ones too),
     comment-only and blank.  A line with code and a comment is code, and so is a
     blank line inside a string that is no docstring."""
-    counts = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    counts = dict.fromkeys(LINE_KINDS, 0)
     scoped = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                tokenize.DEDENT, tokenize.ENDMARKER}
@@ -231,6 +234,17 @@ def line_split(paths):
                     else "blank" if not line.strip() else "comment")
             counts[kind] += 1
     return counts
+
+
+def line_table(paths):
+    """``line_split`` of each Python file of ``paths`` as rows of a table, one per
+    file with its line count, after a header row."""
+    rows = [f"{'module':<16} {'lines':>6}" + "".join(f" {kind:>9}" for kind in LINE_KINDS)]
+    for path in paths:
+        split = line_split([path])
+        rows.append(f"{pathlib.Path(path).name:<16} {sum(split.values()):>6}"
+                    + "".join(f" {split[kind]:>9}" for kind in LINE_KINDS))
+    return rows
 
 
 def main():
@@ -267,7 +281,9 @@ def main():
     paths = sorted(package.glob("*.py"))
     lines = sum(len(path.read_text().splitlines()) for path in paths)
     split = " + ".join(f"{count} {kind}" for kind, count in line_split(paths).items())
-    print(f"\n{package}/*.py: {lines} lines = {split}")
+    print()
+    print(*line_table(paths), sep="\n")
+    print(f"{package}/*.py: {lines} lines = {split}")
     return 0
 
 

@@ -69,15 +69,13 @@ def _tms_bounds_args(kappa, E):
 
 def tms_equivalent_params(channel, E):
     """Map (channel, TMSV energy E) to the (kappa', E') of the equivalent squeezed
-    thermal-vacuum state; DomainError if the amplifier's E' overflows."""
+    thermal-vacuum state, where E' is the mean energy of the channel's complement
+    (Corollary 1); DomainError if the amplifier's E' overflows."""
     E = in_domain("mean energy", E, ENERGY)
+    E_mapped = channel.output_energy(E, complement=True)
     if channel.kind == "attenuator":
-        eta = channel.value
-        return (E + 1.0) / ((1.0 - eta) * E + 1.0), (1.0 - eta) * E
+        return (E + 1.0) / (E_mapped + 1.0), E_mapped
     kappa = channel.value
-    with np.errstate(over="ignore"):
-        E_mapped = (kappa - 1.0) * (E + 1.0)  # E', the largest intermediate
-    E_mapped = finite("(kappa - 1)(E + 1)", E_mapped, kappa=kappa, E=E)
     # kappa (E + 1) / ((kappa - 1) E + kappa) as 1 plus a ratio, never below 1
     return 1.0 + E / ((kappa - 1.0) * E + kappa), E_mapped
 

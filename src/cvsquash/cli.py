@@ -24,7 +24,7 @@ from .bounds import (
 )
 from .entropics import ChannelParam, g
 from .errors import (CUTOFF, ENERGY, GAIN, CutoffError, DomainError, InvalidStateError,
-                     SingularPointError, finite, in_domain, memory_refusal)
+                     SingularPointError, in_domain, memory_refusal)
 from .states import extension_family, gaussian_cmi
 from .verify import SUITES, run_suite
 
@@ -107,19 +107,14 @@ def _render_report(report, extras, fmt, precision):
 def cmd_bounds(args):
     if args.family == "tms":
         report = esq_bounds_tms(args.kappa, args.energy)
-    elif args.family == "attenuator":
-        report = esq_bounds_channel_state(ChannelParam.attenuator(args.eta), args.energy)
     else:
-        report = esq_bounds_channel_state(ChannelParam.amplifier(args.kappa), args.energy)
+        report = esq_bounds_channel_state(ChannelParam(args.family, args.param), args.energy)
     _emit(_render_report(report, [], args.format, args.precision), args.output)
     return 0
 
 
 def cmd_channel(args):
-    if args.family == "attenuator":
-        channel = ChannelParam.attenuator(args.eta)
-    else:
-        channel = ChannelParam.amplifier(args.kappa)
+    channel = ChannelParam(args.family, args.param)
     exact = channel_esq(channel)
     report = BoundReport(
         lower=exact,
@@ -228,24 +223,14 @@ def cmd_oracle(args):
         )
         lost = ("lost_norm", fock._lost_norm_of(distributions))
     else:
-        kinds = {
-            "att": (ChannelParam.attenuator, False),
-            "amp": (ChannelParam.amplifier, False),
-            "comp": (ChannelParam.amplifier, True),
-        }
-        make, complement = kinds[args.kind]
-        channel = make(args.param)
-        k, E = channel.value, in_domain("mean energy", args.energy, ENERGY)
+        channel = ChannelParam("attenuator" if args.kind == "att" else "amplifier", args.param)
+        complement = args.kind == "comp"
+        E = in_domain("mean energy", args.energy, ENERGY)
         # the covariance reference comes first, so that an overflow of its
         # output energy is named before the Fock route sees the input
-        formula, energy = {
-            "att": ("eta E", k * E),  # cannot overflow
-            "amp": ("kappa E + kappa - 1", k * E + k - 1.0),
-            "comp": ("(kappa - 1) (E + 1)", (k - 1.0) * (E + 1.0)),
-        }[args.kind]
-        reference = g(finite(formula, energy, kappa=k, E=E))
+        reference = g(channel.output_energy(E, complement))
         # a thermal input occupies one diagonal: the channel is refused before it is built
-        fock._check_channel_memory(args.cutoff, 1, 1, fock._channel_energies(E, channel))
+        fock._check_channel_memory(args.cutoff, 1, 1, max(E, channel.output_energy(E)))
         state = fock.thermal_fock(E, args.cutoff)
         out = fock.apply_channel_fock(state, channel, complement=complement)
         fock_value = fock.spectral_entropy(out)
@@ -315,10 +300,10 @@ def build_parser():
     b_tms.add_argument("--kappa", type=float, required=True)
     b_tms.add_argument("--energy", type=float, required=True)
     b_att = b_sub.add_parser("attenuator", help="attenuator on half a TMSV")
-    b_att.add_argument("--eta", type=float, required=True)
+    b_att.add_argument("--eta", type=float, required=True, dest="param", metavar="ETA")
     b_att.add_argument("--energy", type=float, required=True)
     b_amp = b_sub.add_parser("amplifier", help="amplifier on half a TMSV")
-    b_amp.add_argument("--kappa", type=float, required=True)
+    b_amp.add_argument("--kappa", type=float, required=True, dest="param", metavar="KAPPA")
     b_amp.add_argument("--energy", type=float, required=True)
     for p in (b_tms, b_att, b_amp):
         _add_output_flags(p)
@@ -327,9 +312,9 @@ def build_parser():
     p_channel = sub.add_parser("channel", help="exact channel values")
     c_sub = p_channel.add_subparsers(dest="family", required=True)
     c_att = c_sub.add_parser("attenuator")
-    c_att.add_argument("--eta", type=float, required=True)
+    c_att.add_argument("--eta", type=float, required=True, dest="param", metavar="ETA")
     c_amp = c_sub.add_parser("amplifier")
-    c_amp.add_argument("--kappa", type=float, required=True)
+    c_amp.add_argument("--kappa", type=float, required=True, dest="param", metavar="KAPPA")
     for p in (c_att, c_amp):
         _add_output_flags(p)
         p.set_defaults(func=cmd_channel)

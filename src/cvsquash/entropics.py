@@ -19,28 +19,46 @@ _MAX = np.finfo(float).max
 _SMALLEST = np.nextafter(0.0, 1.0)  # the smallest subnormal double
 
 
+#: each channel kind's one parameter: its name in messages and its domain
+_CHANNEL_PARAMETERS = {"attenuator": ("attenuator transmissivity", TRANSMISSIVITY),
+                       "amplifier": ("amplifier gain", GAIN)}
+
+
 @dataclass(frozen=True)
 class ChannelParam:
-    """A one-mode Gaussian channel: attenuator (eta) or amplifier (kappa)."""
+    """A one-mode Gaussian channel: the attenuator of transmissivity eta or the
+    amplifier of gain kappa, whose parameter ``value`` is one float in its domain."""
 
     kind: str  # "attenuator" | "amplifier"
     value: float
 
     def __post_init__(self):
-        if self.kind == "attenuator":
-            in_domain("attenuator transmissivity", self.value, TRANSMISSIVITY)
-        elif self.kind == "amplifier":
-            in_domain("amplifier gain", self.value, GAIN)
-        else:
+        if not (isinstance(self.kind, str) and self.kind in _CHANNEL_PARAMETERS):
             raise DomainError(f"unknown channel kind {self.kind!r}")
+        name, domain = _CHANNEL_PARAMETERS[self.kind]
+        object.__setattr__(self, "value", scalar_in_domain(name, self.value, domain))
 
     @classmethod
     def attenuator(cls, eta):
-        return cls("attenuator", scalar_in_domain("attenuator transmissivity", eta, TRANSMISSIVITY))
+        return cls("attenuator", eta)
 
     @classmethod
     def amplifier(cls, kappa):
-        return cls("amplifier", scalar_in_domain("amplifier gain", kappa, GAIN))
+        return cls("amplifier", kappa)
+
+    def output_energy(self, E, complement=False):
+        """Mean energy of the channel's output on a thermal input of mean energy E,
+        or with ``complement`` of its complement's: eta E or (1 - eta) E for the
+        attenuator, kappa E + kappa - 1 or (kappa - 1)(E + 1) for the amplifier.
+        E, a float or an array, is validated by the caller; DomainError "<formula>
+        overflows at kappa = ..., E = ..." if an amplifier's energy overflows."""
+        p = self.value
+        if self.kind == "attenuator":  # cannot overflow
+            return (1.0 - p) * E if complement else p * E
+        with np.errstate(over="ignore"):
+            if complement:
+                return finite("(kappa - 1)(E + 1)", (p - 1.0) * (E + 1.0), kappa=p, E=E)
+            return finite("kappa E + kappa - 1", p * E + p - 1.0, kappa=p, E=E)
 
 
 def g(E):
@@ -158,14 +176,12 @@ def _h_of(values):
 
 def moe_amplifier(kappa, s):
     """Minimum output entropy of the amplifier at input entropy s (thermal minimizer)."""
-    kappa = in_domain("amplifier gain", kappa, GAIN)
-    return g(kappa * g_inverse(s) + kappa - 1.0)
+    return g(ChannelParam.amplifier(kappa).output_energy(g_inverse(s)))
 
 
 def moe_complement(kappa, s):
     """Minimum output entropy of the amplifier's complementary channel at input entropy s."""
-    kappa = in_domain("amplifier gain", kappa, GAIN)
-    return g((kappa - 1.0) * (g_inverse(s) + 1.0))
+    return g(ChannelParam.amplifier(kappa).output_energy(g_inverse(s), complement=True))
 
 
 def cond_epi_rhs(kappa, s):

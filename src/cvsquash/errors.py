@@ -47,7 +47,8 @@ MEMORY_LIMIT = 2**30
 
 def in_domain(name, value, domain):
     """``value`` as a float, a float array or, for integers, an int; DomainError
-    naming ``name`` if any entry is outside ``domain``, NaN or infinite."""
+    naming ``name`` if any entry is outside ``domain``, NaN or infinite, or if
+    ``value`` is no number, text such as "2.5" included."""
     lo, hi, text = domain
     if isinstance(lo, int):
         if isinstance(value, (int, np.integer)) and lo <= value <= hi:
@@ -57,10 +58,12 @@ def in_domain(name, value, domain):
             return float(value)
     else:
         try:
-            arr = np.asarray(value, dtype=float)
-            if ((arr >= lo) & (arr <= hi)).all():
-                return arr if arr.ndim else float(arr)
-        except (TypeError, ValueError):  # not numbers, as "abc"
+            arr = np.asarray(value)
+            if arr.dtype.kind not in "US":  # text, which numpy would read as numbers
+                arr = arr.astype(float, copy=False)
+                if ((arr >= lo) & (arr <= hi)).all():
+                    return arr if arr.ndim else float(arr)
+        except (TypeError, ValueError):  # not numbers, as object()
             pass
     # formatted only on failure: printing an array costs more than the check
     raise DomainError(f"{name} must be {text}, got {value}")

@@ -155,16 +155,6 @@ def spectral_entropy(state):
     return entropy_of_spectrum(np.linalg.eigvalsh(matrix))
 
 
-def _channel_energies(E_in, channel):
-    """The largest mean energy of the channel's input and output (or complement):
-    the amplifier's kappa (E + 1) - 1 exceeds its complement's by E."""
-    if channel.kind == "attenuator":
-        return E_in
-    kappa = channel.value
-    grown = finite("kappa (E + 1) - 1", kappa * (E_in + 1.0) - 1.0, kappa=kappa, E=E_in)
-    return max(E_in, grown)  # at kappa = 1 and subnormal E_in, grown rounds to 0
-
-
 def _check_channel_memory(N, K, count, E_out):
     """Refuse the working set of ``apply_channel_fock`` on ``count`` matrices of
     cutoff N and band K, whose largest channel energy is E_out."""
@@ -220,7 +210,7 @@ def _kraus_sum(rho, channel, complement, K):
     S, R = len(rho), N + 1
     attenuator = channel.kind == "attenuator"
     table = _vacuum_ancilla_amplitudes("beam-splitter" if attenuator else "squeezer",
-                                       float(channel.value), N)
+                                       channel.value, N)
     pad = np.zeros((2 * N, R))
     e = pad.itemsize
     if attenuator:  # [m, j] to row m + j, column N - 1 - j: one to one
@@ -290,7 +280,10 @@ def apply_channel_fock(state, channel, complement=False, enforce_cutoff=True):
     if complement and channel.kind != "amplifier":
         raise DomainError("only the amplifier complement is supported")
     N, matrix = state.cutoff, state.matrix
-    E_out = _channel_energies(float(np.max(state.mean_photon_number())), channel)
+    E_in = float(np.max(state.mean_photon_number()))
+    # the amplifier's output energy exceeds its complement's by E_in, and falls
+    # below E_in only where it rounds to 0, at kappa = 1 and a subnormal E_in
+    E_out = max(E_in, channel.output_energy(E_in))
     # K = 1 + the highest diagonal j - i that a matrix of the stack occupies, in one
     # pass: N^2 flags, and j - i as a Toeplitz view of 2 N - 1 integers
     occupied = matrix.reshape(-1, N, N).any(axis=0)

@@ -122,12 +122,12 @@ def verify_corollary_map(tolerance=1e-12, seed=7):
     # rng.uniform would draw them one point at a time
     E, eta, kappa = (np.random.default_rng(seed).random((1000, 3)) * (10.0, 1.0, 4.0)
                      + (0.0, 0.0, 1.0)).T
-    # a channel of an array of parameters maps each point on its own
-    kp, ep = bd.tms_equivalent_params(se.ChannelParam("attenuator", eta), E)
-    dev = np.abs(gamma_attenuated(eta, E).cov - tms_thermal_state(kp, ep).cov)
-    kp, ep = bd.tms_equivalent_params(se.ChannelParam("amplifier", kappa), E)
-    dev_amp = np.abs(gamma_amplified(kappa, E).cov - tms_thermal_state(kp, ep).cov)
-    worst = max(dev.max(), dev_amp.max())
+    worst = 0.0
+    for kind, params, gamma in (("attenuator", eta, gamma_attenuated),
+                                ("amplifier", kappa, gamma_amplified)):
+        kp, ep = np.transpose([bd.tms_equivalent_params(se.ChannelParam(kind, p), e)
+                               for p, e in zip(params.tolist(), E.tolist())])
+        worst = max(worst, np.abs(gamma(params, E).cov - tms_thermal_state(kp, ep).cov).max())
     return VerifyReport.build("corollary-map", 2000, worst, tolerance, seed)
 
 
@@ -183,19 +183,14 @@ def verify_oracle(tolerance=1e-5, seed=7):
     each point at its rule-selected cutoff.  Channel output entropies on thermal
     inputs are held to their closed forms within a tenth of the tolerance."""
     deviations = []
-    for kappa in (1.5, 2.0):
+    attenuators = [(se.ChannelParam.attenuator(eta), False) for eta in (0.0, 0.5, 1.0)]
+    for amp in map(se.ChannelParam.amplifier, (1.5, 2.0)):
         for E in (0.5, 1.0, 2.0):
-            N = fock.required_cutoff(kappa * E + kappa - 1.0)
-            state = fock.thermal_fock(E, N)
-            amp = se.ChannelParam.amplifier(kappa)
-            out = fock.spectral_entropy(fock.apply_channel_fock(state, amp))
-            comp = fock.spectral_entropy(fock.apply_channel_fock(state, amp, complement=True))
-            deviations.append(10.0 * abs(out - se.g(kappa * E + kappa - 1.0)))
-            deviations.append(10.0 * abs(comp - se.g((kappa - 1.0) * (E + 1.0))))
-            for eta in (0.0, 0.5, 1.0):
-                att = se.ChannelParam.attenuator(eta)
-                out = fock.spectral_entropy(fock.apply_channel_fock(state, att))
-                deviations.append(10.0 * abs(out - se.g(eta * E)))
+            state = fock.thermal_fock(E, fock.required_cutoff(amp.output_energy(E)))
+            for channel, complement in [(amp, False), (amp, True), *attenuators]:
+                out = fock.apply_channel_fock(state, channel, complement=complement)
+                deviations.append(10.0 * abs(fock.spectral_entropy(out)
+                                             - se.g(channel.output_energy(E, complement))))
     grid = oracle_cmi_grid()
     references = gaussian_cmi(extension_family(*np.transpose(grid)), "A", "B", "R")
     for (kappa, E, eta), reference in zip(grid, references):

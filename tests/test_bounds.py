@@ -155,15 +155,17 @@ class TestChannelStateBounds:
 
     @pytest.mark.parametrize("kappa, E", [(10.0, 1e308), (1e308, 10.0), (1e308, 1.0)])
     def test_map_overflow_names_the_combination(self, kappa, E):
-        # the amplifier's E' = (kappa - 1)(E + 1) overflows, alone or in an array
+        # the amplifier's E' = (kappa - 1)(E + 1) overflows, alone or in an array,
+        # where the first bad entry is named
         named = f"(kappa - 1)(E + 1) overflows at kappa = {kappa:g}, E = {E:g}"
-        with pytest.raises(DomainError) as err:
-            tms_equivalent_params(ChannelParam.amplifier(kappa), E)
-        assert named in str(err.value)
-        channel = ChannelParam("amplifier", np.array([2.0, kappa, 3.0]))
-        with pytest.raises(DomainError) as err:
-            tms_equivalent_params(channel, np.array([1.0, E, E]))
-        assert named in str(err.value)
+        for energy in (E, np.array([0.0, E, E])):
+            with pytest.raises(DomainError) as err:
+                tms_equivalent_params(ChannelParam.amplifier(kappa), energy)
+            assert named in str(err.value)
+        # a channel is one number: an array of gains is refused when it is built
+        with pytest.raises(DomainError, match=r"^amplifier gain must be one number, got an "
+                                              r"array of shape \(3,\)$"):
+            ChannelParam("amplifier", np.array([2.0, kappa, 3.0]))
 
     def test_largest_finite_intermediates(self):
         # the same energies stay in range where (1 + eta) E + 1 and (kappa + 1) E + kappa do

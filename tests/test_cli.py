@@ -748,7 +748,7 @@ class TestOracle:
     @pytest.mark.parametrize("kind, param, energy, named", [
         ("amp", "1e308", "1", "kappa E + kappa - 1 overflows at kappa = 1e+308, E = 1"),
         ("amp", "2", "1e308", "kappa E + kappa - 1 overflows at kappa = 2, E = 1e+308"),
-        ("comp", "1e308", "1", "(kappa - 1) (E + 1) overflows at kappa = 1e+308, E = 1"),
+        ("comp", "1e308", "1", "(kappa - 1)(E + 1) overflows at kappa = 1e+308, E = 1"),
     ])
     def test_channel_overflow_exit_3_names_cause(self, capsys, kind, param, energy, named):
         code, out, err = run(

@@ -49,6 +49,8 @@ CUTOFF = ("cutoff", "cutoff")
 #: (function, valid arguments, (kind, name in the message) of each argument or
 #: None where the argument is not a checked parameter)
 FUNCTIONS = [
+    (ChannelParam, ("attenuator", 0.5), [None, ("unit interval", "attenuator transmissivity")]),
+    (ChannelParam, ("amplifier", 2.0), [None, AMPLIFIER_GAIN]),
     (ChannelParam.attenuator, (0.5,), [("unit interval", "attenuator transmissivity")]),
     (ChannelParam.amplifier, (2.0,), [AMPLIFIER_GAIN]),
     (entropics.g, (1.0,), [MEAN_ENERGY]),
@@ -110,6 +112,22 @@ def test_array_is_taken_or_refused_and_string_refused(fn, args, index, kind, nam
             assert str(err).startswith(f"{name} must be ")
         else:
             assert taken
+
+
+@pytest.mark.parametrize("fn, args, index, kind, name", PARAMETERS)
+def test_numeric_text_refused(fn, args, index, kind, name):
+    # numpy reads "2.5" as a number; no parameter takes text, on any path
+    for text in ("2.5", "8"):
+        with pytest.raises(DomainError) as err:
+            fn(*args[:index], text, *args[index + 1:])
+        assert str(err.value).startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("value", ["2.5", b"2.5", np.str_("2.5"), ["2.5", "1"]],
+                         ids=["str", "bytes", "numpy str", "list of str"])
+def test_in_domain_refuses_text(value):
+    with pytest.raises(DomainError, match="^x must be finite and >= 0, got "):
+        in_domain("x", value, ENERGY)
 
 
 @pytest.mark.parametrize("value", ["abc", [1.0, [2.0, 3.0]], object()])

@@ -1,6 +1,7 @@
 """Unit tests for the closed-form entropic functions."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -26,6 +27,8 @@ from cvsquash.entropics import (
     psi_second_derivative,
 )
 from cvsquash.errors import DomainError, SingularPointError
+
+from .reference import apply_symplectic, beam_splitter_symplectic, two_mode_squeezer_symplectic
 
 energies = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 positive_energies = st.floats(min_value=1e-6, max_value=1e6)
@@ -324,3 +327,45 @@ class TestChannelParam:
     def test_valid(self):
         assert ChannelParam.attenuator(0.5).value == 0.5
         assert ChannelParam.amplifier(2.0).kind == "amplifier"
+
+    @pytest.mark.parametrize("kind, name", [("attenuator", "attenuator transmissivity"),
+                                            ("amplifier", "amplifier gain")])
+    def test_array_refused_at_construction(self, kind, name):
+        # by the constructor itself and by its classmethod
+        for make in (lambda value: ChannelParam(kind, value), getattr(ChannelParam, kind)):
+            with pytest.raises(DomainError, match=rf"^{name} must be one number, got an "
+                                                  r"array of shape \(2,\)$"):
+                make(np.array([1.0, 1.0]))
+
+    def test_value_is_one_float(self):
+        for value in (2, np.float64(2.0), np.array(2.0)):
+            param = ChannelParam("amplifier", value).value
+            assert type(param) is float and param == 2.0
+
+
+class TestOutputEnergy:
+    """ChannelParam.output_energy against the symplectic action of each channel's
+    unitary on thermal(E) tensor vacuum: a mode's mean energy is its variance - 1/2."""
+
+    @pytest.mark.parametrize("kind, value", [("attenuator", 0.0), ("attenuator", 0.3),
+                                             ("attenuator", 1.0), ("amplifier", 1.0),
+                                             ("amplifier", 2.5)])
+    @pytest.mark.parametrize("E", [0.0, 0.7, 12.0])
+    def test_matches_symplectic_output_means(self, kind, value, E):
+        unitary = beam_splitter_symplectic if kind == "attenuator" else \
+            two_mode_squeezer_symplectic
+        cov = apply_symplectic(unitary(value), np.diag([E + 0.5, E + 0.5, 0.5, 0.5]))
+        channel = ChannelParam(kind, value)
+        # the output is mode 0, the complement mode 1
+        for complement, variance in ((False, cov[0, 0]), (True, cov[2, 2])):
+            energy = channel.output_energy(E, complement)
+            assert energy == pytest.approx(variance - 0.5, rel=1e-12, abs=1e-12)
+            assert channel.output_energy(np.array([E, E]), complement).tolist() == [energy] * 2
+
+    @pytest.mark.parametrize("complement, formula", [(False, "kappa E + kappa - 1"),
+                                                     (True, "(kappa - 1)(E + 1)")])
+    def test_overflow_names_the_first_bad_entry(self, complement, formula):
+        E = np.array([1.0, 1e308, 1.5e308])
+        with pytest.raises(DomainError, match=rf"^{re.escape(formula)} overflows at "
+                                              r"kappa = 3, E = 1e\+308$"):
+            ChannelParam.amplifier(3.0).output_energy(E, complement)

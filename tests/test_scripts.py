@@ -127,3 +127,7 @@ def test_line_split(suite_timings, tmp_path):
     split = suite_timings.line_split([path, path])
     assert split == {"code": 14, "docstring": 12, "comment": 2, "blank": 10}
     assert sum(split.values()) == 2 * len(source.splitlines())
+    # per module: a header, then one row per file with its line count and split
+    header, *rows = suite_timings.line_table([path, path])
+    assert header.split() == ["module", "lines", "code", "docstring", "comment", "blank"]
+    assert [row.split() for row in rows] == [["module.py", "19", "7", "6", "1", "5"]] * 2
