@@ -95,7 +95,7 @@ def esq_bounds_channel_state(channel, E):
         kappa = channel.value
         top = finite("(kappa + 1) E + kappa", (kappa + 1.0) * E + kappa, kappa=kappa, E=E)
         lower = math.log(top / ((kappa - 1.0) * E + kappa))
-        upper = g(0.5 * (top - 1.0)) - g(0.5 * (kappa - 1.0) * (E + 1.0))
+        upper = g(0.5 * ((kappa + 1.0) * E + (kappa - 1.0))) - g(0.5 * (kappa - 1.0) * (E + 1.0))
         provenance = ("corollary-1", "amplifier")
     return BoundReport(
         lower=lower,

@@ -58,7 +58,7 @@ class ChannelParam:
         with np.errstate(over="ignore"):
             if complement:
                 return finite("(kappa - 1)(E + 1)", (p - 1.0) * (E + 1.0), kappa=p, E=E)
-            return finite("kappa E + kappa - 1", p * E + p - 1.0, kappa=p, E=E)
+            return finite("kappa E + kappa - 1", p * E + (p - 1.0), kappa=p, E=E)
 
 
 def g(E):
@@ -126,7 +126,10 @@ def psi(kappa, E, eta):
     kappa = in_domain("squeezing gain", kappa, GAIN)
     E = in_domain("mean energy", E, ENERGY)
     eta = in_domain("transmissivity", eta, TRANSMISSIVITY)
-    return _sub(g((kappa - eta) * E + (kappa - 1.0)), g((1.0 - eta) * E))
+    with np.errstate(over="ignore"):
+        upper = (kappa - eta) * E + (kappa - 1.0)
+    upper = finite("(kappa - eta) E + kappa - 1", upper, kappa=kappa, E=E, eta=eta)
+    return _sub(g(upper), g((1.0 - eta) * E))
 
 
 def psi_second_derivative(kappa, E, eta):
@@ -153,20 +156,27 @@ def psi_second_derivative(kappa, E, eta):
 def gap_f(kappa, E):
     """Difference between the closed-form upper and lower squashed-entanglement bounds."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
-    return _sub(psi(kappa, E, 0.5), np.log(2.0 * kappa - 1.0))
+    upper = psi(kappa, E, 0.5)
+    with np.errstate(over="ignore"):
+        lower = finite("2 kappa - 1", 2.0 * kappa - 1.0, kappa=kappa)
+    return _sub(upper, np.log(lower))
 
 
 def h(kappa, x):
     """h_kappa(x) = g(kappa x + kappa - 1) + g((kappa-1)(x+1)) - g(x)."""
     kappa = in_domain("squeezing gain", kappa, GAIN)
     x = in_domain("mean energy", x, ENERGY)
+    with np.errstate(over="ignore"):
+        args = _h_args(kappa, x)
+    # the largest of the three: when it is finite, so are the others
+    finite("kappa x + kappa - 1", args[0], kappa=kappa, x=x)
     # one g call on the three stacked arguments
-    return _h_of(g(np.stack(np.broadcast_arrays(*_h_args(kappa, x)))))
+    return _h_of(g(np.stack(np.broadcast_arrays(*args))))
 
 
 def _h_args(kappa, x):
-    """The three g arguments of h_kappa(x)."""
-    return kappa * x + kappa - 1.0, (kappa - 1.0) * (x + 1.0), x
+    """The three g arguments of h_kappa(x), with kappa - 1 formed first."""
+    return kappa * x + (kappa - 1.0), (kappa - 1.0) * (x + 1.0), x
 
 
 def _h_of(values):

@@ -44,8 +44,10 @@ def symplectic_eigenvalues(sigma):
     Cholesky and one symmetric eigensolve per matrix, with no matrix square
     root, and full symmetric-eigensolver accuracy, unlike the nonsymmetric
     eigenproblem for inv(Delta) sigma.  Raises InvalidStateError unless every
-    matrix is finite, symmetric, positive definite, and meets the uncertainty
-    relation nu_min >= 1/2 to within max(_NU_TOL, 1e-13 * scale).
+    matrix is finite, symmetric, positive definite, small enough that the
+    kernel does not overflow (entries below about half the largest double), and
+    meets the uncertainty relation nu_min >= 1/2 to within
+    max(_NU_TOL, 1e-13 * scale).
 
     The spectrum pairs up with no check: the Hermitian matrix is formed as
     i/2 (A - A^T), purely imaginary and exactly antisymmetric, so its exact
@@ -59,28 +61,33 @@ def symplectic_eigenvalues(sigma):
     scale = np.abs(sigma).max(axis=(-2, -1), initial=1.0)  # max(1, |sigma|)
     # NaN passes Cholesky and every check below.  A NaN entry makes the
     # asymmetry's excess over its bound NaN, and an infinite one makes it
-    # inf - inf, so one comparison refuses all three; only the message differs
-    with np.errstate(invalid="ignore"):
+    # inf - inf, so one comparison refuses all three; only the message differs.
+    # Finite entries above about half the largest double overflow the sums
+    # below, and the spectrum comes out NaN, which the last check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         asymmetry = np.abs(sigma - transpose).max(axis=(-2, -1)) - 1e-12 * scale
         if not (asymmetry <= 0.0).all():
             raise InvalidStateError("covariance matrix " + (
                 "is not symmetric" if np.isfinite(scale).all() else "has a non-finite entry"))
-    try:
-        L = np.linalg.cholesky(0.5 * (sigma + transpose))
-    except np.linalg.LinAlgError as exc:
-        raise InvalidStateError("covariance matrix is not positive definite") from exc
-    rows, signs = _delta(n)
-    A = L.swapaxes(-1, -2) @ (L[..., rows, :] * signs)  # L^T Delta L
-    try:
-        nu = np.linalg.eigvalsh(0.5j * (A - A.swapaxes(-1, -2)))  # ascending
-    except np.linalg.LinAlgError as exc:
-        raise InvalidStateError("symplectic eigenvalues did not converge") from exc
+        try:
+            L = np.linalg.cholesky(0.5 * (sigma + transpose))
+        except np.linalg.LinAlgError as exc:
+            raise InvalidStateError("covariance matrix is not positive definite") from exc
+        rows, signs = _delta(n)
+        A = L.swapaxes(-1, -2) @ (L[..., rows, :] * signs)  # L^T Delta L
+        try:
+            nu = np.linalg.eigvalsh(0.5j * (A - A.swapaxes(-1, -2)))  # ascending
+        except np.linalg.LinAlgError as exc:
+            raise InvalidStateError("symplectic eigenvalues did not converge") from exc
     paired = nu[..., :n - 1:-1]  # the positive half, descending
-    violated = paired[..., -1] < 0.5 - np.maximum(_NU_TOL, 1e-13 * scale)
+    nu_min = paired[..., -1]
+    violated = ~(nu_min >= 0.5 - np.maximum(_NU_TOL, 1e-13 * scale))  # NaN fails too
     if violated.any():
+        if np.isnan(nu_min[violated]).any():
+            raise InvalidStateError("covariance matrix entries overflow the symplectic kernel")
         raise InvalidStateError(
             "uncertainty relation violated: min symplectic eigenvalue "
-            f"{paired[..., -1][violated].min()} < 1/2"
+            f"{nu_min[violated].min()} < 1/2"
         )
     return paired
 

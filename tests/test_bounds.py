@@ -1,6 +1,7 @@
 """Unit tests for the bound computations."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ class TestChannelStateBounds:
             rel=1e-12,
         )
 
+    def test_amplifier_upper_forms_kappa_minus_one_first(self):
+        # (kappa + 1) E + (kappa - 1): the sum formed before subtracting 1 lost
+        # kappa - 1 to rounding, 3.1e-4 relative at this point
+        kappa, E = 1.0 + 1e-12, 1e-13
+        top = float((Fraction(kappa) + 1) * Fraction(E) + Fraction(kappa) - 1) / 2
+        side = float((Fraction(kappa) - 1) * (Fraction(E) + 1)) / 2
+        report = esq_bounds_channel_state(ChannelParam.amplifier(kappa), E)
+        assert report.upper == pytest.approx(g(top) - g(side), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("channel, E, named", [
         (ChannelParam.amplifier(1e308), 1.0, "kappa overflows at kappa = 1e+308, E = 1"),
         (ChannelParam.amplifier(2.0), 1e308, "kappa overflows at kappa = 2, E = 1e+308"),
@@ -255,6 +265,16 @@ class TestClassical:
         # kappa x overflows, so h' cannot be told from 0 at the bracket's right end
         with pytest.raises(DomainError):
             find_E_kappa(1.7e308)
+
+    def test_kappa_minus_one_formed_first(self):
+        # h's first argument kappa x + (kappa - 1), 2.2e-5 relative off at this point
+        # when kappa x + kappa was formed first
+        kappa, E = 1.0 + 1.23e-12, 1.04e-12
+        value, res = classical_esq(kappa, E)
+        assert res.clipped and res.argmin_x == E
+        exact = (g(float(Fraction(kappa) * Fraction(E) + Fraction(kappa) - 1))
+                 + g(float((Fraction(kappa) - 1) * (Fraction(E) + 1))) - g(E))
+        assert value == pytest.approx(0.5 * exact, rel=1e-15, abs=0.0)
 
     def test_kappa_one_degenerate(self):
         value, res = classical_esq(1.0, 5.0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import sys
 import warnings
 
@@ -241,6 +242,38 @@ class TestH:
     def test_nonnegative(self, kappa, x):
         assert h(kappa, x) >= -1e-12
 
+    def test_kappa_minus_one_formed_first(self):
+        kappa, x = 1.0 + 1.23e-12, 1.04e-12
+        exact = (g(float(Fraction(kappa) * Fraction(x) + Fraction(kappa) - 1))
+                 + g(float((Fraction(kappa) - 1) * (Fraction(x) + 1))) - g(x))
+        assert h(kappa, x) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+class TestOverflowNamed:
+    """psi, gap_f and h refuse an argument that overflows by its formula, for a
+    scalar and an array kappa, and leak no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [1e308, np.array([2.0, 1e308])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("compute, args, formula", [
+        (psi, (1.0, 0.0), "(kappa - eta) E + kappa - 1 overflows at kappa = 1e+308, E = 1, eta = 0"),
+        (gap_f, (0.0,), "2 kappa - 1 overflows at kappa = 1e+308"),
+        (h, (1.0,), "kappa x + kappa - 1 overflows at kappa = 1e+308, x = 1"),
+    ], ids=["psi", "gap_f", "h"])
+    def test_overflow_named(self, kappa, compute, args, formula):
+        with pytest.raises(DomainError) as err:
+            compute(kappa, *args)
+        assert str(err.value) == formula
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_energy_overflow_named(self):
+        with pytest.raises(DomainError, match=r"^\(kappa - eta\) E \+ kappa - 1 overflows at "
+                                              r"kappa = 2, E = 1e\+308, eta = 0$"):
+            psi(2.0, np.array([1.0, 1e308]), 0.0)
+        with pytest.raises(DomainError, match=r"^kappa x \+ kappa - 1 overflows at kappa = 2, "
+                                              r"x = 1e\+308$"):
+            h(2.0, np.array([1.0, 1e308]))
+
 
 class TestEpiForms:
     def test_cond_epi_rhs_at_zero(self):
@@ -369,3 +402,12 @@ class TestOutputEnergy:
         with pytest.raises(DomainError, match=rf"^{re.escape(formula)} overflows at "
                                               r"kappa = 3, E = 1e\+308$"):
             ChannelParam.amplifier(3.0).output_energy(E, complement)
+
+    def test_kappa_minus_one_formed_first(self):
+        # kappa E + (kappa - 1): kappa E + kappa - 1 lost kappa - 1 to rounding,
+        # 7.3e-5 relative at this point
+        kappa, E = 1.0 + 1e-12, 1e-13
+        exact = float(Fraction(kappa) * Fraction(E) + Fraction(kappa) - 1)
+        energy = ChannelParam.amplifier(kappa).output_energy(E)
+        assert energy == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert g(energy) == pytest.approx(g(exact), rel=1e-15, abs=0.0)

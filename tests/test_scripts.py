@@ -3,11 +3,15 @@
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
+
+from cvsquash.verify import SUITES, run_suite
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -61,43 +65,88 @@ def suite_timings(monkeypatch):
     return script
 
 
-def test_oracle_timing(suite_timings):
-    times = suite_timings.time_oracle(min(suite_timings.ORACLE_CUTOFFS))
-    assert len(times) == suite_timings.REPEATS
+#: the labels of suite_timings.layers() at the constants of the shrunk fixture, in
+#: the order they print: the end-to-end sections, then g, the spectrum and the table
+ROWS = ["figure1", "bounds tms --kappa 2 --energy 1", "40", "operation", "_sweep",
+        "_figure1_text", "cached", "cache cleared", "12",
+        "extension-grid operation: 3 scalar CMIs", "stacked CMI, per point of 30",
+        "g(1)", "g on 30 energies", "symplectic_eigenvalues at (2.0, 1.0, 0.3)",
+        "symplectic_eigenvalues of 30 points", "squeezer of gain 2"]
+
+
+@pytest.fixture
+def shrunk(suite_timings, monkeypatch):
+    # small cutoffs, stacks and repeats, read by layers() when it is called
+    for name, value in {"CHANNEL_CUTOFF": 12, "THERMAL_CUTOFF": 12, "STACKED_POINTS": 30,
+                        "ORACLE_CUTOFFS": (40,), "REPEATS": 3, "SWEEP_REPEATS": 3,
+                        "CHANNEL_REPEATS": 3, "CMI_REPEATS": 3}.items():
+        monkeypatch.setattr(suite_timings, name, value)
+    return suite_timings
+
+
+@pytest.mark.parametrize("index", range(len(ROWS)),
+                         ids=[re.sub(r"\W+", "-", label).strip("-") for label in ROWS])
+def test_layer_row(shrunk, index):
+    rows = [row for _, _, section in shrunk.layers() for row in section]
+    assert [label for label, *_ in rows] == ROWS
+    label, run, repeats, *rest = rows[index]
+    # per point of the stack; the amplitude table's cache cleared before each run
+    clear = shrunk.fock._vacuum_ancilla_amplitudes.cache_clear
+    assert rest == {"stacked CMI, per point of 30": [30], "cache cleared": [1, clear],
+                    "squeezer of gain 2": [1, clear]}.get(label, [])
+    times = shrunk.timed(run, repeats, *rest)
+    # 3 runs, or 3 per channel on the two rows that alternate them
+    assert len(times) == repeats == (6 if label.startswith("cache") else 3)
     assert all(t > 0.0 for t in times)
 
 
-@pytest.mark.parametrize("cold", [False, True], ids=["cached", "cleared"])
-def test_channel_timing(suite_timings, monkeypatch, cold):
-    # the channel-entropy operation at a small cutoff, a few times per channel
-    monkeypatch.setattr(suite_timings, "CHANNEL_REPEATS", 3)
-    times = suite_timings.time_channel(12, cold)
-    assert len(times) == 6
-    assert all(t > 0.0 for t in times)
+def test_timed_divides_by_per_and_calls_before_untimed(suite_timings, monkeypatch):
+    now, calls = [0.0], []
+    monkeypatch.setattr(suite_timings, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def run():
+        now[0] += 6.0
+        calls.append("run")
+
+    def before():
+        now[0] += 100.0
+        calls.append("before")
+
+    assert suite_timings.timed(run, 4, 3, before) == [2.0] * 4
+    assert calls == ["before", "run"] * 4
+    calls.clear()
+    assert suite_timings.timed(run, 2) == [6.0] * 2
+    assert calls == ["run"] * 2
 
 
-def test_thermal_channel_timing(suite_timings):
-    times = suite_timings.time_thermal_channel(12)
-    assert len(times) == suite_timings.REPEATS
-    assert all(t > 0.0 for t in times)
-
-
-def test_sweep_op_timing(suite_timings):
-    times = suite_timings.time_sweep_op(3)
-    assert list(times) == ["operation", "_sweep", "_figure1_text"]
-    assert all(len(ts) == 3 and all(t > 0.0 for t in ts) for ts in times.values())
-
-
-def test_extension_op_timing(suite_timings):
-    times = suite_timings.time_extension_op(3)
-    assert len(times) == 3
-    assert all(t > 0.0 for t in times)
-
-
-def test_stacked_cmi_timing(suite_timings):
-    times = suite_timings.time_stacked_cmi(30)
-    assert len(times) == suite_timings.REPEATS
-    assert all(t > 0.0 for t in times)
+def test_main_prints_suites_and_sections(shrunk, monkeypatch, capsys):
+    # one run of each suite, whose report the spy keeps for the check of its line
+    reports = {}
+    monkeypatch.setattr(shrunk, "REPEATS", 1)
+    monkeypatch.setattr(shrunk, "run_suite", lambda name: reports.setdefault(name, run_suite(name)))
+    assert shrunk.main() == 0
+    suites, *sections, lines = capsys.readouterr().out.split("\n\n")
+    header, *rows = suites.splitlines()
+    assert header.split() == ["suite", "checks_run", "max_violation", "median_s"]
+    assert list(reports) == sorted(SUITES)
+    for (name, report), row in zip(reports.items(), rows, strict=True):
+        assert row.split()[:3] == [name, str(report.checks_run), repr(report.max_violation)]
+    titles = [section.splitlines()[0].rsplit(maxsplit=1) for section in sections]
+    assert titles == [
+        ["command", "median_ms"], ["oracle_cmi(1.5, 0.5, 0.5) at cutoff", "median_ms"],
+        ["classical-sweep: kappa 2, 400 energies", "median_us"],
+        ["channel-entropy at cutoff 12, amplitude table", "median_ms"],
+        ["thermal E = 1 through the amplifier at cutoff", "median_ms"],
+        ["one Gaussian CMI at (2.0, 1.0, 0.3)", "median_us"],
+        ["g and the symplectic spectrum", "median_us"],
+        ["amplitude table at cutoff 12, cache cleared", "median_us"]]
+    rows = [row for section in sections for row in section.splitlines()[1:]]
+    assert [row[:48].rstrip() for row in rows] == ROWS
+    # medians in ms to 3 decimals, in us to 2, right-aligned in 9 columns
+    for section, (_, unit) in zip(sections, titles):
+        for row in section.splitlines()[1:]:
+            assert re.fullmatch(r" {0,8}\d+\.\d{%d}" % (3 if unit == "median_ms" else 2), row[49:])
+    assert lines.splitlines()[0].split()[:2] == ["module", "lines"]
 
 
 def test_line_split(suite_timings, tmp_path):

@@ -15,6 +15,7 @@ from cvsquash.states import (
     _construction_subsets,
     _padded,
     extension_family,
+    thermal_state,
     tms_thermal_state,
 )
 from cvsquash.symplectic import (
@@ -219,6 +220,22 @@ class TestStackedKernel:
                 symplectic_eigenvalues(sigma)
             with pytest.raises(InvalidStateError, match="non-finite"):
                 validate_covariance(sigma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("compute", [symplectic_eigenvalues, gaussian_entropy,
+                                         validate_covariance])
+    def test_overflowing_entries_refused(self, compute):
+        # 0.5 (sigma + sigma^T) overflows above about half the largest double; the
+        # spectrum came out NaN, passed the uncertainty check, and g(NaN) read 0
+        big = np.diag([9e307, 9e307])
+        for bad in (big, np.stack([thermal_cov(1.0), big])):
+            with pytest.raises(InvalidStateError, match="entries overflow the symplectic kernel"):
+                compute(bad)
+        with pytest.raises(InvalidStateError, match="entries overflow the symplectic kernel"):
+            thermal_state(9e307)
+        np.testing.assert_allclose(symplectic_eigenvalues(np.diag([8e307, 8e307])), [8e307],
+                                   rtol=1e-15)
+        assert thermal_state(8e307).entropy() == g(8e307)
 
     @pytest.mark.parametrize("slots", [(0,), (1,), (2,), (0, 3)])
     def test_vacuum_padding_keeps_entropy(self, slots):
